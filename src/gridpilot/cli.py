@@ -45,24 +45,32 @@ def _outdir(args) -> str:
     return args.out
 
 
+def _required(cfg: dict, key: str):
+    """``cfg[key]``, or GridPilotError naming the missing entry."""
+    if key not in cfg:
+        raise GridPilotError(f"config needs {key!r}")
+    return cfg[key]
+
+
+def _section(cfg: dict, section: str, cls, drop=(), **fixed):
+    """Build dataclass ``cls`` from ``cfg[section]``, lists as tuples.
+
+    Keys in ``drop`` are read elsewhere. Missing or unknown keys and
+    rejected values raise GridPilotError instead of TypeError/ValueError.
+    """
+    raw = cfg.get(section, {})
+    if not isinstance(raw, dict):
+        raise GridPilotError(f"config section {section!r} must be an object")
+    kwargs = {k: tuple(v) if isinstance(v, list) else v
+              for k, v in raw.items() if k not in drop}
+    try:
+        return cls(**fixed, **kwargs)
+    except (TypeError, ValueError) as exc:
+        raise GridPilotError(f"bad {section!r} config: {exc}") from exc
+
+
 def _feeder_from(cfg: dict) -> Feeder:
-    if "feeder" not in cfg:
-        raise GridPilotError("config needs a 'feeder' entry (path or fixture name)")
-    return resolve_feeder(cfg["feeder"])
-
-
-def _gen_config(cfg: dict) -> scenario.GenConfig:
-    raw = dict(cfg.get("scenario", {}))
-    if "count" not in raw:
-        raise GridPilotError("config needs scenario.count")
-    for key in ("pv_to_load_ratio_range", "load_scale_range", "power_factor_range"):
-        if key in raw:
-            raw[key] = tuple(raw[key])
-    return scenario.GenConfig(**raw)
-
-
-def _reward_config(cfg: dict) -> RewardConfig:
-    return RewardConfig(**cfg.get("reward", {}))
+    return resolve_feeder(_required(cfg, "feeder"))
 
 
 def _seed(cfg: dict, args) -> int:
@@ -72,9 +80,7 @@ def _seed(cfg: dict, args) -> int:
 
 
 def _scenarios_from(cfg: dict, feeder: Feeder) -> scenario.ScenarioSet:
-    if "scenario_file" not in cfg:
-        raise GridPilotError("config needs 'scenario_file'")
-    return scenario.read_scenario_set(cfg["scenario_file"], feeder)
+    return scenario.read_scenario_set(_required(cfg, "scenario_file"), feeder)
 
 
 def _write(path, text: str):
@@ -91,7 +97,7 @@ def _write_json(path, obj):
 def cmd_gen_scenarios(args) -> int:
     cfg = _load_config(args.config)
     feeder = _feeder_from(cfg)
-    gen_cfg = _gen_config(cfg)
+    gen_cfg = _section(cfg, "scenario", scenario.GenConfig)
     seed = _seed(cfg, args)
     out = _outdir(args)
 
@@ -110,8 +116,7 @@ def cmd_train_dsse(args) -> int:
     feeder = _feeder_from(cfg)
     seed = _seed(cfg, args)
     out = _outdir(args)
-    dcfg = dict(cfg.get("dsse", {}))
-    noise_pct = float(dcfg.pop("noise_pct", 1.0))
+    noise_pct = float(cfg.get("dsse", {}).get("noise_pct", 1.0))
     slack = float(cfg.get("slack_voltage", 1.0))
 
     sset = _scenarios_from(cfg, feeder)
@@ -120,9 +125,7 @@ def cmd_train_dsse(args) -> int:
         sset, float(split_cfg.get("train_fraction", 0.8)),
         int(split_cfg.get("seed", seed)))
 
-    if "hidden_layers" in dcfg:
-        dcfg["hidden_layers"] = tuple(dcfg["hidden_layers"])
-    hp = dsse.DsseHyperparams(seed=seed, **dcfg)
+    hp = _section(cfg, "dsse", dsse.DsseHyperparams, drop=("noise_pct",), seed=seed)
     train_pairs = dsse.build_training_pairs(train_set, feeder, noise_pct,
                                             slack_voltage=slack, seed=seed)
     test_pairs = dsse.build_training_pairs(test_set, feeder, noise_pct,
@@ -153,7 +156,7 @@ def cmd_eval_dsse(args) -> int:
     noise_pct = float(cfg.get("dsse", {}).get("noise_pct", 1.0))
     slack = float(cfg.get("slack_voltage", 1.0))
 
-    model = dsse.load_dsse(cfg["dsse_checkpoint"])
+    model = dsse.load_dsse(_required(cfg, "dsse_checkpoint"))
     if model.feeder_fingerprint != feeder.fingerprint:
         raise GridPilotError("estimator checkpoint does not match the feeder")
     sset = _scenarios_from(cfg, feeder)
@@ -177,7 +180,7 @@ def _env_config(cfg: dict, feeder: Feeder, estimator) -> EnvConfig:
         measurement_noise_pct=float(env_raw.get("measurement_noise_pct", 0.0)),
         zone_map=np.array(env_raw["zone_map"], dtype=int) if "zone_map" in env_raw else None,
         slack_voltage=float(cfg.get("slack_voltage", 1.0)),
-        reward=_reward_config(cfg))
+        reward=_section(cfg, "reward", RewardConfig))
 
 
 def cmd_train_agent(args) -> int:
@@ -193,8 +196,7 @@ def cmd_train_agent(args) -> int:
             raise GridPilotError("estimator checkpoint does not match the feeder")
 
     sset = _scenarios_from(cfg, feeder)
-    train_raw = dict(cfg.get("train", {}))
-    train_cfg = ddpg.TrainConfig(seed=seed, **train_raw)
+    train_cfg = _section(cfg, "train", ddpg.TrainConfig, seed=seed)
     env_cfg = _env_config(cfg, feeder, estimator)
     if env_cfg.horizon != train_cfg.horizon:
         env_cfg.horizon = train_cfg.horizon
@@ -216,7 +218,7 @@ def cmd_train_agent(args) -> int:
 
 
 def _load_agent_for(cfg: dict, feeder: Feeder):
-    nets, train_cfg, _, meta = ddpg.load_agent(cfg["agent_checkpoint"])
+    nets, train_cfg, _, meta = ddpg.load_agent(_required(cfg, "agent_checkpoint"))
     fp = meta.get("feeder_fingerprint", "")
     if fp and fp != feeder.fingerprint:
         raise GridPilotError("agent checkpoint does not match the feeder")
@@ -235,7 +237,7 @@ def cmd_evaluate(args) -> int:
     noise_pct = float(cfg.get("env", {}).get("measurement_noise_pct", 0.0))
 
     report = runtime.evaluate(nets, estimator, feeder, list(sset),
-                              reward_cfg=_reward_config(cfg),
+                              reward_cfg=_section(cfg, "reward", RewardConfig),
                               slack_voltage=float(cfg.get("slack_voltage", 1.0)),
                               measurement_noise_pct=noise_pct, seed=seed)
     _write(os.path.join(out, "eval_profile.csv"), report.profile_csv())
@@ -259,14 +261,11 @@ def cmd_run_online(args) -> int:
     estimator = dsse.load_dsse(cfg["dsse_checkpoint"]) if cfg.get("dsse_checkpoint") else None
     sset = _scenarios_from(cfg, feeder)
 
-    apr_raw = dict(cfg.get("apr", {}))
-    if "reference_reward" not in apr_raw:
-        raise GridPilotError("config needs apr.reference_reward for run-online")
-    apr = runtime.AprConfig(**apr_raw)
+    apr = _section(cfg, "apr", runtime.AprConfig)
 
     noise_pct = float(cfg.get("env", {}).get("measurement_noise_pct", 0.0))
     run, _ = runtime.run_online(feeder, nets, estimator, list(sset), apr,
-                                reward_cfg=_reward_config(cfg),
+                                reward_cfg=_section(cfg, "reward", RewardConfig),
                                 slack_voltage=float(cfg.get("slack_voltage", 1.0)),
                                 measurement_noise_pct=noise_pct, seed=seed,
                                 train_cfg=train_cfg)
@@ -289,7 +288,7 @@ def cmd_oracle(args) -> int:
     out = _outdir(args)
     n_grid = int(cfg.get("oracle", {}).get("n_grid", 201))
     sset = _scenarios_from(cfg, feeder)
-    reward_cfg = _reward_config(cfg)
+    reward_cfg = _section(cfg, "reward", RewardConfig)
     slack = float(cfg.get("slack_voltage", 1.0))
 
     lines = ["scenario_id, best_action, best_reward"]

@@ -264,7 +264,7 @@ def train(env: Env, scenarios, cfg: TrainConfig,
     scenario_list = list(scenarios)
     trajectory: list[float] = []
     updates = 0
-    snapshot = _snapshot(nets)
+    snapshot = clone_agent(nets)
 
     for episode in range(cfg.episodes):
         sigma = _sigma_schedule(cfg, episode)
@@ -299,11 +299,12 @@ def train(env: Env, scenarios, cfg: TrainConfig,
             err.last_good = snapshot
             raise err from exc
         trajectory.append(cum_reward)
-        snapshot = _snapshot(nets)
+        snapshot = clone_agent(nets)
     return nets, trajectory
 
 
-def _snapshot(nets: AgentNets) -> AgentNets:
+def clone_agent(nets: AgentNets) -> AgentNets:
+    """Independent deep copy of all four nets."""
     return AgentNets(actor=nn.clone_model(nets.actor),
                      critic=nn.clone_model(nets.critic),
                      actor_target=nn.clone_model(nets.actor_target),

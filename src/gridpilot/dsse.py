@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import logging
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,7 +60,6 @@ class DsseModel:
     output_std: np.ndarray
     feeder_fingerprint: str
     node_phases: list[tuple[str, str]]
-    latency_log: list = field(default_factory=list, repr=False)
 
     @property
     def n_node_phases(self) -> int:
@@ -198,12 +196,11 @@ def train_dsse(pairs, hyperparams: DsseHyperparams, feeder: Feeder
 
 def estimate_states(model: DsseModel, measurement: MeasurementVector,
                     expected_fingerprint: str | None = None) -> StateEstimate:
-    """Denormalized estimate for one measurement; latency appended to the log."""
+    """Denormalized estimate for one measurement."""
     if expected_fingerprint is not None and expected_fingerprint != model.feeder_fingerprint:
         raise ModelMismatchError(
             f"model was trained for feeder {model.feeder_fingerprint[:12]}..., "
             f"active feeder is {expected_fingerprint[:12]}...")
-    start = time.perf_counter()
     x = (measurement.as_features() - model.input_mean) / model.input_std
     model.net.eval()
     out, _ = nn.forward(model.net, x[None, :])
@@ -215,7 +212,6 @@ def estimate_states(model: DsseModel, measurement: MeasurementVector,
         log.warning("clamped %d implausible magnitude estimates", clamped)
         v_mag = np.clip(v_mag, 0.5, 1.5)
     v_angle = _wrap_deg(raw[n:] + _angle_refs_deg(model.node_phases))
-    model.latency_log.append(time.perf_counter() - start)
     return StateEstimate(v_mag=v_mag, v_angle=v_angle, clamp_count=clamped)
 
 

@@ -1,12 +1,14 @@
 """Volt-VAr control MDP: states, actions, barrier reward, environment step.
 
-One environment step is the full physical pipeline: map the agent's zone
-coefficients to inverter reactive setpoints, superimpose them on the
-scenario's injections, solve the power flow, take the feeder-head
-measurement, and produce the next state either from the state estimator or
-(in perfect-state mode) from the true solver voltages. The reward is always
-computed from true solver voltages; estimation error only affects what the
-agent observes.
+One environment step is the physical half of the pipeline: map the agent's
+zone coefficients to inverter reactive setpoints, superimpose them on the
+scenario's injections, solve the power flow, and take the feeder-head
+measurement. ``observe`` is the other half: it turns a step into what the
+agent sees, the state estimator's reading of the head measurement or (in
+perfect-state mode, no estimator) the true solver voltages. ``Env`` and the
+deployed control cycle in ``runtime`` both observe through it. The reward is
+always computed from true solver voltages; estimation error only affects
+what the agent observes.
 
 Sign conventions: positive q setpoint injects reactive power (raises local
 voltage), negative absorbs. Reward is never positive; zero only for an
@@ -21,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dsse import DsseModel, estimate_states
 from .errors import PowerFlowDivergedError
 from .feeder import AdmittanceMatrix, Feeder, build_admittance
 from .powerflow import (
@@ -70,7 +73,7 @@ class RewardConfig:
 @dataclass
 class EnvConfig:
     feeder: Feeder
-    estimator: object = None  # DsseModel; None means perfect-state mode
+    estimator: DsseModel | None = None  # None means perfect-state mode
     horizon: int = 20
     measurement_noise_pct: float = 0.0
     zone_map: np.ndarray | None = None  # pv unit -> zone index; default all zone 0
@@ -166,10 +169,11 @@ def objective_deviation(v_mags: np.ndarray, v_nominal: float = 1.0) -> float:
 
 def env_step(cfg: EnvConfig, scenario: Scenario, action: MdpAction,
              rng: np.random.Generator | None = None) -> tuple[MdpState, float, dict]:
-    """Apply an action to a scenario and observe the resulting system.
+    """Apply an action to a scenario and measure the resulting system.
 
-    Returns (next_state, reward, info). info carries the true voltages, the
-    feeder-head P/Q, the realized setpoints, and a terminal flag. Power-flow
+    Returns (true_state, reward, info). info carries the true voltages, the
+    feeder-head measurement and P/Q, the realized setpoints, and a terminal
+    flag; ``observe`` turns the step into the agent's state. Power-flow
     divergence under the action yields a large negative reward scaled by the
     node-phase count and terminal=True; the placeholder next state is a flat
     nominal profile (never bootstrapped from, since the transition is
@@ -196,13 +200,7 @@ def env_step(cfg: EnvConfig, scenario: Scenario, action: MdpAction,
     meas = feeder_head_measurement(cfg.feeder, cfg.admittance, sol,
                                    noise_sigma=sigma,
                                    rng=rng if sigma > 0 else None)
-    if cfg.estimator is not None:
-        from .dsse import estimate_states
-        est = estimate_states(cfg.estimator, meas,
-                              expected_fingerprint=cfg.feeder.fingerprint)
-        state = MdpState(v_mag=est.v_mag)
-    else:
-        state = MdpState(v_mag=sol.v_mag.copy())
+    state = MdpState(v_mag=sol.v_mag.copy())
 
     slack = slack_indices(cfg.feeder, cfg.admittance)
     v = sol.v_complex
@@ -225,6 +223,21 @@ def env_step(cfg: EnvConfig, scenario: Scenario, action: MdpAction,
         "iterations": sol.iterations,
     }
     return state, r, info
+
+
+def observe(estimator: DsseModel | None, feeder: Feeder, state: MdpState,
+            info: dict) -> MdpState:
+    """The agent's state after an ``env_step``.
+
+    ``state`` (the true magnitudes, or the placeholder after a divergence)
+    when there is no estimator or the step was terminal; otherwise the
+    estimator's reading of the step's feeder-head measurement.
+    """
+    if estimator is None or info["terminal"]:
+        return state
+    est = estimate_states(estimator, info["measurement"],
+                          expected_fingerprint=feeder.fingerprint)
+    return MdpState(v_mag=est.v_mag)
 
 
 class Env:
@@ -250,7 +263,7 @@ class Env:
             raise PowerFlowDivergedError(
                 f"scenario {scenario.id} infeasible at zero action",
                 info["residual"], info["iterations"])
-        return state
+        return observe(self.cfg.estimator, self.cfg.feeder, state, info)
 
     def step(self, action: MdpAction) -> tuple[MdpState, float, bool, dict]:
         if self.scenario is None:
@@ -258,4 +271,4 @@ class Env:
         state, r, info = env_step(self.cfg, self.scenario, action, rng=self.rng)
         self.t += 1
         done = info["terminal"] or self.t >= self.cfg.horizon
-        return state, r, done, info
+        return observe(self.cfg.estimator, self.cfg.feeder, state, info), r, done, info

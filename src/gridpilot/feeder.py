@@ -96,9 +96,6 @@ class Feeder:
     def n_node_phases(self) -> int:
         return sum(len(b.phases) for b in self.buses)
 
-    def lines_from(self, bus_id: str) -> list[Line]:
-        return [ln for ln in self.lines if ln.from_bus == bus_id]
-
 
 @dataclass
 class AdmittanceMatrix:
@@ -115,6 +112,7 @@ class AdmittanceMatrix:
 class Diagnostic:
     entity: str
     message: str
+    error: type = FeederSchemaError  # what load_feeder raises for it
 
     def __str__(self):
         return f"{self.entity}: {self.message}"
@@ -168,7 +166,10 @@ def load_feeder(path) -> Feeder:
 
     Raises FeederSchemaError on parse/shape problems, DanglingReferenceError
     on references to unknown buses or absent phases, and FeederTopologyError
-    when the graph is not a radial tree rooted at the source bus.
+    when the graph is not a radial tree rooted at the source bus. When
+    ``validate_feeder`` reports several kinds, the first class in that
+    order (dangling reference, topology, schema) is raised with all of its
+    diagnostics.
     """
     try:
         with open(path) as fh:
@@ -244,17 +245,14 @@ def load_feeder(path) -> Feeder:
         except (KeyError, TypeError, ValueError) as exc:
             raise FeederSchemaError(f"malformed pv entry: {exc}", field=where) from exc
 
-    source = str(raw["source_bus_id"])
-    if source not in by_id:
-        raise DanglingReferenceError(f"source_bus_id {source!r} is not a bus")
-
     feeder = Feeder(buses=buses, lines=lines, loads=loads, pv_units=pv_units,
-                    source_bus_id=source, base_voltage_kv=base_kv, base_power_kva=base_kva)
-    _check_references(feeder)
-    _check_topology(feeder)
+                    source_bus_id=str(raw["source_bus_id"]), base_voltage_kv=base_kv,
+                    base_power_kva=base_kva)
     problems = validate_feeder(feeder)
-    if problems:
-        raise FeederSchemaError("; ".join(str(d) for d in problems))
+    for error in (DanglingReferenceError, FeederTopologyError, FeederSchemaError):
+        found = [str(d) for d in problems if d.error is error]
+        if found:
+            raise error("; ".join(found))
     return feeder
 
 
@@ -271,53 +269,6 @@ def resolve_feeder(ref: str) -> Feeder:
     if ref.endswith(".json"):
         return load_feeder(ref)
     return load_feeder(builtin_feeder_path(ref))
-
-
-def _check_references(feeder: Feeder) -> None:
-    by_id = {b.id: b for b in feeder.buses}
-    for kind, items in (("load", feeder.loads), ("pv", feeder.pv_units)):
-        for item in items:
-            if item.bus_id not in by_id:
-                raise DanglingReferenceError(f"{kind} references unknown bus {item.bus_id!r}")
-            if item.phase not in by_id[item.bus_id].phases:
-                raise DanglingReferenceError(
-                    f"{kind} at bus {item.bus_id} uses phase {item.phase}, "
-                    f"bus has {''.join(by_id[item.bus_id].phases)}")
-
-
-def _check_topology(feeder: Feeder) -> None:
-    """Radial check: every non-source bus is the target of exactly one line,
-    lines point away from the source, and the tree reaches every bus."""
-    targets = {}
-    for ln in feeder.lines:
-        if ln.to_bus == feeder.source_bus_id:
-            raise FeederTopologyError(f"line {ln.from_bus}->{ln.to_bus} targets the source bus")
-        if ln.to_bus in targets:
-            raise FeederTopologyError(f"bus {ln.to_bus} has multiple incoming lines (loop or mesh)")
-        targets[ln.to_bus] = ln
-
-    children = {}
-    for ln in feeder.lines:
-        children.setdefault(ln.from_bus, []).append(ln.to_bus)
-    seen = {feeder.source_bus_id}
-    stack = [feeder.source_bus_id]
-    while stack:
-        for nxt in children.get(stack.pop(), []):
-            if nxt in seen:
-                raise FeederTopologyError(f"bus {nxt} reachable by more than one path")
-            seen.add(nxt)
-            stack.append(nxt)
-    missing = [b.id for b in feeder.buses if b.id not in seen]
-    if missing:
-        raise FeederTopologyError(f"buses not connected to the source: {missing}")
-
-    by_id = {b.id: b for b in feeder.buses}
-    for ln in feeder.lines:
-        child, parent = by_id[ln.to_bus], by_id[ln.from_bus]
-        extra = set(child.phases) - set(parent.phases)
-        if extra:
-            raise FeederTopologyError(
-                f"bus {child.id} carries phases {sorted(extra)} absent at parent {parent.id}")
 
 
 def build_admittance(feeder: Feeder) -> AdmittanceMatrix:
@@ -357,7 +308,13 @@ def build_admittance(feeder: Feeder) -> AdmittanceMatrix:
 
 
 def validate_feeder(feeder: Feeder) -> list[Diagnostic]:
-    """Collect invariant violations as diagnostics instead of raising."""
+    """Collect every invariant violation as a diagnostic instead of raising.
+
+    Each diagnostic names the error class ``load_feeder`` raises for it:
+    DanglingReferenceError for unknown buses or absent phases,
+    FeederTopologyError when the lines do not form a radial tree rooted at
+    the source bus, FeederSchemaError for everything else.
+    """
     out = []
     by_id = {b.id: b for b in feeder.buses}
 
@@ -365,6 +322,9 @@ def validate_feeder(feeder: Feeder) -> list[Diagnostic]:
         out.append(Diagnostic("feeder", "base quantities must be strictly positive"))
     if len(by_id) != len(feeder.buses):
         out.append(Diagnostic("feeder", "duplicate bus ids"))
+    if feeder.source_bus_id not in by_id:
+        out.append(Diagnostic("feeder", f"source bus {feeder.source_bus_id!r} is not a bus",
+                              DanglingReferenceError))
     for b in feeder.buses:
         if not b.phases:
             out.append(Diagnostic(f"bus {b.id}", "empty phase set"))
@@ -373,9 +333,10 @@ def validate_feeder(feeder: Feeder) -> list[Diagnostic]:
         for item in items:
             name = f"{kind} {item.bus_id}.{item.phase}"
             if item.bus_id not in by_id:
-                out.append(Diagnostic(name, "references unknown bus"))
+                out.append(Diagnostic(name, "references unknown bus", DanglingReferenceError))
             elif item.phase not in by_id[item.bus_id].phases:
-                out.append(Diagnostic(name, "references a phase absent at its bus"))
+                out.append(Diagnostic(name, "references a phase absent at its bus",
+                                      DanglingReferenceError))
             if item.bus_id == feeder.source_bus_id:
                 # the source is the slack/sensing point; devices there sit
                 # upstream of the model and would corrupt head measurements
@@ -392,6 +353,10 @@ def validate_feeder(feeder: Feeder) -> list[Diagnostic]:
         if pv.q_rated > pv.s_rated + 1e-12:
             out.append(Diagnostic(name, "pv q_rated exceeds s_rated"))
 
+    # radial tree: no line into the source, one incoming line per bus, child
+    # phases a subset of the parent's, and every bus reached from the source
+    fed = set()
+    children = {}
     for ln in feeder.lines:
         name = f"line {ln.from_bus}->{ln.to_bus}"
         z = ln.phase_impedance
@@ -399,11 +364,23 @@ def validate_feeder(feeder: Feeder) -> list[Diagnostic]:
             out.append(Diagnostic(name, "impedance matrix not symmetric"))
         if np.any(np.diag(z).real < 0):
             out.append(Diagnostic(name, "diagonal resistance is negative"))
-
-    # connectivity (diagnostic form of the topology check)
-    children = {}
-    for ln in feeder.lines:
+        unknown = [bus for bus in (ln.from_bus, ln.to_bus) if bus not in by_id]
+        if unknown:
+            out.append(Diagnostic(name, f"references unknown bus {unknown[0]!r}",
+                                  DanglingReferenceError))
+            continue
+        if ln.to_bus == feeder.source_bus_id:
+            out.append(Diagnostic(name, "targets the source bus", FeederTopologyError))
+        if ln.to_bus in fed:
+            out.append(Diagnostic(f"bus {ln.to_bus}", "has multiple incoming lines "
+                                  "(loop or mesh)", FeederTopologyError))
+        fed.add(ln.to_bus)
         children.setdefault(ln.from_bus, []).append(ln.to_bus)
+        extra = set(by_id[ln.to_bus].phases) - set(by_id[ln.from_bus].phases)
+        if extra:
+            out.append(Diagnostic(f"bus {ln.to_bus}", f"carries phases {sorted(extra)} "
+                                  f"absent at parent {ln.from_bus}", FeederTopologyError))
+
     seen = {feeder.source_bus_id}
     stack = [feeder.source_bus_id]
     while stack:
@@ -413,6 +390,7 @@ def validate_feeder(feeder: Feeder) -> list[Diagnostic]:
                 stack.append(nxt)
     for b in feeder.buses:
         if b.id not in seen:
-            out.append(Diagnostic(f"bus {b.id}", "not connected to the source"))
+            out.append(Diagnostic(f"bus {b.id}", "not connected to the source",
+                                  FeederTopologyError))
 
     return out

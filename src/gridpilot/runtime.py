@@ -1,11 +1,12 @@
 """Online execution, performance monitoring, oracle baseline, evaluation.
 
-The online loop mirrors deployment: per scenario snapshot, take the head
-measurement under idle inverters, estimate the state, act without
-exploration, and apply the setpoints. A trailing-reward monitor (APR)
-triggers fine-tuning when control quality degrades against the training
-reference. Latency is recorded separately from the deterministic run log so
-logs stay bit-reproducible under a fixed seed.
+Both the online loop and evaluation run the deployed control cycle, written
+once in ``_control_cycle``: per scenario snapshot, solve under idle
+inverters, take the head measurement, estimate the state, act without
+exploration, and solve under the applied setpoints. A trailing-reward
+monitor (APR) triggers fine-tuning when control quality degrades against
+the training reference. Latency is recorded separately from the
+deterministic run log so logs stay bit-reproducible under a fixed seed.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import ddpg, nn
-from .dsse import DsseModel, estimate_states
-from .env import Env, EnvConfig, MdpAction, RewardConfig, env_step, objective_deviation
+from . import ddpg
+from .dsse import DsseModel
+from .env import Env, EnvConfig, MdpAction, RewardConfig, env_step, observe
 from .errors import InfeasibleScenarioError, ModelMismatchError, TrainingError
 from .feeder import Feeder
 from .scenario import Scenario
@@ -95,7 +96,14 @@ class RunLog:
                 "max_ms": float(arr.max())}
 
 
-def _check_compatibility(feeder: Feeder, nets: ddpg.AgentNets, dsse: DsseModel | None):
+def _deployed_config(feeder: Feeder, nets: ddpg.AgentNets, dsse: DsseModel | None,
+                     reward_cfg: RewardConfig | None, slack_voltage: float,
+                     measurement_noise_pct: float) -> EnvConfig:
+    """Check the models against the feeder; one-step perfect-state config.
+
+    The estimator stays out of the config: ``_control_cycle`` applies it
+    explicitly so that estimate plus action is timed as one unit.
+    """
     n = feeder.n_node_phases
     if nets.actor.input_dim != n:
         raise ModelMismatchError(
@@ -106,6 +114,33 @@ def _check_compatibility(feeder: Feeder, nets: ddpg.AgentNets, dsse: DsseModel |
         if dsse.n_node_phases != n:
             raise ModelMismatchError(
                 f"estimator outputs {dsse.n_node_phases} node-phases, feeder has {n}")
+    return EnvConfig(feeder=feeder, estimator=None, horizon=1,
+                     measurement_noise_pct=measurement_noise_pct,
+                     slack_voltage=slack_voltage,
+                     reward=reward_cfg if reward_cfg is not None else RewardConfig())
+
+
+def _control_cycle(cfg: EnvConfig, nets: ddpg.AgentNets, dsse: DsseModel | None,
+                   scenario: Scenario, rng: np.random.Generator):
+    """One deployed control cycle on a scenario snapshot.
+
+    Solve under idle inverters, observe the head measurement (through the
+    estimator when given), act without exploration, solve under the action.
+    Returns (baseline reward, baseline info, action, reward, info, latency_s);
+    the latency covers estimation plus action selection. Raises
+    InfeasibleScenarioError when either solve diverges.
+    """
+    state, r0, info0 = env_step(cfg, scenario, MdpAction(np.zeros(cfg.n_zones)), rng=rng)
+    if info0["terminal"]:
+        raise InfeasibleScenarioError(f"scenario {scenario.id} infeasible at zero action")
+    t0 = time.perf_counter()
+    action = ddpg.act(nets, observe(dsse, cfg.feeder, state, info0))
+    latency = time.perf_counter() - t0
+    _, r1, info1 = env_step(cfg, scenario, action, rng=rng)
+    if info1["terminal"]:
+        raise InfeasibleScenarioError(
+            f"scenario {scenario.id} diverged under control action")
+    return r0, info0, action, r1, info1, latency
 
 
 def run_online(feeder: Feeder, nets: ddpg.AgentNets, dsse: DsseModel | None,
@@ -115,41 +150,24 @@ def run_online(feeder: Feeder, nets: ddpg.AgentNets, dsse: DsseModel | None,
                fine_tune_enabled: bool = True) -> tuple[RunLog, ddpg.AgentNets]:
     """Drive the trained agent over a scenario stream with APR supervision.
 
-    Each stream element is one control cycle: head measurement under idle
-    inverters, state estimate, deterministic action, applied setpoints. The
-    measured latency covers measurement decode through action selection.
-    Returns the run log and the (possibly fine-tuned) agent.
+    Each stream element is one control cycle (``_control_cycle``); a
+    scenario whose idle or controlled solve diverges is skipped with a
+    warning. Returns the run log and the (possibly fine-tuned) agent.
     """
-    _check_compatibility(feeder, nets, dsse)
-    reward_cfg = reward_cfg if reward_cfg is not None else RewardConfig()
-    # perfect-state config: estimation happens explicitly below so the
-    # measurement -> estimate -> act pipeline can be timed as one unit
-    cfg = EnvConfig(feeder=feeder, estimator=None, horizon=1,
-                    measurement_noise_pct=measurement_noise_pct,
-                    slack_voltage=slack_voltage, reward=reward_cfg)
+    cfg = _deployed_config(feeder, nets, dsse, reward_cfg, slack_voltage,
+                           measurement_noise_pct)
     rng = np.random.default_rng(seed)
     run = RunLog()
     rewards: list[float] = []
     recent: list[Scenario] = []
-    zero = MdpAction(np.zeros(cfg.n_zones))
 
     for step, scenario in enumerate(scenarios):
-        state, _, info0 = env_step(cfg, scenario, zero, rng=rng)
-        if info0["terminal"]:
-            log.warning("scenario %d infeasible at zero action, skipped", scenario.id)
+        try:
+            _, _, action, r, info, latency = _control_cycle(cfg, nets, dsse, scenario, rng)
+        except InfeasibleScenarioError as exc:
+            log.warning("%s; skipped", exc)
             continue
-
-        t0 = time.perf_counter()
-        if dsse is not None:
-            est = estimate_states(dsse, info0["measurement"],
-                                  expected_fingerprint=feeder.fingerprint)
-            obs = est.v_mag
-        else:
-            obs = state.v_mag
-        action = ddpg.act(nets, ddpg.MdpState(v_mag=obs))
-        run.latencies_s.append(time.perf_counter() - t0)
-
-        _, r, info = env_step(cfg, scenario, action, rng=rng)
+        run.latencies_s.append(latency)
         rewards.append(r)
         recent.append(scenario)
 
@@ -189,10 +207,7 @@ def fine_tune(nets: ddpg.AgentNets, recent_scenarios, episodes: int,
                   noise_sigma_start=base.noise_sigma_end,
                   noise_sigma_end=base.noise_sigma_end)
 
-    work = ddpg.AgentNets(actor=nn.clone_model(nets.actor),
-                          critic=nn.clone_model(nets.critic),
-                          actor_target=nn.clone_model(nets.actor_target),
-                          critic_target=nn.clone_model(nets.critic_target))
+    work = ddpg.clone_agent(nets)
     buffer = ddpg.ReplayBuffer(cfg.buffer_capacity, work.state_dim, work.action_dim)
     if transitions:
         for s, a, r, s2, terminal in transitions:
@@ -296,13 +311,9 @@ def evaluate(nets: ddpg.AgentNets, dsse: DsseModel | None, feeder: Feeder,
     """
     if len(scenarios) == 0:
         raise ValueError("empty scenario set")
-    _check_compatibility(feeder, nets, dsse)
-    reward_cfg = reward_cfg if reward_cfg is not None else RewardConfig()
-    cfg = EnvConfig(feeder=feeder, estimator=None, horizon=1,
-                    measurement_noise_pct=measurement_noise_pct,
-                    slack_voltage=slack_voltage, reward=reward_cfg)
+    cfg = _deployed_config(feeder, nets, dsse, reward_cfg, slack_voltage,
+                           measurement_noise_pct)
     rng = np.random.default_rng(seed)
-    zero = MdpAction(np.zeros(cfg.n_zones))
 
     v_base, v_ctrl = [], []
     r_base, r_ctrl = [], []
@@ -310,35 +321,18 @@ def evaluate(nets: ddpg.AgentNets, dsse: DsseModel | None, feeder: Feeder,
     latencies = []
 
     for scenario in scenarios:
-        state, r0, info0 = env_step(cfg, scenario, zero, rng=rng)
-        if info0["terminal"]:
-            raise InfeasibleScenarioError(
-                f"scenario {scenario.id} infeasible at zero action")
+        r0, info0, _, r1, info1, latency = _control_cycle(cfg, nets, dsse, scenario, rng)
         v_base.append(info0["v_mag_true"])
         r_base.append(r0)
         dev_base.append(info0["deviation"])
-
-        t0 = time.perf_counter()
-        if dsse is not None:
-            est = estimate_states(dsse, info0["measurement"],
-                                  expected_fingerprint=feeder.fingerprint)
-            obs = est.v_mag
-        else:
-            obs = state.v_mag
-        action = ddpg.act(nets, ddpg.MdpState(v_mag=obs))
-        latencies.append(time.perf_counter() - t0)
-
-        _, r1, info1 = env_step(cfg, scenario, action, rng=rng)
-        if info1["terminal"]:
-            raise InfeasibleScenarioError(
-                f"scenario {scenario.id} diverged under control action")
         v_ctrl.append(info1["v_mag_true"])
         r_ctrl.append(r1)
         dev_ctrl.append(info1["deviation"])
+        latencies.append(latency)
 
     v_base = np.stack(v_base)
     v_ctrl = np.stack(v_ctrl)
-    lo, hi = reward_cfg.v_min, reward_cfg.v_max
+    lo, hi = cfg.reward.v_min, cfg.reward.v_max
     out_base = (v_base < lo) | (v_base > hi)
     out_ctrl = (v_ctrl < lo) | (v_ctrl > hi)
     lat_ms = np.array(latencies) * 1000.0

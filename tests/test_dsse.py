@@ -122,15 +122,6 @@ def test_estimate_shapes_and_fingerprint_guard(feeder4, model4, pairs4):
         estimate_states(model, pairs4[0][0], expected_fingerprint="deadbeef")
 
 
-def test_estimate_records_latency(model4, pairs4):
-    model, _ = model4
-    before = len(model.latency_log)
-    estimate_states(model, pairs4[0][0])
-    estimate_states(model, pairs4[1][0])
-    assert len(model.latency_log) == before + 2
-    assert all(t > 0 for t in model.latency_log[-2:])
-
-
 def test_estimates_are_absolute_angles(model4, pairs4):
     model, _ = model4
     est = estimate_states(model, pairs4[0][0])

@@ -10,6 +10,9 @@ from gridpilot.errors import (
     FeederTopologyError,
 )
 from gridpilot.feeder import (
+    Bus,
+    Feeder,
+    Line,
     PvUnit,
     build_admittance,
     builtin_feeder_path,
@@ -186,6 +189,28 @@ def test_child_phases_must_exist_at_parent(tmp_path):
     data["pv_units"] = []
     with pytest.raises(FeederTopologyError):
         load_feeder(write(tmp_path, data))
+
+
+def direct_feeder(buses, lines):
+    """Feeder built in memory, bypassing load_feeder's parse-time checks."""
+    phases = dict(buses)
+    return Feeder(buses=[Bus(b, tuple(ph)) for b, ph in buses],
+                  lines=[Line(f, t, np.eye(len(phases[t])) * (0.01 + 0.02j))
+                         for f, t in lines],
+                  loads=[], pv_units=[], source_bus_id="src",
+                  base_voltage_kv=2.4, base_power_kva=100.0)
+
+
+@pytest.mark.parametrize("feeder", [
+    direct_feeder([("src", "A"), ("b1", "A")], [("src", "b1"), ("b1", "src")]),
+    direct_feeder([("src", "A"), ("b1", "A"), ("b2", "A")],
+                  [("src", "b1"), ("src", "b2"), ("b1", "b2")]),
+    direct_feeder([("src", "A"), ("b1", "B")], [("src", "b1")]),
+], ids=["line-into-source", "two-incoming-lines", "child-phase-absent-at-parent"])
+def test_validate_feeder_reports_topology_faults(feeder):
+    problems = validate_feeder(feeder)
+    assert problems
+    assert all(d.error is FeederTopologyError for d in problems)
 
 
 def test_device_on_source_bus_rejected(tmp_path):

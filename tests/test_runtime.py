@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import FOURBUS_SLACK, fourbus_gen
-from gridpilot import ddpg, nn, runtime
-from gridpilot.dsse import DsseModel
-from gridpilot.env import EnvConfig, MdpAction, env_step
+from gridpilot import ddpg, env, nn, runtime
+from gridpilot.dsse import DsseModel, estimate_states
+from gridpilot.env import EnvConfig, MdpAction, MdpState, env_step
 from gridpilot.errors import (
     InfeasibleScenarioError,
     ModelMismatchError,
+    PowerFlowDivergedError,
     TrainingError,
 )
 from gridpilot.runtime import (
@@ -45,6 +46,19 @@ def identity_dsse(feeder, fingerprint=None):
                      output_std=np.ones(2 * n),
                      feeder_fingerprint=fingerprint or feeder.fingerprint,
                      node_phases=feeder.node_phases())
+
+
+def estimated_actions(feeder, nets, dsse, scenarios):
+    """The action the deployed agent should apply to each scenario: act on
+    the estimate from the noiseless zero-action head measurement."""
+    cfg = EnvConfig(feeder=feeder, estimator=None, horizon=1,
+                    slack_voltage=FOURBUS_SLACK)
+    zero = MdpAction(np.zeros(1))
+    actions = []
+    for sc in scenarios:
+        meas = env_step(cfg, sc, zero)[2]["measurement"]
+        actions.append(ddpg.act(nets, MdpState(estimate_states(dsse, meas).v_mag)))
+    return cfg, actions
 
 
 # --- APR monitor --------------------------------------------------------------
@@ -207,6 +221,28 @@ def test_run_online_skips_infeasible(feeder2):
     assert [r.scenario_id for r in run.records] == [0, 0]
 
 
+def test_run_online_skips_controlled_divergence(feeder4, nets4, scenarios4,
+                                               monkeypatch, caplog):
+    # the second scenario converges under idle inverters (solve 3) but its
+    # controlled solve (solve 4) diverges
+    real_solve = env.solve_power_flow
+    calls = {"n": 0}
+
+    def solve(*args, **kwargs):
+        calls["n"] += 1
+        if calls["n"] == 4:
+            raise PowerFlowDivergedError("forced", 1.0, 7)
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(env, "solve_power_flow", solve)
+    apr = AprConfig(reference_reward=-1.0)
+    run, _ = run_online(feeder4, nets4, None, scenarios4[:3], apr,
+                        slack_voltage=FOURBUS_SLACK)
+    assert [r.scenario_id for r in run.records] == [scenarios4[0].id, scenarios4[2].id]
+    assert len(run.latencies_s) == 2
+    assert "diverged under control action" in caplog.text
+
+
 def test_run_online_apr_triggers_fine_tune(feeder4, nets4, scenarios4, monkeypatch):
     tuned_marker = ddpg.build_agent(feeder4.n_node_phases, 1,
                                     np.random.default_rng(5))
@@ -242,10 +278,14 @@ def test_run_online_fine_tune_disabled(feeder4, nets4, scenarios4):
 
 
 def test_run_online_estimator_path(feeder4, nets4, scenarios4):
+    dsse = identity_dsse(feeder4)
     apr = AprConfig(reference_reward=-1.0)
-    run, _ = run_online(feeder4, nets4, identity_dsse(feeder4), scenarios4[:3],
+    run, _ = run_online(feeder4, nets4, dsse, scenarios4[:3],
                         apr, slack_voltage=FOURBUS_SLACK)
     assert len(run.records) == 3
+    _, expected = estimated_actions(feeder4, nets4, dsse, scenarios4[:3])
+    for rec, action in zip(run.records, expected):
+        assert np.array_equal(rec.action, action.coefficients)
 
 
 def test_run_log_csv_and_latency_stats(feeder4, nets4, scenarios4):
@@ -287,9 +327,19 @@ def test_evaluate_report_contents(feeder4, nets4, scenarios4):
 
 
 def test_evaluate_estimator_observed(feeder4, nets4, scenarios4):
-    report = evaluate(nets4, identity_dsse(feeder4), feeder4, scenarios4[:5],
+    dsse = identity_dsse(feeder4)
+    report = evaluate(nets4, dsse, feeder4, scenarios4[:5],
                       slack_voltage=FOURBUS_SLACK)
     assert report.scenario_count == 5
+    # the controlled profile is the one the estimate-driven actions produce,
+    # and it differs from the profile under perfect-state actions
+    cfg, expected = estimated_actions(feeder4, nets4, dsse, scenarios4[:5])
+    v = np.stack([env_step(cfg, sc, a)[2]["v_mag_true"]
+                  for sc, a in zip(scenarios4[:5], expected)])
+    assert np.array_equal(report.v_mean_controlled, v.mean(axis=0))
+    perfect = evaluate(nets4, None, feeder4, scenarios4[:5],
+                       slack_voltage=FOURBUS_SLACK)
+    assert not np.array_equal(perfect.v_mean_controlled, report.v_mean_controlled)
 
 
 def test_evaluate_empty_raises(feeder4, nets4):

@@ -35,9 +35,12 @@ def _setup_logging():
 def _load_config(path) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise GridPilotError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise GridPilotError(f"config {path} must be a JSON object")
+    return cfg
 
 
 def _outdir(args) -> str:
@@ -52,15 +55,30 @@ def _required(cfg: dict, key: str):
     return cfg[key]
 
 
+def _object(cfg: dict, section: str) -> dict:
+    """``cfg[section]`` ({} when absent), or GridPilotError if not an object."""
+    raw = cfg.get(section, {})
+    if not isinstance(raw, dict):
+        raise GridPilotError(f"config section {section!r} must be an object")
+    return raw
+
+
+def _number(raw: dict, key: str, default, kind=float):
+    """``kind(raw[key])`` (``default`` when absent), or GridPilotError."""
+    value = raw.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise GridPilotError(f"config value {key!r} must be a number, got {value!r}") from exc
+
+
 def _section(cfg: dict, section: str, cls, drop=(), **fixed):
     """Build dataclass ``cls`` from ``cfg[section]``, lists as tuples.
 
     Keys in ``drop`` are read elsewhere. Missing or unknown keys and
     rejected values raise GridPilotError instead of TypeError/ValueError.
     """
-    raw = cfg.get(section, {})
-    if not isinstance(raw, dict):
-        raise GridPilotError(f"config section {section!r} must be an object")
+    raw = _object(cfg, section)
     kwargs = {k: tuple(v) if isinstance(v, list) else v
               for k, v in raw.items() if k not in drop}
     try:
@@ -76,7 +94,7 @@ def _feeder_from(cfg: dict) -> Feeder:
 def _seed(cfg: dict, args) -> int:
     if args.seed is not None:
         return args.seed
-    return int(cfg.get("seed", 0))
+    return _number(cfg, "seed", 0, int)
 
 
 def _scenarios_from(cfg: dict, feeder: Feeder) -> scenario.ScenarioSet:
@@ -116,14 +134,14 @@ def cmd_train_dsse(args) -> int:
     feeder = _feeder_from(cfg)
     seed = _seed(cfg, args)
     out = _outdir(args)
-    noise_pct = float(cfg.get("dsse", {}).get("noise_pct", 1.0))
-    slack = float(cfg.get("slack_voltage", 1.0))
+    noise_pct = _number(_object(cfg, "dsse"), "noise_pct", 1.0)
+    slack = _number(cfg, "slack_voltage", 1.0)
 
     sset = _scenarios_from(cfg, feeder)
-    split_cfg = cfg.get("split", {"train_fraction": 0.8})
+    split_cfg = _object(cfg, "split")
     train_set, test_set = scenario.split(
-        sset, float(split_cfg.get("train_fraction", 0.8)),
-        int(split_cfg.get("seed", seed)))
+        sset, _number(split_cfg, "train_fraction", 0.8),
+        _number(split_cfg, "seed", seed, int))
 
     hp = _section(cfg, "dsse", dsse.DsseHyperparams, drop=("noise_pct",), seed=seed)
     train_pairs = dsse.build_training_pairs(train_set, feeder, noise_pct,
@@ -153,8 +171,8 @@ def cmd_eval_dsse(args) -> int:
     feeder = _feeder_from(cfg)
     seed = _seed(cfg, args)
     out = _outdir(args)
-    noise_pct = float(cfg.get("dsse", {}).get("noise_pct", 1.0))
-    slack = float(cfg.get("slack_voltage", 1.0))
+    noise_pct = _number(_object(cfg, "dsse"), "noise_pct", 1.0)
+    slack = _number(cfg, "slack_voltage", 1.0)
 
     model = dsse.load_dsse(_required(cfg, "dsse_checkpoint"))
     if model.feeder_fingerprint != feeder.fingerprint:
@@ -173,14 +191,17 @@ def cmd_eval_dsse(args) -> int:
 
 
 def _env_config(cfg: dict, feeder: Feeder, estimator) -> EnvConfig:
-    env_raw = cfg.get("env", {})
-    return EnvConfig(
-        feeder=feeder, estimator=estimator,
-        horizon=int(env_raw.get("horizon", 20)),
-        measurement_noise_pct=float(env_raw.get("measurement_noise_pct", 0.0)),
-        zone_map=np.array(env_raw["zone_map"], dtype=int) if "zone_map" in env_raw else None,
-        slack_voltage=float(cfg.get("slack_voltage", 1.0)),
-        reward=_section(cfg, "reward", RewardConfig))
+    env_raw = _object(cfg, "env")
+    try:
+        return EnvConfig(
+            feeder=feeder, estimator=estimator,
+            horizon=_number(env_raw, "horizon", 20, int),
+            measurement_noise_pct=_number(env_raw, "measurement_noise_pct", 0.0),
+            zone_map=np.array(env_raw["zone_map"], dtype=int) if "zone_map" in env_raw else None,
+            slack_voltage=_number(cfg, "slack_voltage", 1.0),
+            reward=_section(cfg, "reward", RewardConfig))
+    except (TypeError, ValueError) as exc:
+        raise GridPilotError(f"bad 'env' config: {exc}") from exc
 
 
 def cmd_train_agent(args) -> int:
@@ -234,11 +255,11 @@ def cmd_evaluate(args) -> int:
     nets, _ = _load_agent_for(cfg, feeder)
     estimator = dsse.load_dsse(cfg["dsse_checkpoint"]) if cfg.get("dsse_checkpoint") else None
     sset = _scenarios_from(cfg, feeder)
-    noise_pct = float(cfg.get("env", {}).get("measurement_noise_pct", 0.0))
+    noise_pct = _number(_object(cfg, "env"), "measurement_noise_pct", 0.0)
 
     report = runtime.evaluate(nets, estimator, feeder, list(sset),
                               reward_cfg=_section(cfg, "reward", RewardConfig),
-                              slack_voltage=float(cfg.get("slack_voltage", 1.0)),
+                              slack_voltage=_number(cfg, "slack_voltage", 1.0),
                               measurement_noise_pct=noise_pct, seed=seed)
     _write(os.path.join(out, "eval_profile.csv"), report.profile_csv())
     _write_json(os.path.join(out, "summary.json"),
@@ -263,10 +284,10 @@ def cmd_run_online(args) -> int:
 
     apr = _section(cfg, "apr", runtime.AprConfig)
 
-    noise_pct = float(cfg.get("env", {}).get("measurement_noise_pct", 0.0))
+    noise_pct = _number(_object(cfg, "env"), "measurement_noise_pct", 0.0)
     run, _ = runtime.run_online(feeder, nets, estimator, list(sset), apr,
                                 reward_cfg=_section(cfg, "reward", RewardConfig),
-                                slack_voltage=float(cfg.get("slack_voltage", 1.0)),
+                                slack_voltage=_number(cfg, "slack_voltage", 1.0),
                                 measurement_noise_pct=noise_pct, seed=seed,
                                 train_cfg=train_cfg)
     _write(os.path.join(out, "run_log.csv"), run.to_csv())
@@ -286,10 +307,10 @@ def cmd_oracle(args) -> int:
     feeder = _feeder_from(cfg)
     seed = _seed(cfg, args)
     out = _outdir(args)
-    n_grid = int(cfg.get("oracle", {}).get("n_grid", 201))
+    n_grid = _number(_object(cfg, "oracle"), "n_grid", 201, int)
     sset = _scenarios_from(cfg, feeder)
     reward_cfg = _section(cfg, "reward", RewardConfig)
-    slack = float(cfg.get("slack_voltage", 1.0))
+    slack = _number(cfg, "slack_voltage", 1.0)
 
     lines = ["scenario_id, best_action, best_reward"]
     for sc in sset:

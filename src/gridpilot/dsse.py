@@ -22,9 +22,8 @@ import numpy as np
 
 from . import nn
 from .errors import DatasetError, ModelMismatchError, TrainingError
-from .feeder import Feeder, build_admittance
+from .feeder import PHASE_ANGLES, Feeder, build_admittance
 from .powerflow import (
-    PHASE_ANGLES,
     InjectionSet,
     MeasurementVector,
     PowerFlowDivergedError,

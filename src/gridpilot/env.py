@@ -29,7 +29,6 @@ from .feeder import AdmittanceMatrix, Feeder, build_admittance
 from .powerflow import (
     MeasurementVector,
     feeder_head_measurement,
-    slack_indices,
     solve_power_flow,
 )
 from .scenario import Scenario, to_injections
@@ -202,10 +201,9 @@ def env_step(cfg: EnvConfig, scenario: Scenario, action: MdpAction,
                                    rng=rng if sigma > 0 else None)
     state = MdpState(v_mag=sol.v_mag.copy())
 
-    slack = slack_indices(cfg.feeder, cfg.admittance)
+    slack = cfg.admittance.slack
     v = sol.v_complex
-    i_inj = (cfg.admittance.g + 1j * cfg.admittance.b) @ v
-    s_head = v[slack] * np.conj(i_inj[slack])
+    s_head = v[slack] * np.conj(cfg.admittance.y[slack] @ v)
 
     band = cfg.reward
     info = {

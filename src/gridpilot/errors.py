@@ -24,11 +24,12 @@ class DanglingReferenceError(GridPilotError):
 
 
 class NumericalError(GridPilotError):
-    """A matrix operation failed (singular impedance, singular Jacobian, non-finite values)."""
+    """A matrix operation failed (singular impedance or admittance block, non-finite values)."""
 
 
 class PowerFlowDivergedError(GridPilotError):
-    """Newton iteration did not reach tolerance within the iteration limit."""
+    """Power-flow fixed point did not reach tolerance within the iteration
+    limit, or its mismatch turned non-finite."""
 
     def __init__(self, message, residual, iterations):
         self.residual = residual

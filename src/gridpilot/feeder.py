@@ -31,6 +31,8 @@ from .errors import (
 )
 
 PHASES = ("A", "B", "C")
+# slack phase angles, radians
+PHASE_ANGLES = {"A": 0.0, "B": -2.0 * math.pi / 3.0, "C": 2.0 * math.pi / 3.0}
 
 
 @dataclass
@@ -99,9 +101,20 @@ class Feeder:
 
 @dataclass
 class AdmittanceMatrix:
+    """Nodal admittance plus the constants the Z-bus power flow reuses.
+
+    Every array is read-only; ``build_admittance`` is the only constructor.
+    """
+
     g: np.ndarray  # real, symmetric, p.u.
     b: np.ndarray  # real, symmetric, p.u.
     index_map: dict[tuple[str, str], int]  # (bus_id, phase) -> row
+    y: np.ndarray  # g + jb
+    slack: np.ndarray  # source-bus rows, in source phase order
+    free: np.ndarray  # every other row, ascending
+    z_ff: np.ndarray  # inv(Y_ff)
+    z_slack: np.ndarray  # Z_ff @ Y_fs, free x slack
+    unit: np.ndarray  # per row, the unit phasor of its phase
 
     @property
     def size(self) -> int:
@@ -272,11 +285,13 @@ def resolve_feeder(ref: str) -> Feeder:
 
 
 def build_admittance(feeder: Feeder) -> AdmittanceMatrix:
-    """Assemble the node-phase conductance/susceptance matrices.
+    """Assemble the node-phase admittance and the power-flow constants.
 
     Each line contributes the inverse of its per-unit phase impedance matrix
     as a branch admittance block between the to-bus node-phases and the
-    matching from-bus node-phases.
+    matching from-bus node-phases. The free block Y_ff (every row but the
+    source bus's) is inverted once here, so each power-flow iteration is a
+    matrix-vector product.
     """
     index_map = {np_: i for i, np_ in enumerate(feeder.node_phases())}
     n = len(index_map)
@@ -300,11 +315,28 @@ def build_admittance(feeder: Feeder) -> AdmittanceMatrix:
         y[np.ix_(rows_to, rows_from)] -= y_branch
         y[np.ix_(rows_from, rows_to)] -= y_branch
 
-    g = np.ascontiguousarray(y.real)
-    b = np.ascontiguousarray(y.imag)
-    g.flags.writeable = False
-    b.flags.writeable = False
-    return AdmittanceMatrix(g=g, b=b, index_map=index_map)
+    src = feeder.bus(feeder.source_bus_id)
+    slack = np.array([index_map[(src.id, ph)] for ph in src.phases], dtype=int)
+    is_free = np.ones(n, dtype=bool)  # not np.setdiff1d: it imports numpy.ma (~1 MiB)
+    is_free[slack] = False
+    free = np.flatnonzero(is_free)
+    try:
+        z_ff = np.linalg.inv(y[np.ix_(free, free)])
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("free-node admittance block is singular") from exc
+    arrays = {
+        "g": y.real,
+        "b": y.imag,
+        "y": y,
+        "slack": slack,
+        "free": free,
+        "z_ff": z_ff,
+        "z_slack": z_ff @ y[np.ix_(free, slack)],
+        "unit": np.array([np.exp(1j * PHASE_ANGLES[ph]) for _, ph in index_map]),
+    }
+    for arr in arrays.values():
+        arr.flags.writeable = False
+    return AdmittanceMatrix(index_map=index_map, **arrays)
 
 
 def validate_feeder(feeder: Feeder) -> list[Diagnostic]:

@@ -1,16 +1,23 @@
-"""Newton power flow in rectangular voltage coordinates.
+"""Z-bus fixed-point power flow on node-phase voltage vectors.
 
-The solver works on node-phase vectors: every bus-phase pair is one node with
-a complex voltage V = v_re + j*v_im. The source bus phases are the slack
-nodes, pinned to ``slack_voltage`` at 0/-120/+120 degrees for phases A/B/C.
-Injections follow the load-positive convention (consumption is positive p/q,
-generation negative), so the mismatch at node n is
+Every bus-phase pair is one node with a complex voltage V. The source bus
+phases are the slack nodes, pinned to ``slack_voltage`` at 0/-120/+120
+degrees for phases A/B/C. Injections follow the load-positive convention
+(consumption is positive p/q, generation negative), so with I = Y V the
+injected current the mismatch at node n is
 
-    f_p[n] = v_re[n]*i_re[n] + v_im[n]*i_im[n] + p[n]
-    f_q[n] = v_im[n]*i_re[n] - v_re[n]*i_im[n] + q[n]
+    f[n] = V[n] * conj(I[n]) + (p[n] + j q[n])
 
-with i = (G + jB) V the injected current. Both are driven below ``tol`` in
-absolute terms; the Jacobian is analytic.
+and ``f_p``/``f_q`` are its real and imaginary parts. Splitting the nodes
+into free (f) and slack (s) rows, f = 0 at the free rows reads
+
+    V_f = w - Z_ff conj(S_f / V_f),   w = -Z_ff Y_fs V_s,   Z_ff = inv(Y_ff)
+
+(Bazrafshan & Gatsis, "Comprehensive modeling of three-phase distribution
+systems via the bus admittance matrix", IEEE TPWRS 2018). ``Z_ff`` and
+``Z_ff Y_fs`` are built once per feeder by ``build_admittance``, so each
+iteration is two matrix-vector products: one applying the update, one
+checking the mismatch against ``tol`` in absolute terms.
 """
 
 from __future__ import annotations
@@ -20,11 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, PowerFlowDivergedError
+from .errors import PowerFlowDivergedError
 from .feeder import PHASES, AdmittanceMatrix, Feeder
-
-# slack phase angles, radians
-PHASE_ANGLES = {"A": 0.0, "B": -2.0 * math.pi / 3.0, "C": 2.0 * math.pi / 3.0}
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 50
@@ -95,105 +99,60 @@ class MeasurementVector:
                    i_re=features[6:9].copy(), i_im=features[9:12].copy())
 
 
-def slack_indices(feeder: Feeder, admittance: AdmittanceMatrix) -> np.ndarray:
-    src = feeder.bus(feeder.source_bus_id)
-    return np.array([admittance.index_map[(src.id, ph)] for ph in src.phases], dtype=int)
-
-
-def slack_phasors(feeder: Feeder, slack_voltage: float) -> np.ndarray:
-    src = feeder.bus(feeder.source_bus_id)
-    return np.array([slack_voltage * np.exp(1j * PHASE_ANGLES[ph]) for ph in src.phases])
-
-
-def flat_start(feeder: Feeder, admittance: AdmittanceMatrix, slack_voltage: float) -> np.ndarray:
+def flat_start(admittance: AdmittanceMatrix, slack_voltage: float) -> np.ndarray:
     """Initial complex voltage: every node-phase at the slack phasor of its phase."""
-    v = np.empty(admittance.size, dtype=complex)
-    for (bus_id, ph), idx in admittance.index_map.items():
-        v[idx] = slack_voltage * np.exp(1j * PHASE_ANGLES[ph])
-    return v
+    return slack_voltage * admittance.unit
+
+
+def _mismatch(admittance: AdmittanceMatrix, v: np.ndarray, s: np.ndarray) -> np.ndarray:
+    return v * np.conj(admittance.y @ v) + s
+
+
+def _residual(admittance: AdmittanceMatrix, v: np.ndarray, s: np.ndarray) -> float:
+    """Largest absolute P or Q mismatch over the non-slack node-phases."""
+    f = _mismatch(admittance, v, s)[admittance.free]
+    return float(max(np.max(np.abs(f.real), initial=0.0),
+                     np.max(np.abs(f.imag), initial=0.0)))
 
 
 def power_mismatch(admittance: AdmittanceMatrix, v: np.ndarray,
                    injections: InjectionSet) -> tuple[np.ndarray, np.ndarray]:
     """Mismatch vectors (f_p, f_q) at every node-phase for a voltage guess."""
-    g, b = admittance.g, admittance.b
-    v_re, v_im = v.real, v.imag
-    i_re = g @ v_re - b @ v_im
-    i_im = g @ v_im + b @ v_re
-    f_p = v_re * i_re + v_im * i_im + injections.p
-    f_q = v_im * i_re - v_re * i_im + injections.q
-    return f_p, f_q
-
-
-def residual_norm(admittance: AdmittanceMatrix, v: np.ndarray, injections: InjectionSet,
-                  slack: np.ndarray) -> float:
-    """Largest absolute power mismatch over the non-slack node-phases."""
-    f_p, f_q = power_mismatch(admittance, v, injections)
-    free = np.ones(admittance.size, dtype=bool)
-    free[slack] = False
-    return float(max(np.max(np.abs(f_p[free]), initial=0.0),
-                     np.max(np.abs(f_q[free]), initial=0.0)))
+    f = _mismatch(admittance, v, injections.p + 1j * injections.q)
+    return f.real, f.imag
 
 
 def solve_power_flow(feeder: Feeder, admittance: AdmittanceMatrix, injections: InjectionSet,
                      slack_voltage: float = 1.0, tol: float = DEFAULT_TOL,
                      max_iter: int = DEFAULT_MAX_ITER) -> PowerFlowSolution:
-    """Newton iteration from a flat start until the mismatch drops below tol.
+    """Z-bus fixed point from a flat start until the mismatch drops below tol.
 
-    Raises PowerFlowDivergedError when the iteration budget runs out or the
-    update turns non-finite; the exception carries the last residual so the
-    caller can report how far off the solve ended.
+    ``iterations`` counts the fixed-point updates. Raises
+    PowerFlowDivergedError when the mismatch turns non-finite or is still
+    above tol after ``max_iter`` updates; the exception carries the last
+    residual so the caller can report how far off the solve ended.
     """
     n = admittance.size
     if injections.p.shape[0] != n:
         raise ValueError(f"injection length {injections.p.shape[0]} != {n} node-phases")
-    g, b = admittance.g, admittance.b
-    slack = slack_indices(feeder, admittance)
+    free = admittance.free
+    s = injections.p + 1j * injections.q
+    s_free = s[free]
+    v = flat_start(admittance, slack_voltage)
+    w = -(admittance.z_slack @ v[admittance.slack])
 
-    free = np.ones(n, dtype=bool)
-    free[slack] = False
-    free_idx = np.where(free)[0]
-    unknowns = np.concatenate([free_idx, n + free_idx])  # V_re block then V_im block
-
-    v = flat_start(feeder, admittance, slack_voltage)
-    v_re, v_im = v.real.copy(), v.imag.copy()
-
-    residual = math.inf
-    for iteration in range(1, max_iter + 1):
-        i_re = g @ v_re - b @ v_im
-        i_im = g @ v_im + b @ v_re
-        f_p = v_re * i_re + v_im * i_im + injections.p
-        f_q = v_im * i_re - v_re * i_im + injections.q
-        residual = float(max(np.max(np.abs(f_p[free]), initial=0.0),
-                             np.max(np.abs(f_q[free]), initial=0.0)))
-        if not math.isfinite(residual):
-            raise PowerFlowDivergedError("mismatch turned non-finite",
-                                         residual=residual, iterations=iteration - 1)
-        if residual < tol:
-            return PowerFlowSolution(v_re=v_re, v_im=v_im, iterations=iteration - 1,
-                                     residual=residual, converged=True)
-
-        # analytic Jacobian, rectangular form
-        dp_dvr = v_re[:, None] * g + v_im[:, None] * b
-        np.fill_diagonal(dp_dvr, dp_dvr.diagonal() + i_re)
-        dp_dvi = v_im[:, None] * g - v_re[:, None] * b
-        np.fill_diagonal(dp_dvi, dp_dvi.diagonal() + i_im)
-        dq_dvr = v_im[:, None] * g - v_re[:, None] * b
-        np.fill_diagonal(dq_dvr, dq_dvr.diagonal() - i_im)
-        dq_dvi = -v_im[:, None] * b - v_re[:, None] * g
-        np.fill_diagonal(dq_dvi, dq_dvi.diagonal() + i_re)
-
-        jac = np.block([[dp_dvr, dp_dvi], [dq_dvr, dq_dvi]])
-        jac = jac[np.ix_(unknowns, unknowns)]
-        rhs = np.concatenate([f_p[free_idx], f_q[free_idx]])
-        try:
-            step = np.linalg.solve(jac, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"singular Jacobian at iteration {iteration}") from exc
-
-        n_free = free_idx.shape[0]
-        v_re[free_idx] -= step[:n_free]
-        v_im[free_idx] -= step[n_free:]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for iteration in range(max_iter + 1):
+            residual = _residual(admittance, v, s)
+            if not math.isfinite(residual):
+                raise PowerFlowDivergedError("mismatch turned non-finite",
+                                             residual=residual, iterations=iteration)
+            if residual < tol:
+                return PowerFlowSolution(v_re=v.real.copy(), v_im=v.imag.copy(),
+                                         iterations=iteration, residual=residual,
+                                         converged=True)
+            if iteration < max_iter:
+                v[free] = w - admittance.z_ff @ np.conj(s_free / v[free])
 
     raise PowerFlowDivergedError(
         f"no convergence after {max_iter} iterations (residual {residual:.3e})",
@@ -212,14 +171,13 @@ def feeder_head_measurement(feeder: Feeder, admittance: AdmittanceMatrix,
     """
     src = feeder.bus(feeder.source_bus_id)
     v = solution.v_complex
-    i_all = (admittance.g + 1j * admittance.b) @ v
+    v_head = v[admittance.slack]
+    i_head = admittance.y[admittance.slack] @ v
 
     out = {name: np.zeros(3) for name in ("v_re", "v_im", "i_re", "i_im")}
-    for ph in src.phases:
-        slot = PHASES.index(ph)
-        idx = admittance.index_map[(src.id, ph)]
-        out["v_re"][slot], out["v_im"][slot] = v[idx].real, v[idx].imag
-        out["i_re"][slot], out["i_im"][slot] = i_all[idx].real, i_all[idx].imag
+    slots = [PHASES.index(ph) for ph in src.phases]
+    out["v_re"][slots], out["v_im"][slots] = v_head.real, v_head.imag
+    out["i_re"][slots], out["i_im"][slots] = i_head.real, i_head.imag
 
     if noise_sigma > 0.0:
         if rng is None:

@@ -152,10 +152,12 @@ def run_online(feeder: Feeder, nets: ddpg.AgentNets, dsse: DsseModel | None,
 
     Each stream element is one control cycle (``_control_cycle``); a
     scenario whose idle or controlled solve diverges is skipped with a
-    warning. Returns the run log and the (possibly fine-tuned) agent.
+    warning. Fine-tuning observes through ``dsse`` too, as the deployed
+    agent does. Returns the run log and the (possibly fine-tuned) agent.
     """
     cfg = _deployed_config(feeder, nets, dsse, reward_cfg, slack_voltage,
                            measurement_noise_pct)
+    tune_cfg = replace(cfg, estimator=dsse)
     rng = np.random.default_rng(seed)
     run = RunLog()
     rewards: list[float] = []
@@ -184,7 +186,7 @@ def run_online(feeder: Feeder, nets: ddpg.AgentNets, dsse: DsseModel | None,
             log.info("APR triggered fine-tune at step %d (trailing mean %.4g)",
                      step, float(np.mean(rewards[-apr.window:])))
             nets = fine_tune(nets, recent[-apr.window:], apr.fine_tune_episodes,
-                             cfg, train_cfg=train_cfg, seed=seed + step + 1)
+                             tune_cfg, train_cfg=train_cfg, seed=seed + step + 1)
             rewards.clear()  # fresh window for the updated agent
     return run, nets
 

@@ -1,4 +1,4 @@
-"""Independent test oracles for the Newton power-flow solver.
+"""Independent test oracles for the Z-bus fixed-point power-flow solver.
 
 A ladder (backward/forward sweep) solver written against the data model
 only, sharing no numerics with the package, plus a random radial feeder
@@ -11,8 +11,8 @@ import math
 
 import numpy as np
 
-from gridpilot.feeder import Feeder
-from gridpilot.powerflow import PHASE_ANGLES, InjectionSet
+from gridpilot.feeder import PHASE_ANGLES, Feeder
+from gridpilot.powerflow import InjectionSet
 
 
 def sweep_solve(feeder: Feeder, injections: InjectionSet, slack_voltage: float = 1.0,

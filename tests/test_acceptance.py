@@ -145,6 +145,7 @@ def test_criterion_3_gradient_integrity(feeder34, capsys):
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_4_state_estimation_accuracy(feeder34, capsys):
     t0 = time.perf_counter()
     sset = generate_scenario_set(feeder34, synth34_gen(2500), seed=42)
@@ -173,6 +174,7 @@ def test_criterion_4_state_estimation_accuracy(feeder34, capsys):
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_5_learning_signal(feeder34, capsys):
     t0 = time.perf_counter()
     sset = generate_scenario_set(feeder34, synth34_gen(300), seed=500)
@@ -195,6 +197,7 @@ def test_criterion_5_learning_signal(feeder34, capsys):
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_6_control_efficacy(feeder34, capsys):
     t0 = time.perf_counter()
     # estimator trained exactly like the accuracy gate, smaller corpus

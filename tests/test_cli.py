@@ -208,9 +208,10 @@ def test_error_exit_codes(tmp_path, workspace):
     assert main(["run-online", "--config", no_apr,
                  "--out", str(tmp_path / "o6")]) == 2
 
-    # bad config sections and missing checkpoints end in exit code 2, not a
-    # TypeError, ValueError or KeyError traceback
+    # bad config sections and values and missing checkpoints end in exit
+    # code 2, not a TypeError, ValueError, KeyError or AttributeError traceback
     scen_csv = str(workspace / "gen" / "scenarios.csv")
+    dsse_ckpt = str(workspace / "dsse" / "dsse.ckpt")
     bad_sections = [
         ("gen-scenarios", dict(scenario={**SCEN, "count": 5, "bogus": 1})),
         ("train-agent", dict(scenario_file=scen_csv, train={"bogus": 1})),
@@ -218,9 +219,13 @@ def test_error_exit_codes(tmp_path, workspace):
         ("oracle", dict(scenario_file=scen_csv, reward={"v_min": 1.2})),
         ("evaluate", dict(scenario_file=scen_csv)),
         ("eval-dsse", dict(scenario_file=scen_csv)),
+        ("oracle", dict(scenario_file=scen_csv, slack_voltage="high")),
+        ("eval-dsse", dict(scenario_file=scen_csv, dsse_checkpoint=dsse_ckpt, dsse=[1])),
+        ("train-agent", dict(scenario_file=scen_csv, env=3)),
+        ("oracle", dict(scenario_file=scen_csv, oracle={"n_grid": "x"})),
     ]
     for i, (command, entries) in enumerate(bad_sections):
-        cfg = write_config(tmp_path / f"section{i}.json", **BASE, **entries)
+        cfg = write_config(tmp_path / f"section{i}.json", **{**BASE, **entries})
         assert main([command, "--config", cfg,
                      "--out", str(tmp_path / f"s{i}")]) == 2, command
 

@@ -1,9 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import bfs_oracle
+from conftest import SYNTH34_SLACK, synth34_gen
+from gridpilot.env import MdpAction, map_action
 from gridpilot.errors import PowerFlowDivergedError
 from gridpilot.feeder import build_admittance, load_feeder
 from gridpilot.powerflow import (
@@ -12,11 +15,9 @@ from gridpilot.powerflow import (
     feeder_head_measurement,
     flat_start,
     power_mismatch,
-    residual_norm,
-    slack_indices,
-    slack_phasors,
     solve_power_flow,
 )
+from gridpilot.scenario import generate_scenario_set, to_injections
 
 
 def two_bus_receiving_voltage(v1: float, x: float, p: float, q: float) -> float:
@@ -63,29 +64,31 @@ def test_two_bus_closed_form_tracks_slack_voltage(feeder2):
 def test_slack_nodes_pinned(feeder4, admittance4):
     inj = nominal_injections(feeder4, admittance4)
     sol = solve_power_flow(feeder4, admittance4, inj, slack_voltage=1.03)
-    idx = slack_indices(feeder4, admittance4)
-    assert np.allclose(sol.v_complex[idx], slack_phasors(feeder4, 1.03), atol=1e-15)
+    idx = [admittance4.index_map[("src", ph)] for ph in "ABC"]
+    assert list(admittance4.slack) == idx
+    expected = 1.03 * np.exp(1j * np.radians([0.0, -120.0, 120.0]))
+    assert np.allclose(sol.v_complex[idx], expected, atol=1e-15)
 
 
 def test_zero_injections_give_flat_profile(feeder4, admittance4):
     inj = InjectionSet(p=np.zeros(admittance4.size), q=np.zeros(admittance4.size))
     sol = solve_power_flow(feeder4, admittance4, inj)
     assert sol.iterations == 0
-    assert np.allclose(sol.v_complex, flat_start(feeder4, admittance4, 1.0), atol=1e-12)
+    assert np.allclose(sol.v_complex, flat_start(admittance4, 1.0), atol=1e-12)
 
 
 def test_converged_solution_satisfies_mismatch(feeder4, admittance4):
     inj = nominal_injections(feeder4, admittance4)
     sol = solve_power_flow(feeder4, admittance4, inj)
-    slack = slack_indices(feeder4, admittance4)
-    assert residual_norm(admittance4, sol.v_complex, inj, slack) < 1e-8
+    assert sol.residual < 1e-8
     f_p, f_q = power_mismatch(admittance4, sol.v_complex, inj)
-    free = np.setdiff1d(np.arange(admittance4.size), slack)
+    free = np.setdiff1d(np.arange(admittance4.size), admittance4.slack)
+    assert np.array_equal(free, admittance4.free)
     assert np.max(np.abs(f_p[free])) < 1e-8
     assert np.max(np.abs(f_q[free])) < 1e-8
 
 
-def test_newton_agrees_with_sweep_oracle(tmp_path):
+def test_solver_agrees_with_sweep_oracle(tmp_path):
     rng = np.random.default_rng(42)
     for case in range(12):
         data = bfs_oracle.random_radial_feeder_dict(rng)
@@ -95,6 +98,53 @@ def test_newton_agrees_with_sweep_oracle(tmp_path):
         sol = solve_power_flow(feeder, adm, inj)
         ref = bfs_oracle.sweep_voltage_vector(feeder, inj)
         assert np.max(np.abs(sol.v_complex - ref)) < 1e-7, f"case {case}"
+
+
+def synth34_injections(feeder, adm, scale, coefficient):
+    """One synth34 scenario at a fixed load scale, every PV unit at one
+    reactive coefficient (the single-zone action)."""
+    gen = replace(synth34_gen(1), load_scale_range=(scale, scale))
+    scenario = generate_scenario_set(feeder, gen, seed=7).scenarios[0]
+    q_pv = map_action(MdpAction(np.array([coefficient])), feeder.pv_units,
+                      np.zeros(len(feeder.pv_units), dtype=int))
+    return to_injections(feeder, adm, scenario, q_pv=q_pv)
+
+
+def test_solver_agrees_with_sweep_oracle_on_synth34(feeder34):
+    adm = build_admittance(feeder34)
+    for scale in (0.008, 0.045):  # ends of the benchmark load range
+        for coefficient in (-1.0, 0.0, 1.0):
+            inj = synth34_injections(feeder34, adm, scale, coefficient)
+            sol = solve_power_flow(feeder34, adm, inj, slack_voltage=SYNTH34_SLACK)
+            ref = bfs_oracle.sweep_voltage_vector(feeder34, inj, SYNTH34_SLACK)
+            err = np.max(np.abs(sol.v_complex - ref))
+            assert err < 1e-7, f"scale {scale}, action {coefficient}: {err:.2e}"
+
+
+def test_alternating_feeders_match_fresh_solves(feeder4, feeder34):
+    # the Z-bus constants live on each AdmittanceMatrix; solving two feeders
+    # at two slack voltages in turn must not let one solve leak into another
+    def case_injections(feeder, adm):
+        if feeder is feeder4:
+            return nominal_injections(feeder, adm)
+        return synth34_injections(feeder, adm, 0.045, 1.0)
+
+    def fresh(feeder, slack_voltage):
+        adm = build_admittance(feeder)
+        return solve_power_flow(feeder, adm, case_injections(feeder, adm),
+                                slack_voltage=slack_voltage)
+
+    cases = [(f, v) for v in (1.0, 1.045) for f in (feeder4, feeder34)]
+    expected = [fresh(f, v) for f, v in cases]
+    shared = {id(f): build_admittance(f) for f in (feeder4, feeder34)}
+    for _ in range(2):
+        for (feeder, v1), want in zip(cases, expected):
+            adm = shared[id(feeder)]
+            got = solve_power_flow(feeder, adm, case_injections(feeder, adm),
+                                   slack_voltage=v1)
+            assert np.array_equal(got.v_re, want.v_re)
+            assert np.array_equal(got.v_im, want.v_im)
+            assert got.iterations == want.iterations
 
 
 def test_injection_length_checked(feeder4, admittance4):
@@ -119,7 +169,7 @@ def test_head_measurement_matches_solution(feeder4, admittance4):
     sol = solve_power_flow(feeder4, admittance4, inj)
     meas = feeder_head_measurement(feeder4, admittance4, sol)
 
-    idx = slack_indices(feeder4, admittance4)
+    idx = admittance4.slack
     assert np.allclose(meas.v_re, sol.v_re[idx])  # source carries all three phases
     y = admittance4.g + 1j * admittance4.b
     i_head = (y @ sol.v_complex)[idx]

@@ -288,6 +288,33 @@ def test_run_online_estimator_path(feeder4, nets4, scenarios4):
         assert np.array_equal(rec.action, action.coefficients)
 
 
+def test_run_online_fine_tunes_on_estimates(feeder4, nets4, scenarios4, monkeypatch):
+    # the deployed agent observes estimates, so its fine-tune burst must too
+    dsse = identity_dsse(feeder4)
+    calls = []
+    real_estimate, real_fine_tune = env.estimate_states, runtime.fine_tune
+
+    def spy_estimate(*args, **kwargs):
+        calls.append("estimate")
+        return real_estimate(*args, **kwargs)
+
+    def spy_fine_tune(*args, **kwargs):
+        calls.append("start")
+        tuned = real_fine_tune(*args, **kwargs)
+        calls.append("end")
+        return tuned
+
+    monkeypatch.setattr(env, "estimate_states", spy_estimate)
+    monkeypatch.setattr(runtime, "fine_tune", spy_fine_tune)
+    apr = AprConfig(reference_reward=0.0, degradation_threshold=1e-9,
+                    window=3, fine_tune_episodes=1)
+    run, _ = run_online(feeder4, nets4, dsse, scenarios4[:3], apr,
+                        slack_voltage=FOURBUS_SLACK)
+    assert run.fine_tune_events == [2]
+    burst = calls[calls.index("start") + 1:calls.index("end")]
+    assert burst and set(burst) == {"estimate"}
+
+
 def test_run_log_csv_and_latency_stats(feeder4, nets4, scenarios4):
     apr = AprConfig(reference_reward=-1.0)
     run, _ = run_online(feeder4, nets4, None, scenarios4[:4], apr,

@@ -55,11 +55,15 @@ def _required(cfg: dict, key: str):
     return cfg[key]
 
 
-def _object(cfg: dict, section: str) -> dict:
-    """``cfg[section]`` ({} when absent), or GridPilotError if not an object."""
+def _object(cfg: dict, section: str, keys=None) -> dict:
+    """``cfg[section]`` ({} when absent), or GridPilotError if not an object
+    or, when ``keys`` is given, if it holds a key not in ``keys``."""
     raw = cfg.get(section, {})
     if not isinstance(raw, dict):
         raise GridPilotError(f"config section {section!r} must be an object")
+    unknown = sorted(set(raw) - set(keys)) if keys is not None else []
+    if unknown:
+        raise GridPilotError(f"unknown key(s) {unknown} in config section {section!r}")
     return raw
 
 
@@ -138,7 +142,7 @@ def cmd_train_dsse(args) -> int:
     slack = _number(cfg, "slack_voltage", 1.0)
 
     sset = _scenarios_from(cfg, feeder)
-    split_cfg = _object(cfg, "split")
+    split_cfg = _object(cfg, "split", ("train_fraction", "seed"))
     train_set, test_set = scenario.split(
         sset, _number(split_cfg, "train_fraction", 0.8),
         _number(split_cfg, "seed", seed, int))
@@ -190,12 +194,17 @@ def cmd_eval_dsse(args) -> int:
     return 0
 
 
-def _env_config(cfg: dict, feeder: Feeder, estimator) -> EnvConfig:
-    env_raw = _object(cfg, "env")
+def _env_config(cfg: dict, feeder: Feeder, horizon: int) -> EnvConfig:
+    """The controlled system of train-agent, evaluate and run-online.
+
+    The estimator comes from ``dsse_checkpoint`` (perfect-state mode when
+    absent); ``EnvConfig`` checks it against the feeder.
+    """
+    env_raw = _object(cfg, "env", ("measurement_noise_pct", "zone_map"))
+    estimator = dsse.load_dsse(cfg["dsse_checkpoint"]) if cfg.get("dsse_checkpoint") else None
     try:
         return EnvConfig(
-            feeder=feeder, estimator=estimator,
-            horizon=_number(env_raw, "horizon", 20, int),
+            feeder=feeder, estimator=estimator, horizon=horizon,
             measurement_noise_pct=_number(env_raw, "measurement_noise_pct", 0.0),
             zone_map=np.array(env_raw["zone_map"], dtype=int) if "zone_map" in env_raw else None,
             slack_voltage=_number(cfg, "slack_voltage", 1.0),
@@ -210,19 +219,9 @@ def cmd_train_agent(args) -> int:
     seed = _seed(cfg, args)
     out = _outdir(args)
 
-    estimator = None
-    if cfg.get("dsse_checkpoint"):
-        estimator = dsse.load_dsse(cfg["dsse_checkpoint"])
-        if estimator.feeder_fingerprint != feeder.fingerprint:
-            raise GridPilotError("estimator checkpoint does not match the feeder")
-
     sset = _scenarios_from(cfg, feeder)
     train_cfg = _section(cfg, "train", ddpg.TrainConfig, seed=seed)
-    env_cfg = _env_config(cfg, feeder, estimator)
-    if env_cfg.horizon != train_cfg.horizon:
-        env_cfg.horizon = train_cfg.horizon
-
-    env = Env(env_cfg)
+    env = Env(_env_config(cfg, feeder, train_cfg.horizon))
     nets, trajectory = ddpg.train(env, list(sset), train_cfg)
     ddpg.save_agent(os.path.join(out, "agent.ckpt"), nets, train_cfg,
                     feeder_fingerprint=feeder.fingerprint)
@@ -252,15 +251,11 @@ def cmd_evaluate(args) -> int:
     seed = _seed(cfg, args)
     out = _outdir(args)
 
-    nets, _ = _load_agent_for(cfg, feeder)
-    estimator = dsse.load_dsse(cfg["dsse_checkpoint"]) if cfg.get("dsse_checkpoint") else None
+    nets, train_cfg = _load_agent_for(cfg, feeder)
+    env_cfg = _env_config(cfg, feeder, train_cfg.horizon)
     sset = _scenarios_from(cfg, feeder)
-    noise_pct = _number(_object(cfg, "env"), "measurement_noise_pct", 0.0)
 
-    report = runtime.evaluate(nets, estimator, feeder, list(sset),
-                              reward_cfg=_section(cfg, "reward", RewardConfig),
-                              slack_voltage=_number(cfg, "slack_voltage", 1.0),
-                              measurement_noise_pct=noise_pct, seed=seed)
+    report = runtime.evaluate(nets, env_cfg, list(sset), seed=seed)
     _write(os.path.join(out, "eval_profile.csv"), report.profile_csv())
     _write_json(os.path.join(out, "summary.json"),
                 {"command": "evaluate", "seed": seed, **report.summary()})
@@ -279,16 +274,11 @@ def cmd_run_online(args) -> int:
     out = _outdir(args)
 
     nets, train_cfg = _load_agent_for(cfg, feeder)
-    estimator = dsse.load_dsse(cfg["dsse_checkpoint"]) if cfg.get("dsse_checkpoint") else None
+    env_cfg = _env_config(cfg, feeder, train_cfg.horizon)
     sset = _scenarios_from(cfg, feeder)
-
     apr = _section(cfg, "apr", runtime.AprConfig)
 
-    noise_pct = _number(_object(cfg, "env"), "measurement_noise_pct", 0.0)
-    run, _ = runtime.run_online(feeder, nets, estimator, list(sset), apr,
-                                reward_cfg=_section(cfg, "reward", RewardConfig),
-                                slack_voltage=_number(cfg, "slack_voltage", 1.0),
-                                measurement_noise_pct=noise_pct, seed=seed,
+    run, _ = runtime.run_online(nets, env_cfg, list(sset), apr, seed=seed,
                                 train_cfg=train_cfg)
     _write(os.path.join(out, "run_log.csv"), run.to_csv())
     _write_json(os.path.join(out, "summary.json"), {
@@ -307,15 +297,18 @@ def cmd_oracle(args) -> int:
     feeder = _feeder_from(cfg)
     seed = _seed(cfg, args)
     out = _outdir(args)
-    n_grid = _number(_object(cfg, "oracle"), "n_grid", 201, int)
+    n_grid = _number(_object(cfg, "oracle", ("n_grid",)), "n_grid", 201, int)
     sset = _scenarios_from(cfg, feeder)
-    reward_cfg = _section(cfg, "reward", RewardConfig)
-    slack = _number(cfg, "slack_voltage", 1.0)
+    # perfect state, one zone: the oracle scores true voltages only
+    env_cfg = EnvConfig(feeder=feeder, slack_voltage=_number(cfg, "slack_voltage", 1.0),
+                        reward=_section(cfg, "reward", RewardConfig))
 
     lines = ["scenario_id, best_action, best_reward"]
     for sc in sset:
-        best_a, best_r = runtime.oracle_best_action(feeder, sc, reward_cfg,
-                                                    n_grid=n_grid, slack_voltage=slack)
+        try:
+            best_a, best_r = runtime.oracle_best_action(env_cfg, sc, n_grid)
+        except ValueError as exc:
+            raise GridPilotError(f"oracle: {exc}") from exc
         lines.append(f"{sc.id},{best_a!r},{best_r!r}")
     _write(os.path.join(out, "oracle.csv"), "\n".join(lines) + "\n")
     _write_json(os.path.join(out, "summary.json"), {

@@ -9,7 +9,9 @@ reported as absolute angles.
 
 Inputs and targets are standardized per feature from the training set; the
 checkpoint stores the normalizers, the node-phase layout, and the feeder
-fingerprint so a model cannot silently run against the wrong feeder.
+fingerprint so a model cannot silently run against the wrong feeder:
+``env.EnvConfig`` checks both against its feeder when the estimator joins a
+control system.
 """
 
 from __future__ import annotations
@@ -193,13 +195,12 @@ def train_dsse(pairs, hyperparams: DsseHyperparams, feeder: Feeder
     return model, losses
 
 
-def estimate_states(model: DsseModel, measurement: MeasurementVector,
-                    expected_fingerprint: str | None = None) -> StateEstimate:
-    """Denormalized estimate for one measurement."""
-    if expected_fingerprint is not None and expected_fingerprint != model.feeder_fingerprint:
-        raise ModelMismatchError(
-            f"model was trained for feeder {model.feeder_fingerprint[:12]}..., "
-            f"active feeder is {expected_fingerprint[:12]}...")
+def estimate_states(model: DsseModel, measurement: MeasurementVector) -> StateEstimate:
+    """Denormalized estimate for one measurement.
+
+    The model is not checked against a feeder here; ``env.EnvConfig`` does
+    that once when an estimator joins a control system.
+    """
     x = (measurement.as_features() - model.input_mean) / model.input_std
     model.net.eval()
     out, _ = nn.forward(model.net, x[None, :])

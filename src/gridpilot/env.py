@@ -10,6 +10,11 @@ deployed control cycle in ``runtime`` both observe through it. The reward is
 always computed from true solver voltages; estimation error only affects
 what the agent observes.
 
+``EnvConfig`` is the one description of the controlled system: feeder,
+estimator, inverter zones, slack voltage, measurement noise, reward band and
+episode horizon. Training, evaluation, the online loop and the oracle all
+take one; building it is where an estimator is checked against its feeder.
+
 Sign conventions: positive q setpoint injects reactive power (raises local
 voltage), negative absorbs. Reward is never positive; zero only for an
 exactly nominal profile with no curtailment-barrier violation.
@@ -24,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dsse import DsseModel, estimate_states
-from .errors import PowerFlowDivergedError
+from .errors import ModelMismatchError, PowerFlowDivergedError
 from .feeder import AdmittanceMatrix, Feeder, build_admittance
 from .powerflow import (
     MeasurementVector,
@@ -90,6 +95,14 @@ class EnvConfig:
             self.zone_map = np.asarray(self.zone_map, dtype=int)
             if self.zone_map.shape != (n_pv,):
                 raise ValueError(f"zone_map must cover all {n_pv} pv units")
+        est = self.estimator
+        if est is not None and est.feeder_fingerprint != self.feeder.fingerprint:
+            raise ModelMismatchError(
+                f"state estimator was trained for feeder {est.feeder_fingerprint[:12]}..., "
+                f"active feeder is {self.feeder.fingerprint[:12]}...")
+        if est is not None and est.n_node_phases != self.feeder.n_node_phases:
+            raise ModelMismatchError(f"estimator outputs {est.n_node_phases} node-phases, "
+                                     f"feeder has {self.feeder.n_node_phases}")
         if self.admittance is None:
             self.admittance = build_admittance(self.feeder)
 
@@ -223,8 +236,7 @@ def env_step(cfg: EnvConfig, scenario: Scenario, action: MdpAction,
     return state, r, info
 
 
-def observe(estimator: DsseModel | None, feeder: Feeder, state: MdpState,
-            info: dict) -> MdpState:
+def observe(estimator: DsseModel | None, state: MdpState, info: dict) -> MdpState:
     """The agent's state after an ``env_step``.
 
     ``state`` (the true magnitudes, or the placeholder after a divergence)
@@ -233,9 +245,7 @@ def observe(estimator: DsseModel | None, feeder: Feeder, state: MdpState,
     """
     if estimator is None or info["terminal"]:
         return state
-    est = estimate_states(estimator, info["measurement"],
-                          expected_fingerprint=feeder.fingerprint)
-    return MdpState(v_mag=est.v_mag)
+    return MdpState(v_mag=estimate_states(estimator, info["measurement"]).v_mag)
 
 
 class Env:
@@ -261,7 +271,7 @@ class Env:
             raise PowerFlowDivergedError(
                 f"scenario {scenario.id} infeasible at zero action",
                 info["residual"], info["iterations"])
-        return observe(self.cfg.estimator, self.cfg.feeder, state, info)
+        return observe(self.cfg.estimator, state, info)
 
     def step(self, action: MdpAction) -> tuple[MdpState, float, bool, dict]:
         if self.scenario is None:
@@ -269,4 +279,4 @@ class Env:
         state, r, info = env_step(self.cfg, self.scenario, action, rng=self.rng)
         self.t += 1
         done = info["terminal"] or self.t >= self.cfg.horizon
-        return observe(self.cfg.estimator, self.cfg.feeder, state, info), r, done, info
+        return observe(self.cfg.estimator, state, info), r, done, info

@@ -1,12 +1,15 @@
 """Online execution, performance monitoring, oracle baseline, evaluation.
 
-Both the online loop and evaluation run the deployed control cycle, written
-once in ``_control_cycle``: per scenario snapshot, solve under idle
-inverters, take the head measurement, estimate the state, act without
-exploration, and solve under the applied setpoints. A trailing-reward
-monitor (APR) triggers fine-tuning when control quality degrades against
-the training reference. Latency is recorded separately from the
-deterministic run log so logs stay bit-reproducible under a fixed seed.
+Every entry point takes the controlled system as one ``env.EnvConfig``:
+feeder, estimator, inverter zones, slack voltage, noise, reward band and
+horizon. Both the online loop and evaluation run the deployed control cycle,
+written once in ``_control_cycle``: per scenario snapshot, solve under idle
+inverters, take the head measurement, estimate the state through the
+config's estimator, act without exploration through its zone map, and solve
+under the applied setpoints. A trailing-reward monitor (APR) triggers
+fine-tuning when control quality degrades against the training reference.
+Latency is recorded separately from the deterministic run log so logs stay
+bit-reproducible under a fixed seed.
 """
 
 from __future__ import annotations
@@ -18,10 +21,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import ddpg
-from .dsse import DsseModel
-from .env import Env, EnvConfig, MdpAction, RewardConfig, env_step, observe
+from .env import Env, EnvConfig, MdpAction, env_step, observe
 from .errors import InfeasibleScenarioError, ModelMismatchError, TrainingError
-from .feeder import Feeder
 from .scenario import Scenario
 
 log = logging.getLogger(__name__)
@@ -96,45 +97,31 @@ class RunLog:
                 "max_ms": float(arr.max())}
 
 
-def _deployed_config(feeder: Feeder, nets: ddpg.AgentNets, dsse: DsseModel | None,
-                     reward_cfg: RewardConfig | None, slack_voltage: float,
-                     measurement_noise_pct: float) -> EnvConfig:
-    """Check the models against the feeder; one-step perfect-state config.
-
-    The estimator stays out of the config: ``_control_cycle`` applies it
-    explicitly so that estimate plus action is timed as one unit.
-    """
-    n = feeder.n_node_phases
-    if nets.actor.input_dim != n:
+def _check_agent(nets: ddpg.AgentNets, cfg: EnvConfig) -> None:
+    """The actor reads ``cfg``'s state and writes one coefficient per zone."""
+    if nets.state_dim != cfg.state_dim:
         raise ModelMismatchError(
-            f"actor expects {nets.actor.input_dim} state entries, feeder has {n}")
-    if dsse is not None:
-        if dsse.feeder_fingerprint != feeder.fingerprint:
-            raise ModelMismatchError("state estimator was trained for a different feeder")
-        if dsse.n_node_phases != n:
-            raise ModelMismatchError(
-                f"estimator outputs {dsse.n_node_phases} node-phases, feeder has {n}")
-    return EnvConfig(feeder=feeder, estimator=None, horizon=1,
-                     measurement_noise_pct=measurement_noise_pct,
-                     slack_voltage=slack_voltage,
-                     reward=reward_cfg if reward_cfg is not None else RewardConfig())
+            f"actor expects {nets.state_dim} state entries, feeder has {cfg.state_dim}")
+    if nets.action_dim != cfg.n_zones:
+        raise ModelMismatchError(f"actor outputs {nets.action_dim} zone coefficients, "
+                                 f"zone_map has {cfg.n_zones} zones")
 
 
-def _control_cycle(cfg: EnvConfig, nets: ddpg.AgentNets, dsse: DsseModel | None,
-                   scenario: Scenario, rng: np.random.Generator):
+def _control_cycle(cfg: EnvConfig, nets: ddpg.AgentNets, scenario: Scenario,
+                   rng: np.random.Generator):
     """One deployed control cycle on a scenario snapshot.
 
-    Solve under idle inverters, observe the head measurement (through the
-    estimator when given), act without exploration, solve under the action.
-    Returns (baseline reward, baseline info, action, reward, info, latency_s);
-    the latency covers estimation plus action selection. Raises
+    Solve under idle inverters, observe the head measurement (through
+    ``cfg.estimator`` when set), act without exploration, solve under the
+    action. Returns (baseline reward, baseline info, action, reward, info,
+    latency_s); the latency covers estimation plus action selection. Raises
     InfeasibleScenarioError when either solve diverges.
     """
     state, r0, info0 = env_step(cfg, scenario, MdpAction(np.zeros(cfg.n_zones)), rng=rng)
     if info0["terminal"]:
         raise InfeasibleScenarioError(f"scenario {scenario.id} infeasible at zero action")
     t0 = time.perf_counter()
-    action = ddpg.act(nets, observe(dsse, cfg.feeder, state, info0))
+    action = ddpg.act(nets, observe(cfg.estimator, state, info0))
     latency = time.perf_counter() - t0
     _, r1, info1 = env_step(cfg, scenario, action, rng=rng)
     if info1["terminal"]:
@@ -143,21 +130,19 @@ def _control_cycle(cfg: EnvConfig, nets: ddpg.AgentNets, dsse: DsseModel | None,
     return r0, info0, action, r1, info1, latency
 
 
-def run_online(feeder: Feeder, nets: ddpg.AgentNets, dsse: DsseModel | None,
-               scenarios, apr: AprConfig, reward_cfg: RewardConfig | None = None,
-               slack_voltage: float = 1.0, measurement_noise_pct: float = 0.0,
+def run_online(nets: ddpg.AgentNets, cfg: EnvConfig, scenarios, apr: AprConfig,
                seed: int = 0, train_cfg: ddpg.TrainConfig | None = None,
                fine_tune_enabled: bool = True) -> tuple[RunLog, ddpg.AgentNets]:
     """Drive the trained agent over a scenario stream with APR supervision.
 
-    Each stream element is one control cycle (``_control_cycle``); a
-    scenario whose idle or controlled solve diverges is skipped with a
-    warning. Fine-tuning observes through ``dsse`` too, as the deployed
-    agent does. Returns the run log and the (possibly fine-tuned) agent.
+    Each stream element is one control cycle (``_control_cycle``) on the
+    system ``cfg`` describes; a scenario whose idle or controlled solve
+    diverges is skipped with a warning. Fine-tuning bursts run on the same
+    ``cfg``: they observe through its estimator, as the deployed agent does,
+    and run episodes of its horizon. Returns the run log and the (possibly
+    fine-tuned) agent.
     """
-    cfg = _deployed_config(feeder, nets, dsse, reward_cfg, slack_voltage,
-                           measurement_noise_pct)
-    tune_cfg = replace(cfg, estimator=dsse)
+    _check_agent(nets, cfg)
     rng = np.random.default_rng(seed)
     run = RunLog()
     rewards: list[float] = []
@@ -165,7 +150,7 @@ def run_online(feeder: Feeder, nets: ddpg.AgentNets, dsse: DsseModel | None,
 
     for step, scenario in enumerate(scenarios):
         try:
-            _, _, action, r, info, latency = _control_cycle(cfg, nets, dsse, scenario, rng)
+            _, _, action, r, info, latency = _control_cycle(cfg, nets, scenario, rng)
         except InfeasibleScenarioError as exc:
             log.warning("%s; skipped", exc)
             continue
@@ -186,7 +171,7 @@ def run_online(feeder: Feeder, nets: ddpg.AgentNets, dsse: DsseModel | None,
             log.info("APR triggered fine-tune at step %d (trailing mean %.4g)",
                      step, float(np.mean(rewards[-apr.window:])))
             nets = fine_tune(nets, recent[-apr.window:], apr.fine_tune_episodes,
-                             tune_cfg, train_cfg=train_cfg, seed=seed + step + 1)
+                             cfg, train_cfg=train_cfg, seed=seed + step + 1)
             rewards.clear()  # fresh window for the updated agent
     return run, nets
 
@@ -227,22 +212,20 @@ def fine_tune(nets: ddpg.AgentNets, recent_scenarios, episodes: int,
         return nets
 
 
-def oracle_best_action(feeder: Feeder, scenario: Scenario,
-                       reward_cfg: RewardConfig | None = None,
-                       n_grid: int = 201, slack_voltage: float = 1.0
+def oracle_best_action(cfg: EnvConfig, scenario: Scenario, n_grid: int = 201
                        ) -> tuple[float, float]:
     """Exhaustive single-zone search over a uniform action grid.
 
-    Evaluates a in linspace(-1, 1, n_grid) through the perfect-state
-    environment; ties break toward smaller |a|. Grid spacing is
-    2/(n_grid - 1), so n_grid=201 gives the 0.01 resolution used by the
-    benchmark comparisons.
+    Evaluates a in linspace(-1, 1, n_grid) through ``env_step`` on ``cfg``,
+    which must be single-zone and noise-free; rewards come from true solver
+    voltages, so its estimator and horizon play no part. Ties break toward
+    smaller |a|. Grid spacing is 2/(n_grid - 1), so n_grid=201 gives the
+    0.01 resolution used by the benchmark comparisons.
     """
     if n_grid < 3:
         raise ValueError("need at least 3 grid points")
-    reward_cfg = reward_cfg if reward_cfg is not None else RewardConfig()
-    cfg = EnvConfig(feeder=feeder, estimator=None, horizon=1,
-                    slack_voltage=slack_voltage, reward=reward_cfg)
+    if cfg.n_zones != 1:
+        raise ValueError(f"the oracle searches one zone, zone_map has {cfg.n_zones}")
     best_a = None
     best_r = -np.inf
     for a in np.linspace(-1.0, 1.0, n_grid):
@@ -301,20 +284,17 @@ class EvalReport:
         }
 
 
-def evaluate(nets: ddpg.AgentNets, dsse: DsseModel | None, feeder: Feeder,
-             scenarios, reward_cfg: RewardConfig | None = None,
-             slack_voltage: float = 1.0, measurement_noise_pct: float = 0.0,
-             seed: int = 0) -> EvalReport:
+def evaluate(nets: ddpg.AgentNets, cfg: EnvConfig, scenarios, seed: int = 0) -> EvalReport:
     """Baseline (zero action) vs controlled sweep over a scenario set.
 
-    The agent sees only the estimator's output (or true magnitudes when no
-    estimator is given); rewards, violations, and deviations always come
-    from true solver voltages.
+    Each scenario is one control cycle on the system ``cfg`` describes. The
+    agent sees only ``cfg.estimator``'s output (or true magnitudes in
+    perfect-state mode) and acts through ``cfg.zone_map``; rewards,
+    violations, and deviations always come from true solver voltages.
     """
     if len(scenarios) == 0:
         raise ValueError("empty scenario set")
-    cfg = _deployed_config(feeder, nets, dsse, reward_cfg, slack_voltage,
-                           measurement_noise_pct)
+    _check_agent(nets, cfg)
     rng = np.random.default_rng(seed)
 
     v_base, v_ctrl = [], []
@@ -323,7 +303,7 @@ def evaluate(nets: ddpg.AgentNets, dsse: DsseModel | None, feeder: Feeder,
     latencies = []
 
     for scenario in scenarios:
-        r0, info0, _, r1, info1, latency = _control_cycle(cfg, nets, dsse, scenario, rng)
+        r0, info0, _, r1, info1, latency = _control_cycle(cfg, nets, scenario, rng)
         v_base.append(info0["v_mag_true"])
         r_base.append(r0)
         dev_base.append(info0["deviation"])
@@ -340,7 +320,7 @@ def evaluate(nets: ddpg.AgentNets, dsse: DsseModel | None, feeder: Feeder,
     lat_ms = np.array(latencies) * 1000.0
 
     return EvalReport(
-        node_phases=feeder.node_phases(),
+        node_phases=cfg.feeder.node_phases(),
         v_mean_baseline=v_base.mean(axis=0), v_std_baseline=v_base.std(axis=0),
         v_mean_controlled=v_ctrl.mean(axis=0), v_std_controlled=v_ctrl.std(axis=0),
         violations_baseline=int(out_base.sum()),

@@ -212,9 +212,10 @@ def test_criterion_6_control_efficacy(feeder34, capsys):
     nets, _ = ddpg.train(Env(env_cfg), train_scen, ddpg.TrainConfig(seed=0))
 
     held_out = generate_scenario_set(feeder34, synth34_gen(1000), seed=901)
-    rep = evaluate(nets, estimator, feeder34, list(held_out),
-                   slack_voltage=SYNTH34_SLACK, measurement_noise_pct=1.0,
-                   seed=0)
+    rep = evaluate(nets, EnvConfig(feeder=feeder34, estimator=estimator, horizon=1,
+                                   slack_voltage=SYNTH34_SLACK,
+                                   measurement_noise_pct=1.0),
+                   list(held_out), seed=0)
     dt = time.perf_counter() - t0
 
     baseline_frac = rep.scenarios_violating_baseline / rep.scenario_count
@@ -247,8 +248,7 @@ def test_criterion_7_oracle_closeness(feeder4, capsys):
     for sc in test_scen:
         state, rb, _ = env_step(step_cfg, sc, MdpAction(np.zeros(1)))
         _, ra, _ = env_step(step_cfg, sc, ddpg.act(nets, state))
-        _, rstar = oracle_best_action(feeder4, sc, reward_cfg, n_grid=201,
-                                      slack_voltage=FOURBUS_SLACK)
+        _, rstar = oracle_best_action(step_cfg, sc, n_grid=201)
         r_base.append(rb)
         r_agent.append(ra)
         r_oracle.append(rstar)
@@ -273,9 +273,10 @@ def test_criterion_8_pipeline_latency(feeder34, capsys):
     nets = ddpg.build_agent(feeder34.n_node_phases, 1, np.random.default_rng(0))
 
     probe = generate_scenario_set(feeder34, synth34_gen(300), seed=77)
-    rep = evaluate(nets, estimator, feeder34, list(probe),
-                   slack_voltage=SYNTH34_SLACK, measurement_noise_pct=1.0,
-                   seed=0)
+    rep = evaluate(nets, EnvConfig(feeder=feeder34, estimator=estimator, horizon=1,
+                                   slack_voltage=SYNTH34_SLACK,
+                                   measurement_noise_pct=1.0),
+                   list(probe), seed=0)
     ok = rep.latency_p99_ms < 100.0
     report(capsys, 8, ok,
            f"measurement->estimate->act p99 {rep.latency_p99_ms:.2f}ms, "

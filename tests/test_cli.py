@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import FOURBUS_SLACK
+from gridpilot import ddpg, env
 from gridpilot.cli import main
+from gridpilot.feeder import resolve_feeder
 
 
 def write_config(path, **entries):
@@ -212,6 +214,12 @@ def test_error_exit_codes(tmp_path, workspace):
     # code 2, not a TypeError, ValueError, KeyError or AttributeError traceback
     scen_csv = str(workspace / "gen" / "scenarios.csv")
     dsse_ckpt = str(workspace / "dsse" / "dsse.ckpt")
+    agent_ckpt = str(workspace / "agent" / "agent.ckpt")
+    # a 3-zone agent against the default single-zone map
+    zones3_ckpt = str(tmp_path / "zones3.ckpt")
+    n = resolve_feeder("4bus").n_node_phases
+    ddpg.save_agent(zones3_ckpt, ddpg.build_agent(n, 3, np.random.default_rng(0)),
+                    ddpg.TrainConfig())
     bad_sections = [
         ("gen-scenarios", dict(scenario={**SCEN, "count": 5, "bogus": 1})),
         ("train-agent", dict(scenario_file=scen_csv, train={"bogus": 1})),
@@ -223,11 +231,36 @@ def test_error_exit_codes(tmp_path, workspace):
         ("eval-dsse", dict(scenario_file=scen_csv, dsse_checkpoint=dsse_ckpt, dsse=[1])),
         ("train-agent", dict(scenario_file=scen_csv, env=3)),
         ("oracle", dict(scenario_file=scen_csv, oracle={"n_grid": "x"})),
+        ("oracle", dict(scenario_file=scen_csv, oracle={"n_grid": 2})),
+        ("oracle", dict(scenario_file=scen_csv, oracle={"n_grid": 21, "bogus": 1})),
+        ("train-dsse", dict(scenario_file=scen_csv, split={"train_fracton": 0.5})),
+        ("evaluate", dict(scenario_file=scen_csv, agent_checkpoint=agent_ckpt,
+                          env={"measurment_noise_pct": 1.0})),
+        ("train-agent", dict(scenario_file=scen_csv, env={"horizon": 5})),
+        ("evaluate", dict(scenario_file=scen_csv, agent_checkpoint=zones3_ckpt)),
+        ("run-online", dict(scenario_file=scen_csv, agent_checkpoint=zones3_ckpt,
+                            apr={"reference_reward": -1.0})),
     ]
     for i, (command, entries) in enumerate(bad_sections):
         cfg = write_config(tmp_path / f"section{i}.json", **{**BASE, **entries})
         assert main([command, "--config", cfg,
                      "--out", str(tmp_path / f"s{i}")]) == 2, command
+
+
+def test_oracle_builds_admittance_once(tmp_path, workspace, monkeypatch):
+    calls = []
+    real = env.build_admittance
+
+    def counting(feeder):
+        calls.append(feeder.fingerprint)
+        return real(feeder)
+
+    monkeypatch.setattr(env, "build_admittance", counting)
+    cfg = write_config(tmp_path / "oracle.json", **BASE,
+                       scenario_file=str(workspace / "gen" / "scenarios.csv"),
+                       oracle={"n_grid": 3})
+    assert main(["oracle", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == 1  # one system description for all 140 scenarios
 
 
 def test_argparse_usage_errors():

@@ -15,6 +15,7 @@ from gridpilot.dsse import (
     save_dsse,
     train_dsse,
 )
+from gridpilot.env import EnvConfig
 from gridpilot.errors import DatasetError, ModelMismatchError
 from gridpilot.scenario import Scenario, ScenarioSet, generate_scenario_set
 
@@ -111,15 +112,15 @@ def test_constant_features_not_rescaled(feeder4, sset4, model4):
     assert noisy.node_phases == feeder4.node_phases()
 
 
-def test_estimate_shapes_and_fingerprint_guard(feeder4, model4, pairs4):
+def test_estimate_shapes_and_fingerprint_guard(feeder2, feeder4, model4, pairs4):
     model, _ = model4
-    est = estimate_states(model, pairs4[0][0],
-                          expected_fingerprint=feeder4.fingerprint)
+    est = estimate_states(model, pairs4[0][0])
     assert est.v_mag.shape == (feeder4.n_node_phases,)
     assert est.v_angle.shape == (feeder4.n_node_phases,)
     assert est.clamp_count == 0
+    EnvConfig(feeder=feeder4, estimator=model)
     with pytest.raises(ModelMismatchError, match="trained for feeder"):
-        estimate_states(model, pairs4[0][0], expected_fingerprint="deadbeef")
+        EnvConfig(feeder=feeder2, estimator=model)
 
 
 def test_estimates_are_absolute_angles(model4, pairs4):

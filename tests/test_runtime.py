@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import FOURBUS_SLACK, fourbus_gen
+from conftest import FOURBUS_SLACK, fourbus_gen, synth34_gen
 from gridpilot import ddpg, env, nn, runtime
 from gridpilot.dsse import DsseModel, estimate_states
 from gridpilot.env import EnvConfig, MdpAction, MdpState, env_step
@@ -32,6 +32,12 @@ def scenarios4(feeder4):
 @pytest.fixture(scope="module")
 def nets4(feeder4):
     return ddpg.build_agent(feeder4.n_node_phases, 1, np.random.default_rng(0))
+
+
+def one_step(feeder, slack_voltage=FOURBUS_SLACK, **entries):
+    """Single-step system on ``feeder``; single-zone and perfect-state unless
+    ``entries`` say otherwise."""
+    return EnvConfig(feeder=feeder, horizon=1, slack_voltage=slack_voltage, **entries)
 
 
 def identity_dsse(feeder, fingerprint=None):
@@ -87,8 +93,7 @@ def test_apr_check_rules():
 # --- oracle -------------------------------------------------------------------
 
 def test_oracle_absorbs_on_overvoltage_fixture(feeder4, scenarios4):
-    a, r = oracle_best_action(feeder4, scenarios4[0],
-                              slack_voltage=FOURBUS_SLACK)
+    a, r = oracle_best_action(one_step(feeder4), scenarios4[0])
     assert -1.0 <= a < 0.0
     for probe in (0.0, -1.0, 1.0):
         cfg = EnvConfig(feeder=feeder4, estimator=None, horizon=1,
@@ -101,29 +106,29 @@ def test_oracle_tie_breaks_toward_idle(feeder2):
     # no inverters: every grid point scores identically, pick a = 0
     sc = Scenario(id=0, p_load=np.array([0.05]), q_load=np.array([0.01]),
                   p_pv=np.zeros(0))
-    a, r = oracle_best_action(feeder2, sc)
+    a, r = oracle_best_action(one_step(feeder2, 1.0), sc)
     assert a == 0.0
     assert r <= 0.0
 
 
 def test_oracle_finer_grid_dominates(feeder4, scenarios4):
     # the 3-point grid {-1, 0, 1} is a subset of the 201-point grid
-    _, r_coarse = oracle_best_action(feeder4, scenarios4[1], n_grid=3,
-                                     slack_voltage=FOURBUS_SLACK)
-    _, r_fine = oracle_best_action(feeder4, scenarios4[1], n_grid=201,
-                                   slack_voltage=FOURBUS_SLACK)
+    cfg = one_step(feeder4)
+    _, r_coarse = oracle_best_action(cfg, scenarios4[1], n_grid=3)
+    _, r_fine = oracle_best_action(cfg, scenarios4[1], n_grid=201)
     assert r_fine >= r_coarse
 
 
 def test_oracle_grid_validation_and_infeasible(feeder2):
     sc = Scenario(id=0, p_load=np.array([0.05]), q_load=np.array([0.01]),
                   p_pv=np.zeros(0))
+    cfg = one_step(feeder2, 1.0)
     with pytest.raises(ValueError):
-        oracle_best_action(feeder2, sc, n_grid=2)
+        oracle_best_action(cfg, sc, n_grid=2)
     hopeless = Scenario(id=1, p_load=np.array([40.0]), q_load=np.array([10.0]),
                         p_pv=np.zeros(0))
     with pytest.raises(InfeasibleScenarioError, match="every grid point"):
-        oracle_best_action(feeder2, hopeless)
+        oracle_best_action(cfg, hopeless)
 
 
 def test_oracle_beats_any_snapped_policy_action(feeder4, scenarios4, nets4):
@@ -136,7 +141,7 @@ def test_oracle_beats_any_snapped_policy_action(feeder4, scenarios4, nets4):
         agent_a = ddpg.act(nets4, state).coefficients[0]
         snapped = grid[np.argmin(np.abs(grid - agent_a))]
         _, r_snap, _ = env_step(cfg, sc, MdpAction(np.array([snapped])))
-        _, r_star = oracle_best_action(feeder4, sc, slack_voltage=FOURBUS_SLACK)
+        _, r_star = oracle_best_action(cfg, sc)
         assert r_star >= r_snap
 
 
@@ -198,8 +203,7 @@ def test_fine_tune_reverts_on_divergence(feeder4, nets4, scenarios4, monkeypatch
 
 def test_run_online_logs_every_feasible_step(feeder4, nets4, scenarios4):
     apr = AprConfig(reference_reward=-1.0, window=50)
-    run, nets_out = run_online(feeder4, nets4, None, scenarios4, apr,
-                               slack_voltage=FOURBUS_SLACK)
+    run, nets_out = run_online(nets4, one_step(feeder4), scenarios4, apr)
     assert len(run.records) == len(scenarios4)
     assert len(run.latencies_s) == len(scenarios4)
     assert run.fine_tune_events == []
@@ -217,7 +221,7 @@ def test_run_online_skips_infeasible(feeder2):
     bad = Scenario(id=1, p_load=np.array([40.0]), q_load=np.array([10.0]),
                    p_pv=np.zeros(0))
     apr = AprConfig(reference_reward=-1.0)
-    run, _ = run_online(feeder2, nets, None, [ok, bad, ok], apr)
+    run, _ = run_online(nets, one_step(feeder2, 1.0), [ok, bad, ok], apr)
     assert [r.scenario_id for r in run.records] == [0, 0]
 
 
@@ -236,8 +240,7 @@ def test_run_online_skips_controlled_divergence(feeder4, nets4, scenarios4,
 
     monkeypatch.setattr(env, "solve_power_flow", solve)
     apr = AprConfig(reference_reward=-1.0)
-    run, _ = run_online(feeder4, nets4, None, scenarios4[:3], apr,
-                        slack_voltage=FOURBUS_SLACK)
+    run, _ = run_online(nets4, one_step(feeder4), scenarios4[:3], apr)
     assert [r.scenario_id for r in run.records] == [scenarios4[0].id, scenarios4[2].id]
     assert len(run.latencies_s) == 2
     assert "diverged under control action" in caplog.text
@@ -257,8 +260,7 @@ def test_run_online_apr_triggers_fine_tune(feeder4, nets4, scenarios4, monkeypat
     # reference far above anything achievable: every full window degrades
     apr = AprConfig(reference_reward=0.0, degradation_threshold=1e-9,
                     window=3, fine_tune_episodes=2)
-    run, nets_out = run_online(feeder4, nets4, None, scenarios4[:8], apr,
-                               slack_voltage=FOURBUS_SLACK)
+    run, nets_out = run_online(nets4, one_step(feeder4), scenarios4[:8], apr)
     # trigger at step 2, window cleared, trigger again at step 5
     assert run.fine_tune_events == [2, 5]
     assert calls["n"] == 2
@@ -269,8 +271,7 @@ def test_run_online_apr_triggers_fine_tune(feeder4, nets4, scenarios4, monkeypat
 
 def test_run_online_fine_tune_disabled(feeder4, nets4, scenarios4):
     apr = AprConfig(reference_reward=0.0, degradation_threshold=1e-9, window=3)
-    run, nets_out = run_online(feeder4, nets4, None, scenarios4[:6], apr,
-                               slack_voltage=FOURBUS_SLACK,
+    run, nets_out = run_online(nets4, one_step(feeder4), scenarios4[:6], apr,
                                fine_tune_enabled=False)
     assert run.fine_tune_events == []
     assert nets_out is nets4
@@ -280,8 +281,7 @@ def test_run_online_fine_tune_disabled(feeder4, nets4, scenarios4):
 def test_run_online_estimator_path(feeder4, nets4, scenarios4):
     dsse = identity_dsse(feeder4)
     apr = AprConfig(reference_reward=-1.0)
-    run, _ = run_online(feeder4, nets4, dsse, scenarios4[:3],
-                        apr, slack_voltage=FOURBUS_SLACK)
+    run, _ = run_online(nets4, one_step(feeder4, estimator=dsse), scenarios4[:3], apr)
     assert len(run.records) == 3
     _, expected = estimated_actions(feeder4, nets4, dsse, scenarios4[:3])
     for rec, action in zip(run.records, expected):
@@ -308,17 +308,28 @@ def test_run_online_fine_tunes_on_estimates(feeder4, nets4, scenarios4, monkeypa
     monkeypatch.setattr(runtime, "fine_tune", spy_fine_tune)
     apr = AprConfig(reference_reward=0.0, degradation_threshold=1e-9,
                     window=3, fine_tune_episodes=1)
-    run, _ = run_online(feeder4, nets4, dsse, scenarios4[:3], apr,
-                        slack_voltage=FOURBUS_SLACK)
+    run, _ = run_online(nets4, one_step(feeder4, estimator=dsse), scenarios4[:3], apr)
     assert run.fine_tune_events == [2]
     burst = calls[calls.index("start") + 1:calls.index("end")]
     assert burst and set(burst) == {"estimate"}
 
 
+def test_run_online_fine_tune_updates_actor(feeder4, nets4, scenarios4):
+    # the system run-online builds: the checkpoint's horizon and TrainConfig;
+    # a one-step burst would fill too few transitions for one batch
+    tcfg = ddpg.TrainConfig()
+    cfg = EnvConfig(feeder=feeder4, horizon=tcfg.horizon, slack_voltage=FOURBUS_SLACK)
+    apr = AprConfig(reference_reward=0.0, degradation_threshold=1e-9, window=3)
+    run, tuned = run_online(nets4, cfg, scenarios4[:3], apr, train_cfg=tcfg)
+    assert run.fine_tune_events == [2]
+    before = nn.model_parameters(nets4.actor)
+    after = nn.model_parameters(tuned.actor)
+    assert any(not np.array_equal(before[k], after[k]) for k in before)
+
+
 def test_run_log_csv_and_latency_stats(feeder4, nets4, scenarios4):
     apr = AprConfig(reference_reward=-1.0)
-    run, _ = run_online(feeder4, nets4, None, scenarios4[:4], apr,
-                        slack_voltage=FOURBUS_SLACK)
+    run, _ = run_online(nets4, one_step(feeder4), scenarios4[:4], apr)
     lines = run.to_csv().splitlines()
     assert lines[0].startswith("episode, step, scenario_id, action...")
     assert len(lines) == 5
@@ -333,8 +344,7 @@ def test_run_log_csv_and_latency_stats(feeder4, nets4, scenarios4):
 # --- evaluation ---------------------------------------------------------------
 
 def test_evaluate_report_contents(feeder4, nets4, scenarios4):
-    report = evaluate(nets4, None, feeder4, scenarios4,
-                      slack_voltage=FOURBUS_SLACK)
+    report = evaluate(nets4, one_step(feeder4), scenarios4)
     n = feeder4.n_node_phases
     assert report.scenario_count == len(scenarios4)
     assert report.v_mean_baseline.shape == (n,)
@@ -355,8 +365,7 @@ def test_evaluate_report_contents(feeder4, nets4, scenarios4):
 
 def test_evaluate_estimator_observed(feeder4, nets4, scenarios4):
     dsse = identity_dsse(feeder4)
-    report = evaluate(nets4, dsse, feeder4, scenarios4[:5],
-                      slack_voltage=FOURBUS_SLACK)
+    report = evaluate(nets4, one_step(feeder4, estimator=dsse), scenarios4[:5])
     assert report.scenario_count == 5
     # the controlled profile is the one the estimate-driven actions produce,
     # and it differs from the profile under perfect-state actions
@@ -364,24 +373,56 @@ def test_evaluate_estimator_observed(feeder4, nets4, scenarios4):
     v = np.stack([env_step(cfg, sc, a)[2]["v_mag_true"]
                   for sc, a in zip(scenarios4[:5], expected)])
     assert np.array_equal(report.v_mean_controlled, v.mean(axis=0))
-    perfect = evaluate(nets4, None, feeder4, scenarios4[:5],
-                       slack_voltage=FOURBUS_SLACK)
+    perfect = evaluate(nets4, cfg, scenarios4[:5])
     assert not np.array_equal(perfect.v_mean_controlled, report.v_mean_controlled)
 
 
 def test_evaluate_empty_raises(feeder4, nets4):
     with pytest.raises(ValueError, match="empty"):
-        evaluate(nets4, None, feeder4, [])
+        evaluate(nets4, one_step(feeder4), [])
 
 
 def test_compatibility_guards(feeder4, feeder34, nets4, scenarios4):
     wrong_nets = ddpg.build_agent(5, 1, np.random.default_rng(0))
     with pytest.raises(ModelMismatchError, match="actor expects"):
-        evaluate(wrong_nets, None, feeder4, scenarios4)
-    with pytest.raises(ModelMismatchError, match="different feeder"):
-        evaluate(nets4, identity_dsse(feeder4, fingerprint="bogus"),
-                 feeder4, scenarios4)
+        evaluate(wrong_nets, one_step(feeder4), scenarios4)
+    # the estimator is checked once, when it joins the system description
+    with pytest.raises(ModelMismatchError, match="trained for feeder"):
+        one_step(feeder4, estimator=identity_dsse(feeder4, fingerprint="bogus"))
     mislabeled = identity_dsse(feeder34)
     mislabeled.feeder_fingerprint = feeder4.fingerprint
     with pytest.raises(ModelMismatchError, match="node-phases"):
-        evaluate(nets4, mislabeled, feeder4, scenarios4)
+        one_step(feeder4, estimator=mislabeled)
+
+
+def test_zone_count_guard(feeder34):
+    # a 3-zone agent on the default single-zone map would drive every
+    # inverter with its first coefficient
+    nets = ddpg.build_agent(feeder34.n_node_phases, 3, np.random.default_rng(0))
+    cfg = EnvConfig(feeder=feeder34, horizon=1, slack_voltage=1.045)
+    sset = generate_scenario_set(feeder34, synth34_gen(2), seed=3).scenarios
+    with pytest.raises(ModelMismatchError, match="3 zone coefficients"):
+        evaluate(nets, cfg, sset)
+    with pytest.raises(ModelMismatchError, match="3 zone coefficients"):
+        run_online(nets, cfg, sset, AprConfig(reference_reward=-1.0))
+    # the oracle searches a single coefficient
+    zoned = EnvConfig(feeder=feeder34, zone_map=np.arange(len(feeder34.pv_units)) % 3)
+    with pytest.raises(ValueError, match="one zone"):
+        oracle_best_action(zoned, sset[0])
+
+
+def test_evaluate_applies_zone_map(feeder34):
+    nets = ddpg.build_agent(feeder34.n_node_phases, 3, np.random.default_rng(0))
+    n_pv = len(feeder34.pv_units)
+    cfg = EnvConfig(feeder=feeder34, horizon=1, slack_voltage=1.045,
+                    zone_map=np.arange(n_pv) % 3)
+    sset = generate_scenario_set(feeder34, synth34_gen(2), seed=3).scenarios
+    report = evaluate(nets, cfg, sset)
+    # the controlled profile is the one the per-zone actions produce
+    v = []
+    for sc in sset:
+        state, _, _ = env_step(cfg, sc, MdpAction(np.zeros(3)))
+        action = ddpg.act(nets, state)
+        assert len(set(action.coefficients)) == 3
+        v.append(env_step(cfg, sc, action)[2]["v_mag_true"])
+    assert np.array_equal(report.v_mean_controlled, np.stack(v).mean(axis=0))

@@ -4,8 +4,8 @@ Run from anywhere:  python3 scripts/artifact_chain.py OUT
 
 Each command writes into its own directory under OUT. The chain is the one
 acceptance criterion 9 runs (scenarios, estimator, agent, then evaluate,
-run-online and oracle on them), plus three deployed runs that observe
-through the trained estimator at 1% measurement noise: evaluate, run-online
+run-online and oracle on them), plus four runs that observe through the
+trained estimator at 1% measurement noise: train-agent, evaluate, run-online
 without fine-tuning, and run-online with a monitor that fine-tunes every ten
 steps. The configs go to a temporary directory, so OUT holds nothing but
 artifacts: to compare two checkouts, run each one's copy of this script into
@@ -51,6 +51,9 @@ def run_chain(out: str, config_dir: str) -> None:
         apr={"reference_reward": -1.0})
     run("oracle", "oracle", scenario_file=scen_csv, oracle={"n_grid": 11})
 
+    run("train-agent", "train-agent-dsse", scenario_file=scen_csv,
+        dsse_checkpoint=dsse_ckpt, **DEPLOYED,
+        train={"episodes": 4, "horizon": 5, "batch_size": 8, "buffer_capacity": 64})
     deployed = dict(scenario_file=scen_csv, agent_checkpoint=agent,
                     dsse_checkpoint=dsse_ckpt, **DEPLOYED)
     run("evaluate", "evaluate-dsse", **deployed)

@@ -174,8 +174,8 @@ def report(data, slack, gen_cfg, n=300, seed=7, label=""):
     feeder = load_dict(data)
     gen_cfg = GenConfig(**{**gen_cfg.__dict__, "count": n})
     sset = generate_scenario_set(feeder, gen_cfg, seed)
-    cfg = EnvConfig(feeder=feeder, estimator=None, horizon=1,
-                    slack_voltage=slack, reward=RewardConfig())
+    cfg = EnvConfig(feeder=feeder, estimator=None, slack_voltage=slack,
+                    reward=RewardConfig())
     n_zones = cfg.n_zones
 
     print(f"--- {label}: {feeder.n_node_phases} node-phases, "

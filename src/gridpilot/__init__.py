@@ -51,13 +51,12 @@ from .scenario import (
     write_scenario_set,
 )
 from .env import (
-    Env,
     EnvConfig,
     MdpAction,
-    MdpState,
     RewardConfig,
     curtailment_barrier,
     env_step,
+    idle_step,
     map_action,
     objective_deviation,
     q_max_no_curtailment,

@@ -15,15 +15,24 @@ import json
 import logging
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from . import ddpg, dsse, runtime, scenario
-from .env import EnvConfig, Env, RewardConfig
+from .env import EnvConfig, RewardConfig
 from .errors import GridPilotError
 from .feeder import Feeder, resolve_feeder
 
 log = logging.getLogger("gridpilot")
+
+# every top-level key some command reads; one config file may serve several
+# commands, so a key only another command reads is not an error
+_CONFIG_KEYS = {"feeder", "seed", "slack_voltage", "scenario", "scenario_file", "split",
+                "dsse", "dsse_checkpoint", "train", "agent_checkpoint", "env",
+                "reward", "apr", "oracle"}
+# the ``dsse`` keys train-dsse accepts (its seed comes from the top level)
+_DSSE_KEYS = {"noise_pct"} | {f.name for f in fields(dsse.DsseHyperparams) if f.name != "seed"}
 
 
 def _setup_logging():
@@ -40,6 +49,9 @@ def _load_config(path) -> dict:
         raise GridPilotError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise GridPilotError(f"config {path} must be a JSON object")
+    unknown = sorted(set(cfg) - _CONFIG_KEYS)
+    if unknown:
+        raise GridPilotError(f"unknown key(s) {unknown} in config {path}")
     return cfg
 
 
@@ -175,7 +187,7 @@ def cmd_eval_dsse(args) -> int:
     feeder = _feeder_from(cfg)
     seed = _seed(cfg, args)
     out = _outdir(args)
-    noise_pct = _number(_object(cfg, "dsse"), "noise_pct", 1.0)
+    noise_pct = _number(_object(cfg, "dsse", _DSSE_KEYS), "noise_pct", 1.0)
     slack = _number(cfg, "slack_voltage", 1.0)
 
     model = dsse.load_dsse(_required(cfg, "dsse_checkpoint"))
@@ -194,7 +206,7 @@ def cmd_eval_dsse(args) -> int:
     return 0
 
 
-def _env_config(cfg: dict, feeder: Feeder, horizon: int) -> EnvConfig:
+def _env_config(cfg: dict, feeder: Feeder) -> EnvConfig:
     """The controlled system of train-agent, evaluate and run-online.
 
     The estimator comes from ``dsse_checkpoint`` (perfect-state mode when
@@ -204,7 +216,7 @@ def _env_config(cfg: dict, feeder: Feeder, horizon: int) -> EnvConfig:
     estimator = dsse.load_dsse(cfg["dsse_checkpoint"]) if cfg.get("dsse_checkpoint") else None
     try:
         return EnvConfig(
-            feeder=feeder, estimator=estimator, horizon=horizon,
+            feeder=feeder, estimator=estimator,
             measurement_noise_pct=_number(env_raw, "measurement_noise_pct", 0.0),
             zone_map=np.array(env_raw["zone_map"], dtype=int) if "zone_map" in env_raw else None,
             slack_voltage=_number(cfg, "slack_voltage", 1.0),
@@ -221,8 +233,7 @@ def cmd_train_agent(args) -> int:
 
     sset = _scenarios_from(cfg, feeder)
     train_cfg = _section(cfg, "train", ddpg.TrainConfig, seed=seed)
-    env = Env(_env_config(cfg, feeder, train_cfg.horizon))
-    nets, trajectory = ddpg.train(env, list(sset), train_cfg)
+    nets, trajectory = ddpg.train(_env_config(cfg, feeder), list(sset), train_cfg)
     ddpg.save_agent(os.path.join(out, "agent.ckpt"), nets, train_cfg,
                     feeder_fingerprint=feeder.fingerprint)
     _write(os.path.join(out, "reward_trajectory.csv"),
@@ -231,7 +242,7 @@ def cmd_train_agent(args) -> int:
         "command": "train-agent", "seed": seed, "episodes": train_cfg.episodes,
         "first10_mean": float(np.mean(trajectory[:10])) if len(trajectory) >= 10 else None,
         "last10_mean": float(np.mean(trajectory[-10:])) if len(trajectory) >= 10 else None,
-        "final_reward": trajectory[-1] if trajectory else None})
+        "final_reward": trajectory[-1]})
     print(f"trained agent over {train_cfg.episodes} episodes; "
           f"final episode reward {trajectory[-1]:.4g}")
     return 0
@@ -251,8 +262,8 @@ def cmd_evaluate(args) -> int:
     seed = _seed(cfg, args)
     out = _outdir(args)
 
-    nets, train_cfg = _load_agent_for(cfg, feeder)
-    env_cfg = _env_config(cfg, feeder, train_cfg.horizon)
+    nets, _ = _load_agent_for(cfg, feeder)
+    env_cfg = _env_config(cfg, feeder)
     sset = _scenarios_from(cfg, feeder)
 
     report = runtime.evaluate(nets, env_cfg, list(sset), seed=seed)
@@ -274,7 +285,7 @@ def cmd_run_online(args) -> int:
     out = _outdir(args)
 
     nets, train_cfg = _load_agent_for(cfg, feeder)
-    env_cfg = _env_config(cfg, feeder, train_cfg.horizon)
+    env_cfg = _env_config(cfg, feeder)
     sset = _scenarios_from(cfg, feeder)
     apr = _section(cfg, "apr", runtime.AprConfig)
 

@@ -1,10 +1,13 @@
 """Deterministic policy-gradient learner for the inverter coordination task.
 
-Actor maps the voltage-magnitude state to one coefficient per zone through
-relu/tanh hidden layers and a tanh output (so actions respect [-1, 1] before
-any clamping). The critic scores (state, action) with the action appended to
-the state vector. Targets are soft-updated copies. Training is strictly
-sequential on one RNG stream, so a (seed, config, scenarios) triple pins the
+Actor maps the voltage-magnitude state vector to one coefficient per zone
+through relu/tanh hidden layers and a tanh output (so actions respect
+[-1, 1] before any clamping). The critic scores (state, action) with the
+action appended to the state vector. Targets are soft-updated copies.
+``train`` runs its episodes directly on an ``env.EnvConfig``: an idle start,
+then ``act`` -> ``env_step`` -> ``observe`` for up to ``TrainConfig.horizon``
+steps. It is strictly sequential on one RNG stream (exploration, measurement
+noise, replay sampling), so a (seed, config, scenarios) triple pins the
 whole trajectory bit-for-bit.
 """
 
@@ -16,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import nn
-from .env import Env, MdpAction, MdpState
+from .env import EnvConfig, MdpAction, env_step, idle_step, observe
 from .errors import CheckpointError, ModelMismatchError, NumericalError, TrainingError
 
 ACTOR_HIDDEN = (400, 300)
@@ -75,6 +78,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.episodes < 1:
+            raise ValueError("episodes must be >= 1")
+        if self.horizon < 1:
+            raise ValueError("horizon must be >= 1")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError("gamma must lie in [0, 1]")
         if not 0.0 < self.tau <= 1.0:
@@ -134,16 +141,15 @@ class OuNoise:
         return self.x
 
 
-def act(nets: AgentNets, state: MdpState, sigma: float = 0.0,
+def act(nets: AgentNets, state: np.ndarray, sigma: float = 0.0,
         rng: np.random.Generator | None = None,
         noise: OuNoise | None = None) -> MdpAction:
     """Deterministic policy plus optional exploration noise, clamped to [-1, 1]."""
-    vec = state.as_vector()
-    if vec.shape[0] != nets.actor.input_dim:
+    if state.shape[0] != nets.actor.input_dim:
         raise ModelMismatchError(
-            f"state has {vec.shape[0]} entries, actor expects {nets.actor.input_dim}")
+            f"state has {state.shape[0]} entries, actor expects {nets.actor.input_dim}")
     nets.actor.eval()
-    out, _ = nn.forward(nets.actor, vec[None, :])
+    out, _ = nn.forward(nets.actor, state[None, :])
     a = out[0]
     if noise is not None:
         a = a + noise.sample(rng)
@@ -154,8 +160,8 @@ def act(nets: AgentNets, state: MdpState, sigma: float = 0.0,
     return MdpAction(np.clip(a, -1.0, 1.0))
 
 
-def critic_value(nets: AgentNets, state: MdpState, action: MdpAction) -> float:
-    x = np.concatenate([state.as_vector(), action.coefficients])
+def critic_value(nets: AgentNets, state: np.ndarray, action: MdpAction) -> float:
+    x = np.concatenate([state, action.coefficients])
     if x.shape[0] != nets.critic.input_dim:
         raise ModelMismatchError(
             f"state+action has {x.shape[0]} entries, critic expects {nets.critic.input_dim}")
@@ -231,31 +237,32 @@ def _sigma_schedule(cfg: TrainConfig, episode: int) -> float:
     return cfg.noise_sigma_start + (cfg.noise_sigma_end - cfg.noise_sigma_start) * frac
 
 
-def train(env: Env, scenarios, cfg: TrainConfig,
+def train(env_cfg: EnvConfig, scenarios, cfg: TrainConfig,
           nets: AgentNets | None = None,
-          buffer: ReplayBuffer | None = None,
           critic_freeze_updates: int = 0) -> tuple[AgentNets, list[float]]:
     """Offline training loop: explore, replay, update, soft-track targets.
 
-    One critic and one actor update per environment step once the buffer
-    holds enough transitions; exploration sigma anneals linearly across
-    episodes. Returns the nets and the cumulative-reward-per-episode series.
-    On a non-finite loss the run aborts with TrainingError carrying the last
-    episode-boundary snapshot in ``last_good``.
+    Each episode draws one scenario and holds it fixed: an idle start
+    (``env.idle_step``, which raises InfeasibleScenarioError if the scenario
+    diverges), then up to ``cfg.horizon`` steps, ending early on a terminal
+    (diverged) step. One critic and one actor update per environment step
+    once the buffer holds enough transitions; exploration sigma anneals
+    linearly across episodes. Returns the nets and the
+    cumulative-reward-per-episode series. On a non-finite loss the run
+    aborts with TrainingError carrying the last episode-boundary snapshot in
+    ``last_good``.
 
-    ``nets``/``buffer`` allow resuming or fine-tuning an existing agent;
+    ``nets`` allows resuming or fine-tuning an existing agent;
     ``critic_freeze_updates`` skips the first N critic updates (fine-tune
     stabilization).
     """
     if len(scenarios) == 0:
         raise TrainingError("scenario set is empty")
     rng = np.random.default_rng(cfg.seed)
-    env.rng = rng  # one stream drives exploration, sampling, and measurement noise
 
     if nets is None:
-        nets = build_agent(env.cfg.state_dim, env.cfg.n_zones, rng)
-    if buffer is None:
-        buffer = ReplayBuffer(cfg.buffer_capacity, nets.state_dim, nets.action_dim)
+        nets = build_agent(env_cfg.state_dim, env_cfg.n_zones, rng)
+    buffer = ReplayBuffer(cfg.buffer_capacity, nets.state_dim, nets.action_dim)
     actor_opt = nn.AdamState(learning_rate=cfg.actor_lr)
     critic_opt = nn.AdamState(learning_rate=cfg.critic_lr)
     critic_params = nn.model_parameters(nets.critic)
@@ -272,13 +279,14 @@ def train(env: Env, scenarios, cfg: TrainConfig,
         ou = OuNoise(nets.action_dim, cfg.noise_mu, sigma) \
             if cfg.noise_process == "ou" else None
         try:
-            state = env.reset(scenario)
+            true_state, _, info = idle_step(env_cfg, scenario, rng)
+            state = observe(env_cfg.estimator, true_state, info)
             cum_reward = 0.0
             for _ in range(cfg.horizon):
                 action = act(nets, state, sigma=sigma, rng=rng, noise=ou)
-                next_state, r, done, info = env.step(action)
-                buffer.push(state.as_vector(), action.coefficients, r,
-                            next_state.as_vector(), info["terminal"])
+                true_state, r, info = env_step(env_cfg, scenario, action, rng=rng)
+                next_state = observe(env_cfg.estimator, true_state, info)
+                buffer.push(state, action.coefficients, r, next_state, info["terminal"])
                 cum_reward += r
                 state = next_state
 
@@ -292,7 +300,7 @@ def train(env: Env, scenarios, cfg: TrainConfig,
                     policy_update(nets, batch["s"], actor_opt)
                     soft_update_nets(nets, cfg.tau)
                     updates += 1
-                if done:
+                if info["terminal"]:
                     break
         except NumericalError as exc:
             err = TrainingError(f"aborted in episode {episode}: {exc}", epoch=episode)

@@ -1,19 +1,22 @@
-"""Volt-VAr control MDP: states, actions, barrier reward, environment step.
+"""Volt-VAr control MDP: actions, barrier reward, environment step.
 
-One environment step is the physical half of the pipeline: map the agent's
-zone coefficients to inverter reactive setpoints, superimpose them on the
+A state is the 1-D vector of node-phase voltage magnitudes (p.u.). One
+environment step is the physical half of the pipeline: map the agent's zone
+coefficients to inverter reactive setpoints, superimpose them on the
 scenario's injections, solve the power flow, and take the feeder-head
 measurement. ``observe`` is the other half: it turns a step into what the
 agent sees, the state estimator's reading of the head measurement or (in
-perfect-state mode, no estimator) the true solver voltages. ``Env`` and the
-deployed control cycle in ``runtime`` both observe through it. The reward is
+perfect-state mode, no estimator) the true solver voltages. ``idle_step`` is
+the step under idle inverters that starts both a training episode
+(``ddpg.train``) and a deployed control cycle (``runtime``). The reward is
 always computed from true solver voltages; estimation error only affects
 what the agent observes.
 
 ``EnvConfig`` is the one description of the controlled system: feeder,
-estimator, inverter zones, slack voltage, measurement noise, reward band and
-episode horizon. Training, evaluation, the online loop and the oracle all
-take one; building it is where an estimator is checked against its feeder.
+estimator, inverter zones, slack voltage, measurement noise and reward band.
+Training, evaluation, the online loop and the oracle all take one; building
+it is where an estimator is checked against its feeder. The episode length
+belongs to the learner (``ddpg.TrainConfig.horizon``).
 
 Sign conventions: positive q setpoint injects reactive power (raises local
 voltage), negative absorbs. Reward is never positive; zero only for an
@@ -29,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dsse import DsseModel, estimate_states
-from .errors import ModelMismatchError, PowerFlowDivergedError
+from .errors import InfeasibleScenarioError, ModelMismatchError, PowerFlowDivergedError
 from .feeder import AdmittanceMatrix, Feeder, build_admittance
 from .powerflow import (
     MeasurementVector,
@@ -41,14 +44,6 @@ from .scenario import Scenario, to_injections
 log = logging.getLogger(__name__)
 
 DIVERGENCE_PENALTY_PER_NODE = -10.0
-
-
-@dataclass
-class MdpState:
-    v_mag: np.ndarray  # node-phase voltage magnitudes, p.u.
-
-    def as_vector(self) -> np.ndarray:
-        return self.v_mag
 
 
 @dataclass
@@ -78,7 +73,6 @@ class RewardConfig:
 class EnvConfig:
     feeder: Feeder
     estimator: DsseModel | None = None  # None means perfect-state mode
-    horizon: int = 20
     measurement_noise_pct: float = 0.0
     zone_map: np.ndarray | None = None  # pv unit -> zone index; default all zone 0
     slack_voltage: float = 1.0
@@ -86,8 +80,6 @@ class EnvConfig:
     admittance: AdmittanceMatrix = None
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
         n_pv = len(self.feeder.pv_units)
         if self.zone_map is None:
             self.zone_map = np.zeros(n_pv, dtype=int)
@@ -180,7 +172,7 @@ def objective_deviation(v_mags: np.ndarray, v_nominal: float = 1.0) -> float:
 
 
 def env_step(cfg: EnvConfig, scenario: Scenario, action: MdpAction,
-             rng: np.random.Generator | None = None) -> tuple[MdpState, float, dict]:
+             rng: np.random.Generator | None = None) -> tuple[np.ndarray, float, dict]:
     """Apply an action to a scenario and measure the resulting system.
 
     Returns (true_state, reward, info). info carries the true voltages, the
@@ -201,7 +193,7 @@ def env_step(cfg: EnvConfig, scenario: Scenario, action: MdpAction,
     except PowerFlowDivergedError as exc:
         log.warning("power flow diverged under action %s: %s", action.coefficients, exc)
         n = cfg.state_dim
-        placeholder = MdpState(v_mag=np.full(n, cfg.reward.v_nominal))
+        placeholder = np.full(n, cfg.reward.v_nominal)
         info = {"terminal": True, "diverged": True, "q_setpoints": q_set,
                 "residual": exc.residual, "iterations": exc.iterations}
         return placeholder, DIVERGENCE_PENALTY_PER_NODE * n, info
@@ -212,7 +204,7 @@ def env_step(cfg: EnvConfig, scenario: Scenario, action: MdpAction,
     meas = feeder_head_measurement(cfg.feeder, cfg.admittance, sol,
                                    noise_sigma=sigma,
                                    rng=rng if sigma > 0 else None)
-    state = MdpState(v_mag=sol.v_mag.copy())
+    state = sol.v_mag.copy()
 
     slack = cfg.admittance.slack
     v = sol.v_complex
@@ -236,7 +228,7 @@ def env_step(cfg: EnvConfig, scenario: Scenario, action: MdpAction,
     return state, r, info
 
 
-def observe(estimator: DsseModel | None, state: MdpState, info: dict) -> MdpState:
+def observe(estimator: DsseModel | None, state: np.ndarray, info: dict) -> np.ndarray:
     """The agent's state after an ``env_step``.
 
     ``state`` (the true magnitudes, or the placeholder after a divergence)
@@ -245,38 +237,17 @@ def observe(estimator: DsseModel | None, state: MdpState, info: dict) -> MdpStat
     """
     if estimator is None or info["terminal"]:
         return state
-    return MdpState(v_mag=estimate_states(estimator, info["measurement"]).v_mag)
+    return estimate_states(estimator, info["measurement"]).v_mag
 
 
-class Env:
-    """Episode wrapper: one scenario held fixed for ``horizon`` steps.
+def idle_step(cfg: EnvConfig, scenario: Scenario,
+              rng: np.random.Generator | None = None) -> tuple[np.ndarray, float, dict]:
+    """``env_step`` under idle inverters (all zone coefficients zero).
 
-    reset() observes the zero-action system to produce the initial state;
-    step() applies an action and advances until the horizon or a divergence
-    terminal. Holds its own RNG stream for measurement noise.
+    Raises InfeasibleScenarioError when the power flow diverges, since no
+    episode or control cycle can start from such a scenario.
     """
-
-    def __init__(self, cfg: EnvConfig, rng: np.random.Generator | None = None):
-        self.cfg = cfg
-        self.rng = rng if rng is not None else np.random.default_rng()
-        self.scenario = None
-        self.t = 0
-
-    def reset(self, scenario: Scenario) -> MdpState:
-        self.scenario = scenario
-        self.t = 0
-        zero = MdpAction(np.zeros(self.cfg.n_zones))
-        state, _, info = env_step(self.cfg, scenario, zero, rng=self.rng)
-        if info["terminal"]:
-            raise PowerFlowDivergedError(
-                f"scenario {scenario.id} infeasible at zero action",
-                info["residual"], info["iterations"])
-        return observe(self.cfg.estimator, state, info)
-
-    def step(self, action: MdpAction) -> tuple[MdpState, float, bool, dict]:
-        if self.scenario is None:
-            raise RuntimeError("call reset() before step()")
-        state, r, info = env_step(self.cfg, self.scenario, action, rng=self.rng)
-        self.t += 1
-        done = info["terminal"] or self.t >= self.cfg.horizon
-        return observe(self.cfg.estimator, state, info), r, done, info
+    state, r, info = env_step(cfg, scenario, MdpAction(np.zeros(cfg.n_zones)), rng=rng)
+    if info["terminal"]:
+        raise InfeasibleScenarioError(f"scenario {scenario.id} infeasible at zero action")
+    return state, r, info

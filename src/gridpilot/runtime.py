@@ -1,13 +1,14 @@
 """Online execution, performance monitoring, oracle baseline, evaluation.
 
 Every entry point takes the controlled system as one ``env.EnvConfig``:
-feeder, estimator, inverter zones, slack voltage, noise, reward band and
-horizon. Both the online loop and evaluation run the deployed control cycle,
-written once in ``_control_cycle``: per scenario snapshot, solve under idle
-inverters, take the head measurement, estimate the state through the
-config's estimator, act without exploration through its zone map, and solve
-under the applied setpoints. A trailing-reward monitor (APR) triggers
-fine-tuning when control quality degrades against the training reference.
+feeder, estimator, inverter zones, slack voltage, noise and reward band.
+Both the online loop and evaluation run the deployed control cycle, written
+once in ``_control_cycle``: per scenario snapshot, solve under idle inverters
+(``env.idle_step``, the same start a training episode makes), take the head
+measurement, estimate the state through the config's estimator, act without
+exploration through its zone map, and solve under the applied setpoints.
+A trailing-reward monitor (APR) triggers fine-tuning when control quality
+degrades against the training reference.
 Latency is recorded separately from the deterministic run log so logs stay
 bit-reproducible under a fixed seed.
 """
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import ddpg
-from .env import Env, EnvConfig, MdpAction, env_step, observe
+from .env import EnvConfig, MdpAction, env_step, idle_step, observe
 from .errors import InfeasibleScenarioError, ModelMismatchError, TrainingError
 from .scenario import Scenario
 
@@ -81,7 +82,7 @@ class RunLog:
         lines = ["episode, step, scenario_id, action..., reward, max_v, min_v, "
                  "pf_p, pf_q, violation_count"]
         for rec in self.records:
-            action = ";".join(repr(a) for a in rec.action)
+            action = ";".join(repr(float(a)) for a in rec.action)
             lines.append(f"0,{rec.step},{rec.scenario_id},{action},{rec.reward!r},"
                          f"{rec.max_v!r},{rec.min_v!r},{rec.p_head!r},{rec.q_head!r},"
                          f"{rec.violations}")
@@ -117,9 +118,7 @@ def _control_cycle(cfg: EnvConfig, nets: ddpg.AgentNets, scenario: Scenario,
     latency_s); the latency covers estimation plus action selection. Raises
     InfeasibleScenarioError when either solve diverges.
     """
-    state, r0, info0 = env_step(cfg, scenario, MdpAction(np.zeros(cfg.n_zones)), rng=rng)
-    if info0["terminal"]:
-        raise InfeasibleScenarioError(f"scenario {scenario.id} infeasible at zero action")
+    state, r0, info0 = idle_step(cfg, scenario, rng)
     t0 = time.perf_counter()
     action = ddpg.act(nets, observe(cfg.estimator, state, info0))
     latency = time.perf_counter() - t0
@@ -138,8 +137,9 @@ def run_online(nets: ddpg.AgentNets, cfg: EnvConfig, scenarios, apr: AprConfig,
     Each stream element is one control cycle (``_control_cycle``) on the
     system ``cfg`` describes; a scenario whose idle or controlled solve
     diverges is skipped with a warning. Fine-tuning bursts run on the same
-    ``cfg``: they observe through its estimator, as the deployed agent does,
-    and run episodes of its horizon. Returns the run log and the (possibly
+    ``cfg``, so they observe through its estimator as the deployed agent
+    does, and run episodes of ``train_cfg.horizon`` (the default
+    ``TrainConfig``'s when None). Returns the run log and the (possibly
     fine-tuned) agent.
     """
     _check_agent(nets, cfg)
@@ -178,14 +178,14 @@ def run_online(nets: ddpg.AgentNets, cfg: EnvConfig, scenarios, apr: AprConfig,
 
 def fine_tune(nets: ddpg.AgentNets, recent_scenarios, episodes: int,
               env_cfg: EnvConfig, train_cfg: ddpg.TrainConfig | None = None,
-              transitions: list | None = None, seed: int = 0) -> ddpg.AgentNets:
+              seed: int = 0) -> ddpg.AgentNets:
     """Short retraining burst on recent conditions; reverts on divergence.
 
     Runs the normal training loop from the current nets with a small fixed
-    exploration sigma, optionally pre-filling the replay buffer from recent
-    transitions; the critic is frozen for the first 20% of updates so a
-    stale actor gradient cannot whipsaw it. The input nets are never
-    mutated; callers keep their checkpoint.
+    exploration sigma and episodes of ``train_cfg.horizon`` steps; the critic
+    is frozen for the first 20% of updates so a stale actor gradient cannot
+    whipsaw it. The input nets are never mutated; callers keep their
+    checkpoint.
     """
     if episodes == 0:
         return nets
@@ -193,19 +193,10 @@ def fine_tune(nets: ddpg.AgentNets, recent_scenarios, episodes: int,
     cfg = replace(base, episodes=episodes, seed=seed,
                   noise_sigma_start=base.noise_sigma_end,
                   noise_sigma_end=base.noise_sigma_end)
-
-    work = ddpg.clone_agent(nets)
-    buffer = ddpg.ReplayBuffer(cfg.buffer_capacity, work.state_dim, work.action_dim)
-    if transitions:
-        for s, a, r, s2, terminal in transitions:
-            buffer.push(s, a, r, s2, terminal)
-
-    horizon = env_cfg.horizon
-    freeze = int(0.2 * episodes * horizon)
-    env = Env(env_cfg)
+    freeze = int(0.2 * episodes * cfg.horizon)
     try:
-        tuned, _ = ddpg.train(env, list(recent_scenarios), cfg, nets=work,
-                              buffer=buffer, critic_freeze_updates=freeze)
+        tuned, _ = ddpg.train(env_cfg, list(recent_scenarios), cfg,
+                              nets=ddpg.clone_agent(nets), critic_freeze_updates=freeze)
         return tuned
     except TrainingError as exc:
         log.warning("fine-tune diverged (%s); keeping previous agent", exc)
@@ -218,7 +209,7 @@ def oracle_best_action(cfg: EnvConfig, scenario: Scenario, n_grid: int = 201
 
     Evaluates a in linspace(-1, 1, n_grid) through ``env_step`` on ``cfg``,
     which must be single-zone and noise-free; rewards come from true solver
-    voltages, so its estimator and horizon play no part. Ties break toward
+    voltages, so its estimator plays no part. Ties break toward
     smaller |a|. Grid spacing is 2/(n_grid - 1), so n_grid=201 gives the
     0.01 resolution used by the benchmark comparisons.
     """

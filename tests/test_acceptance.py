@@ -27,7 +27,6 @@ from gridpilot.dsse import (
     train_dsse,
 )
 from gridpilot.env import (
-    Env,
     EnvConfig,
     MdpAction,
     RewardConfig,
@@ -178,12 +177,12 @@ def test_criterion_4_state_estimation_accuracy(feeder34, capsys):
 def test_criterion_5_learning_signal(feeder34, capsys):
     t0 = time.perf_counter()
     sset = generate_scenario_set(feeder34, synth34_gen(300), seed=500)
-    env_cfg = EnvConfig(feeder=feeder34, estimator=None, horizon=20,
+    env_cfg = EnvConfig(feeder=feeder34, estimator=None,
                         slack_voltage=SYNTH34_SLACK)
     passes = 0
     gains = []
     for seed in range(10):
-        _, traj = ddpg.train(Env(env_cfg), sset, ddpg.TrainConfig(seed=seed))
+        _, traj = ddpg.train(env_cfg, sset, ddpg.TrainConfig(seed=seed))
         first10 = float(np.mean(traj[:10]))
         last10 = float(np.mean(traj[-10:]))
         gains.append(last10 - first10)
@@ -207,12 +206,12 @@ def test_criterion_6_control_efficacy(feeder34, capsys):
     estimator, _ = train_dsse(pairs, DsseHyperparams(seed=0), feeder34)
 
     train_scen = generate_scenario_set(feeder34, synth34_gen(300), seed=500)
-    env_cfg = EnvConfig(feeder=feeder34, estimator=None, horizon=20,
+    env_cfg = EnvConfig(feeder=feeder34, estimator=None,
                         slack_voltage=SYNTH34_SLACK)
-    nets, _ = ddpg.train(Env(env_cfg), train_scen, ddpg.TrainConfig(seed=0))
+    nets, _ = ddpg.train(env_cfg, train_scen, ddpg.TrainConfig(seed=0))
 
     held_out = generate_scenario_set(feeder34, synth34_gen(1000), seed=901)
-    rep = evaluate(nets, EnvConfig(feeder=feeder34, estimator=estimator, horizon=1,
+    rep = evaluate(nets, EnvConfig(feeder=feeder34, estimator=estimator,
                                    slack_voltage=SYNTH34_SLACK,
                                    measurement_noise_pct=1.0),
                    list(held_out), seed=0)
@@ -237,12 +236,12 @@ def test_criterion_7_oracle_closeness(feeder4, capsys):
     t0 = time.perf_counter()
     train_scen = generate_scenario_set(feeder4, fourbus_gen(300), seed=600)
     reward_cfg = RewardConfig()
-    env_cfg = EnvConfig(feeder=feeder4, estimator=None, horizon=20,
+    env_cfg = EnvConfig(feeder=feeder4, estimator=None,
                         slack_voltage=FOURBUS_SLACK, reward=reward_cfg)
-    nets, _ = ddpg.train(Env(env_cfg), train_scen, ddpg.TrainConfig(seed=0))
+    nets, _ = ddpg.train(env_cfg, train_scen, ddpg.TrainConfig(seed=0))
 
     test_scen = generate_scenario_set(feeder4, fourbus_gen(200), seed=601)
-    step_cfg = EnvConfig(feeder=feeder4, estimator=None, horizon=1,
+    step_cfg = EnvConfig(feeder=feeder4, estimator=None,
                          slack_voltage=FOURBUS_SLACK, reward=reward_cfg)
     r_base, r_agent, r_oracle = [], [], []
     for sc in test_scen:
@@ -273,7 +272,7 @@ def test_criterion_8_pipeline_latency(feeder34, capsys):
     nets = ddpg.build_agent(feeder34.n_node_phases, 1, np.random.default_rng(0))
 
     probe = generate_scenario_set(feeder34, synth34_gen(300), seed=77)
-    rep = evaluate(nets, EnvConfig(feeder=feeder34, estimator=estimator, horizon=1,
+    rep = evaluate(nets, EnvConfig(feeder=feeder34, estimator=estimator,
                                    slack_voltage=SYNTH34_SLACK,
                                    measurement_noise_pct=1.0),
                    list(probe), seed=0)

@@ -237,6 +237,12 @@ def test_error_exit_codes(tmp_path, workspace):
         ("evaluate", dict(scenario_file=scen_csv, agent_checkpoint=agent_ckpt,
                           env={"measurment_noise_pct": 1.0})),
         ("train-agent", dict(scenario_file=scen_csv, env={"horizon": 5})),
+        ("train-agent", dict(scenario_file=scen_csv, train={"horizon": 0})),
+        ("train-agent", dict(scenario_file=scen_csv, train={"episodes": 0})),
+        # misspelt keys: a top-level typo, and one in the dsse section eval-dsse reads
+        ("oracle", dict(scenario_file=scen_csv, slack_volatge=1.04)),
+        ("eval-dsse", dict(scenario_file=scen_csv, dsse_checkpoint=dsse_ckpt,
+                           dsse={"noise_pc": 1.0})),
         ("evaluate", dict(scenario_file=scen_csv, agent_checkpoint=zones3_ckpt)),
         ("run-online", dict(scenario_file=scen_csv, agent_checkpoint=zones3_ckpt,
                             apr={"reference_reward": -1.0})),

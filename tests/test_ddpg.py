@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import FOURBUS_SLACK, fourbus_gen
-from gridpilot import ddpg, nn
+from gridpilot import ddpg, env, nn
 from gridpilot.ddpg import (
     AgentNets,
     OuNoise,
@@ -21,14 +21,15 @@ from gridpilot.ddpg import (
     train,
     trajectory_csv,
 )
-from gridpilot.env import Env, EnvConfig, MdpAction, MdpState
+from gridpilot.env import EnvConfig, MdpAction
 from gridpilot.errors import (
     CheckpointError,
+    InfeasibleScenarioError,
     ModelMismatchError,
     NumericalError,
     TrainingError,
 )
-from gridpilot.scenario import generate_scenario_set
+from gridpilot.scenario import Scenario, generate_scenario_set
 
 
 def small_nets(rng=None, state_dim=4, action_dim=2):
@@ -90,6 +91,10 @@ def test_train_config_validation():
         TrainConfig(noise_process="brownian")
     with pytest.raises(ValueError):
         TrainConfig(updates_start="never")
+    with pytest.raises(ValueError, match="episodes"):
+        TrainConfig(episodes=0)
+    with pytest.raises(ValueError, match="horizon"):
+        TrainConfig(horizon=0)
 
 
 # --- replay buffer ------------------------------------------------------------
@@ -231,7 +236,7 @@ def test_sigma_schedule_endpoints():
 
 def test_act_clamps_and_validates():
     nets = small_nets()
-    state = MdpState(v_mag=np.ones(4))
+    state = np.ones(4)
     rng = np.random.default_rng(6)
     for _ in range(20):
         a = act(nets, state, sigma=5.0, rng=rng)
@@ -239,7 +244,7 @@ def test_act_clamps_and_validates():
     with pytest.raises(ValueError, match="requires an rng"):
         act(nets, state, sigma=0.5)
     with pytest.raises(ModelMismatchError):
-        act(nets, MdpState(v_mag=np.ones(7)))
+        act(nets, np.ones(7))
     # deterministic without noise
     a1 = act(nets, state)
     a2 = act(nets, state)
@@ -256,19 +261,17 @@ def test_ou_noise_mean_reversion():
 
 def test_critic_value_scalar():
     nets = small_nets()
-    v = critic_value(nets, MdpState(v_mag=np.ones(4)),
-                     MdpAction(np.zeros(2)))
+    v = critic_value(nets, np.ones(4), MdpAction(np.zeros(2)))
     assert isinstance(v, float)
     with pytest.raises(ModelMismatchError):
-        critic_value(nets, MdpState(v_mag=np.ones(4)), MdpAction(np.zeros(5)))
+        critic_value(nets, np.ones(4), MdpAction(np.zeros(5)))
 
 
 # --- training loop ------------------------------------------------------------
 
 @pytest.fixture(scope="module")
 def train_setup(feeder4):
-    cfg = EnvConfig(feeder=feeder4, estimator=None, horizon=3,
-                    slack_voltage=FOURBUS_SLACK)
+    cfg = EnvConfig(feeder=feeder4, estimator=None, slack_voltage=FOURBUS_SLACK)
     scenarios = generate_scenario_set(feeder4, fourbus_gen(6), seed=11).scenarios
     return cfg, scenarios
 
@@ -281,33 +284,59 @@ def quick_cfg(**kw):
 
 def test_train_deterministic_per_seed(train_setup):
     env_cfg, scenarios = train_setup
-    nets_a, traj_a = train(Env(env_cfg), scenarios, quick_cfg())
-    nets_b, traj_b = train(Env(env_cfg), scenarios, quick_cfg())
+    nets_a, traj_a = train(env_cfg, scenarios, quick_cfg())
+    nets_b, traj_b = train(env_cfg, scenarios, quick_cfg())
     assert traj_a == traj_b
     pa, pb = nn.model_parameters(nets_a.actor), nn.model_parameters(nets_b.actor)
     for k in pa:
         assert np.array_equal(pa[k], pb[k])
-    _, traj_c = train(Env(env_cfg), scenarios, quick_cfg(seed=1))
+    _, traj_c = train(env_cfg, scenarios, quick_cfg(seed=1))
     assert traj_c != traj_a
 
 
 def test_train_returns_one_reward_per_episode(train_setup):
     env_cfg, scenarios = train_setup
-    _, traj = train(Env(env_cfg), scenarios, quick_cfg(episodes=5))
+    _, traj = train(env_cfg, scenarios, quick_cfg(episodes=5))
     assert len(traj) == 5
     assert all(r <= 0.0 for r in traj)
 
 
 def test_train_ou_process_runs(train_setup):
     env_cfg, scenarios = train_setup
-    _, traj = train(Env(env_cfg), scenarios, quick_cfg(noise_process="ou"))
+    _, traj = train(env_cfg, scenarios, quick_cfg(noise_process="ou"))
     assert len(traj) == 4
 
 
 def test_train_empty_scenarios_raises(train_setup):
     env_cfg, _ = train_setup
     with pytest.raises(TrainingError, match="empty"):
-        train(Env(env_cfg), [], quick_cfg())
+        train(env_cfg, [], quick_cfg())
+
+
+def test_train_episode_steps(train_setup, monkeypatch):
+    # an idle start, then the full horizon: no step on this fixture diverges
+    env_cfg, scenarios = train_setup
+    terminals = []
+    real = env.env_step
+
+    def counting(*args, **kwargs):
+        out = real(*args, **kwargs)
+        terminals.append(out[2]["terminal"])
+        return out
+
+    monkeypatch.setattr(env, "env_step", counting)
+    monkeypatch.setattr(ddpg, "env_step", counting)
+    train(env_cfg, scenarios, quick_cfg(episodes=2, horizon=5))
+    assert len(terminals) == 2 * (5 + 1)
+    assert not any(terminals)
+
+
+def test_train_raises_on_infeasible_start(feeder2):
+    # 40 p.u. behind a j0.1 p.u. line diverges even with idle inverters
+    sc = Scenario(id=0, p_load=np.array([40.0]), q_load=np.array([10.0]),
+                  p_pv=np.zeros(0))
+    with pytest.raises(InfeasibleScenarioError, match="infeasible at zero action"):
+        train(EnvConfig(feeder=feeder2), [sc], quick_cfg())
 
 
 def test_train_critic_freeze(train_setup):
@@ -316,7 +345,7 @@ def test_train_critic_freeze(train_setup):
     nets = build_agent(env_cfg.state_dim, env_cfg.n_zones, rng)
     before = {k: v.copy() for k, v in nn.model_parameters(nets.critic).items()}
     actor_before = {k: v.copy() for k, v in nn.model_parameters(nets.actor).items()}
-    train(Env(env_cfg), scenarios, quick_cfg(), nets=nets,
+    train(env_cfg, scenarios, quick_cfg(), nets=nets,
           critic_freeze_updates=10 ** 9)
     after = nn.model_parameters(nets.critic)
     for k in before:
@@ -339,7 +368,7 @@ def test_train_error_carries_last_good(train_setup, monkeypatch):
 
     monkeypatch.setattr(ddpg, "td_loss", exploding)
     with pytest.raises(TrainingError, match="aborted in episode") as exc_info:
-        train(Env(env_cfg), scenarios, quick_cfg(episodes=6))
+        train(env_cfg, scenarios, quick_cfg(episodes=6))
     snap = exc_info.value.last_good
     assert isinstance(snap, AgentNets)
     # the snapshot predates the failing update batch
@@ -363,7 +392,7 @@ def test_trajectory_csv_round_trip():
 def test_agent_checkpoint_round_trip(tmp_path, train_setup):
     env_cfg, scenarios = train_setup
     cfg = quick_cfg()
-    nets, _ = train(Env(env_cfg), scenarios, cfg)
+    nets, _ = train(env_cfg, scenarios, cfg)
     buf = ReplayBuffer(16, nets.state_dim, nets.action_dim)
     for i in range(5):
         buf.push(np.full(nets.state_dim, i), [0.1], -float(i),

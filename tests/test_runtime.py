@@ -4,7 +4,7 @@ import pytest
 from conftest import FOURBUS_SLACK, fourbus_gen, synth34_gen
 from gridpilot import ddpg, env, nn, runtime
 from gridpilot.dsse import DsseModel, estimate_states
-from gridpilot.env import EnvConfig, MdpAction, MdpState, env_step
+from gridpilot.env import EnvConfig, MdpAction, env_step
 from gridpilot.errors import (
     InfeasibleScenarioError,
     ModelMismatchError,
@@ -34,10 +34,10 @@ def nets4(feeder4):
     return ddpg.build_agent(feeder4.n_node_phases, 1, np.random.default_rng(0))
 
 
-def one_step(feeder, slack_voltage=FOURBUS_SLACK, **entries):
-    """Single-step system on ``feeder``; single-zone and perfect-state unless
-    ``entries`` say otherwise."""
-    return EnvConfig(feeder=feeder, horizon=1, slack_voltage=slack_voltage, **entries)
+def system(feeder, slack_voltage=FOURBUS_SLACK, **entries):
+    """The controlled system on ``feeder``; single-zone and perfect-state
+    unless ``entries`` say otherwise."""
+    return EnvConfig(feeder=feeder, slack_voltage=slack_voltage, **entries)
 
 
 def identity_dsse(feeder, fingerprint=None):
@@ -57,13 +57,12 @@ def identity_dsse(feeder, fingerprint=None):
 def estimated_actions(feeder, nets, dsse, scenarios):
     """The action the deployed agent should apply to each scenario: act on
     the estimate from the noiseless zero-action head measurement."""
-    cfg = EnvConfig(feeder=feeder, estimator=None, horizon=1,
-                    slack_voltage=FOURBUS_SLACK)
+    cfg = system(feeder)
     zero = MdpAction(np.zeros(1))
     actions = []
     for sc in scenarios:
         meas = env_step(cfg, sc, zero)[2]["measurement"]
-        actions.append(ddpg.act(nets, MdpState(estimate_states(dsse, meas).v_mag)))
+        actions.append(ddpg.act(nets, estimate_states(dsse, meas).v_mag))
     return cfg, actions
 
 
@@ -93,11 +92,10 @@ def test_apr_check_rules():
 # --- oracle -------------------------------------------------------------------
 
 def test_oracle_absorbs_on_overvoltage_fixture(feeder4, scenarios4):
-    a, r = oracle_best_action(one_step(feeder4), scenarios4[0])
+    a, r = oracle_best_action(system(feeder4), scenarios4[0])
     assert -1.0 <= a < 0.0
     for probe in (0.0, -1.0, 1.0):
-        cfg = EnvConfig(feeder=feeder4, estimator=None, horizon=1,
-                        slack_voltage=FOURBUS_SLACK)
+        cfg = system(feeder4)
         _, r_probe, _ = env_step(cfg, scenarios4[0], MdpAction(np.array([probe])))
         assert r >= r_probe
 
@@ -106,14 +104,14 @@ def test_oracle_tie_breaks_toward_idle(feeder2):
     # no inverters: every grid point scores identically, pick a = 0
     sc = Scenario(id=0, p_load=np.array([0.05]), q_load=np.array([0.01]),
                   p_pv=np.zeros(0))
-    a, r = oracle_best_action(one_step(feeder2, 1.0), sc)
+    a, r = oracle_best_action(system(feeder2, 1.0), sc)
     assert a == 0.0
     assert r <= 0.0
 
 
 def test_oracle_finer_grid_dominates(feeder4, scenarios4):
     # the 3-point grid {-1, 0, 1} is a subset of the 201-point grid
-    cfg = one_step(feeder4)
+    cfg = system(feeder4)
     _, r_coarse = oracle_best_action(cfg, scenarios4[1], n_grid=3)
     _, r_fine = oracle_best_action(cfg, scenarios4[1], n_grid=201)
     assert r_fine >= r_coarse
@@ -122,7 +120,7 @@ def test_oracle_finer_grid_dominates(feeder4, scenarios4):
 def test_oracle_grid_validation_and_infeasible(feeder2):
     sc = Scenario(id=0, p_load=np.array([0.05]), q_load=np.array([0.01]),
                   p_pv=np.zeros(0))
-    cfg = one_step(feeder2, 1.0)
+    cfg = system(feeder2, 1.0)
     with pytest.raises(ValueError):
         oracle_best_action(cfg, sc, n_grid=2)
     hopeless = Scenario(id=1, p_load=np.array([40.0]), q_load=np.array([10.0]),
@@ -133,8 +131,7 @@ def test_oracle_grid_validation_and_infeasible(feeder2):
 
 def test_oracle_beats_any_snapped_policy_action(feeder4, scenarios4, nets4):
     """Grid optimality: no policy can beat the oracle on its own grid."""
-    cfg = EnvConfig(feeder=feeder4, estimator=None, horizon=1,
-                    slack_voltage=FOURBUS_SLACK)
+    cfg = system(feeder4)
     grid = np.linspace(-1.0, 1.0, 201)
     for sc in scenarios4[:5]:
         state, _, _ = env_step(cfg, sc, MdpAction(np.zeros(1)))
@@ -148,16 +145,14 @@ def test_oracle_beats_any_snapped_policy_action(feeder4, scenarios4, nets4):
 # --- fine-tune ----------------------------------------------------------------
 
 def test_fine_tune_zero_episodes_is_identity(feeder4, nets4, scenarios4):
-    cfg = EnvConfig(feeder=feeder4, estimator=None, horizon=1,
-                    slack_voltage=FOURBUS_SLACK)
+    cfg = system(feeder4)
     assert fine_tune(nets4, scenarios4, 0, cfg) is nets4
 
 
 def test_fine_tune_never_mutates_input(feeder4, nets4, scenarios4):
-    cfg = EnvConfig(feeder=feeder4, estimator=None, horizon=2,
-                    slack_voltage=FOURBUS_SLACK)
+    cfg = system(feeder4)
     before = {k: v.copy() for k, v in nn.model_parameters(nets4.actor).items()}
-    tcfg = ddpg.TrainConfig(batch_size=4, buffer_capacity=64)
+    tcfg = ddpg.TrainConfig(horizon=2, batch_size=4, buffer_capacity=64)
     tuned = fine_tune(nets4, scenarios4[:4], 3, cfg, train_cfg=tcfg, seed=1)
     after = nn.model_parameters(nets4.actor)
     for k in before:
@@ -170,21 +165,16 @@ def test_fine_tune_never_mutates_input(feeder4, nets4, scenarios4):
 def test_fine_tune_freeze_and_prefill(feeder4, nets4, scenarios4, monkeypatch):
     captured = {}
 
-    def fake_train(env, scenarios, cfg, nets=None, buffer=None,
-                   critic_freeze_updates=0):
+    def fake_train(env_cfg, scenarios, cfg, nets=None, critic_freeze_updates=0):
         captured["freeze"] = critic_freeze_updates
-        captured["buffer_len"] = len(buffer)
         captured["sigma"] = (cfg.noise_sigma_start, cfg.noise_sigma_end)
         return nets, []
 
     monkeypatch.setattr(ddpg, "train", fake_train)
-    cfg = EnvConfig(feeder=feeder4, estimator=None, horizon=5,
-                    slack_voltage=FOURBUS_SLACK)
-    n = feeder4.n_node_phases
-    transitions = [(np.ones(n), np.zeros(1), -1.0, np.ones(n), False)] * 7
-    fine_tune(nets4, scenarios4[:3], 10, cfg, transitions=transitions)
+    # the critic stays frozen for 20% of the burst's episodes x horizon
+    fine_tune(nets4, scenarios4[:3], 10, system(feeder4),
+              train_cfg=ddpg.TrainConfig(horizon=5))
     assert captured["freeze"] == int(0.2 * 10 * 5)
-    assert captured["buffer_len"] == 7
     # exploration stays at the small terminal sigma for the whole burst
     assert captured["sigma"] == (0.005, 0.005)
 
@@ -194,8 +184,7 @@ def test_fine_tune_reverts_on_divergence(feeder4, nets4, scenarios4, monkeypatch
         raise TrainingError("loss diverged to nan", epoch=0)
 
     monkeypatch.setattr(ddpg, "train", exploding)
-    cfg = EnvConfig(feeder=feeder4, estimator=None, horizon=1,
-                    slack_voltage=FOURBUS_SLACK)
+    cfg = system(feeder4)
     assert fine_tune(nets4, scenarios4[:2], 5, cfg) is nets4
 
 
@@ -203,7 +192,7 @@ def test_fine_tune_reverts_on_divergence(feeder4, nets4, scenarios4, monkeypatch
 
 def test_run_online_logs_every_feasible_step(feeder4, nets4, scenarios4):
     apr = AprConfig(reference_reward=-1.0, window=50)
-    run, nets_out = run_online(nets4, one_step(feeder4), scenarios4, apr)
+    run, nets_out = run_online(nets4, system(feeder4), scenarios4, apr)
     assert len(run.records) == len(scenarios4)
     assert len(run.latencies_s) == len(scenarios4)
     assert run.fine_tune_events == []
@@ -221,7 +210,7 @@ def test_run_online_skips_infeasible(feeder2):
     bad = Scenario(id=1, p_load=np.array([40.0]), q_load=np.array([10.0]),
                    p_pv=np.zeros(0))
     apr = AprConfig(reference_reward=-1.0)
-    run, _ = run_online(nets, one_step(feeder2, 1.0), [ok, bad, ok], apr)
+    run, _ = run_online(nets, system(feeder2, 1.0), [ok, bad, ok], apr)
     assert [r.scenario_id for r in run.records] == [0, 0]
 
 
@@ -240,7 +229,7 @@ def test_run_online_skips_controlled_divergence(feeder4, nets4, scenarios4,
 
     monkeypatch.setattr(env, "solve_power_flow", solve)
     apr = AprConfig(reference_reward=-1.0)
-    run, _ = run_online(nets4, one_step(feeder4), scenarios4[:3], apr)
+    run, _ = run_online(nets4, system(feeder4), scenarios4[:3], apr)
     assert [r.scenario_id for r in run.records] == [scenarios4[0].id, scenarios4[2].id]
     assert len(run.latencies_s) == 2
     assert "diverged under control action" in caplog.text
@@ -260,7 +249,7 @@ def test_run_online_apr_triggers_fine_tune(feeder4, nets4, scenarios4, monkeypat
     # reference far above anything achievable: every full window degrades
     apr = AprConfig(reference_reward=0.0, degradation_threshold=1e-9,
                     window=3, fine_tune_episodes=2)
-    run, nets_out = run_online(nets4, one_step(feeder4), scenarios4[:8], apr)
+    run, nets_out = run_online(nets4, system(feeder4), scenarios4[:8], apr)
     # trigger at step 2, window cleared, trigger again at step 5
     assert run.fine_tune_events == [2, 5]
     assert calls["n"] == 2
@@ -271,7 +260,7 @@ def test_run_online_apr_triggers_fine_tune(feeder4, nets4, scenarios4, monkeypat
 
 def test_run_online_fine_tune_disabled(feeder4, nets4, scenarios4):
     apr = AprConfig(reference_reward=0.0, degradation_threshold=1e-9, window=3)
-    run, nets_out = run_online(nets4, one_step(feeder4), scenarios4[:6], apr,
+    run, nets_out = run_online(nets4, system(feeder4), scenarios4[:6], apr,
                                fine_tune_enabled=False)
     assert run.fine_tune_events == []
     assert nets_out is nets4
@@ -281,7 +270,7 @@ def test_run_online_fine_tune_disabled(feeder4, nets4, scenarios4):
 def test_run_online_estimator_path(feeder4, nets4, scenarios4):
     dsse = identity_dsse(feeder4)
     apr = AprConfig(reference_reward=-1.0)
-    run, _ = run_online(nets4, one_step(feeder4, estimator=dsse), scenarios4[:3], apr)
+    run, _ = run_online(nets4, system(feeder4, estimator=dsse), scenarios4[:3], apr)
     assert len(run.records) == 3
     _, expected = estimated_actions(feeder4, nets4, dsse, scenarios4[:3])
     for rec, action in zip(run.records, expected):
@@ -308,19 +297,18 @@ def test_run_online_fine_tunes_on_estimates(feeder4, nets4, scenarios4, monkeypa
     monkeypatch.setattr(runtime, "fine_tune", spy_fine_tune)
     apr = AprConfig(reference_reward=0.0, degradation_threshold=1e-9,
                     window=3, fine_tune_episodes=1)
-    run, _ = run_online(nets4, one_step(feeder4, estimator=dsse), scenarios4[:3], apr)
+    run, _ = run_online(nets4, system(feeder4, estimator=dsse), scenarios4[:3], apr)
     assert run.fine_tune_events == [2]
     burst = calls[calls.index("start") + 1:calls.index("end")]
     assert burst and set(burst) == {"estimate"}
 
 
 def test_run_online_fine_tune_updates_actor(feeder4, nets4, scenarios4):
-    # the system run-online builds: the checkpoint's horizon and TrainConfig;
-    # a one-step burst would fill too few transitions for one batch
-    tcfg = ddpg.TrainConfig()
-    cfg = EnvConfig(feeder=feeder4, horizon=tcfg.horizon, slack_voltage=FOURBUS_SLACK)
+    # the checkpoint's TrainConfig, as run-online passes it: its 20-step
+    # episodes fill enough transitions for a batch within the burst
     apr = AprConfig(reference_reward=0.0, degradation_threshold=1e-9, window=3)
-    run, tuned = run_online(nets4, cfg, scenarios4[:3], apr, train_cfg=tcfg)
+    run, tuned = run_online(nets4, system(feeder4), scenarios4[:3], apr,
+                            train_cfg=ddpg.TrainConfig())
     assert run.fine_tune_events == [2]
     before = nn.model_parameters(nets4.actor)
     after = nn.model_parameters(tuned.actor)
@@ -329,12 +317,16 @@ def test_run_online_fine_tune_updates_actor(feeder4, nets4, scenarios4):
 
 def test_run_log_csv_and_latency_stats(feeder4, nets4, scenarios4):
     apr = AprConfig(reference_reward=-1.0)
-    run, _ = run_online(nets4, one_step(feeder4), scenarios4[:4], apr)
+    run, _ = run_online(nets4, system(feeder4), scenarios4[:4], apr)
     lines = run.to_csv().splitlines()
     assert lines[0].startswith("episode, step, scenario_id, action...")
     assert len(lines) == 5
     fields = lines[1].split(",")
     assert float(fields[4]) == run.records[0].reward
+    # action cells are plain numbers, not numpy scalar reprs
+    for line, rec in zip(lines[1:], run.records):
+        cells = line.split(",")[3].split(";")
+        assert [float(c) for c in cells] == rec.action.tolist()
     stats = run.latency_stats()
     assert stats["count"] == 4
     assert 0 < stats["p50_ms"] <= stats["p99_ms"] <= stats["max_ms"]
@@ -344,7 +336,7 @@ def test_run_log_csv_and_latency_stats(feeder4, nets4, scenarios4):
 # --- evaluation ---------------------------------------------------------------
 
 def test_evaluate_report_contents(feeder4, nets4, scenarios4):
-    report = evaluate(nets4, one_step(feeder4), scenarios4)
+    report = evaluate(nets4, system(feeder4), scenarios4)
     n = feeder4.n_node_phases
     assert report.scenario_count == len(scenarios4)
     assert report.v_mean_baseline.shape == (n,)
@@ -365,7 +357,7 @@ def test_evaluate_report_contents(feeder4, nets4, scenarios4):
 
 def test_evaluate_estimator_observed(feeder4, nets4, scenarios4):
     dsse = identity_dsse(feeder4)
-    report = evaluate(nets4, one_step(feeder4, estimator=dsse), scenarios4[:5])
+    report = evaluate(nets4, system(feeder4, estimator=dsse), scenarios4[:5])
     assert report.scenario_count == 5
     # the controlled profile is the one the estimate-driven actions produce,
     # and it differs from the profile under perfect-state actions
@@ -379,27 +371,27 @@ def test_evaluate_estimator_observed(feeder4, nets4, scenarios4):
 
 def test_evaluate_empty_raises(feeder4, nets4):
     with pytest.raises(ValueError, match="empty"):
-        evaluate(nets4, one_step(feeder4), [])
+        evaluate(nets4, system(feeder4), [])
 
 
 def test_compatibility_guards(feeder4, feeder34, nets4, scenarios4):
     wrong_nets = ddpg.build_agent(5, 1, np.random.default_rng(0))
     with pytest.raises(ModelMismatchError, match="actor expects"):
-        evaluate(wrong_nets, one_step(feeder4), scenarios4)
+        evaluate(wrong_nets, system(feeder4), scenarios4)
     # the estimator is checked once, when it joins the system description
     with pytest.raises(ModelMismatchError, match="trained for feeder"):
-        one_step(feeder4, estimator=identity_dsse(feeder4, fingerprint="bogus"))
+        system(feeder4, estimator=identity_dsse(feeder4, fingerprint="bogus"))
     mislabeled = identity_dsse(feeder34)
     mislabeled.feeder_fingerprint = feeder4.fingerprint
     with pytest.raises(ModelMismatchError, match="node-phases"):
-        one_step(feeder4, estimator=mislabeled)
+        system(feeder4, estimator=mislabeled)
 
 
 def test_zone_count_guard(feeder34):
     # a 3-zone agent on the default single-zone map would drive every
     # inverter with its first coefficient
     nets = ddpg.build_agent(feeder34.n_node_phases, 3, np.random.default_rng(0))
-    cfg = EnvConfig(feeder=feeder34, horizon=1, slack_voltage=1.045)
+    cfg = EnvConfig(feeder=feeder34, slack_voltage=1.045)
     sset = generate_scenario_set(feeder34, synth34_gen(2), seed=3).scenarios
     with pytest.raises(ModelMismatchError, match="3 zone coefficients"):
         evaluate(nets, cfg, sset)
@@ -414,7 +406,7 @@ def test_zone_count_guard(feeder34):
 def test_evaluate_applies_zone_map(feeder34):
     nets = ddpg.build_agent(feeder34.n_node_phases, 3, np.random.default_rng(0))
     n_pv = len(feeder34.pv_units)
-    cfg = EnvConfig(feeder=feeder34, horizon=1, slack_voltage=1.045,
+    cfg = EnvConfig(feeder=feeder34, slack_voltage=1.045,
                     zone_map=np.arange(n_pv) % 3)
     sset = generate_scenario_set(feeder34, synth34_gen(2), seed=3).scenarios
     report = evaluate(nets, cfg, sset)

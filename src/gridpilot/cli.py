@@ -23,6 +23,7 @@ from . import ddpg, dsse, runtime, scenario
 from .env import EnvConfig, RewardConfig
 from .errors import GridPilotError
 from .feeder import Feeder, resolve_feeder
+from .fileio import write_atomic
 
 log = logging.getLogger("gridpilot")
 
@@ -117,15 +118,8 @@ def _scenarios_from(cfg: dict, feeder: Feeder) -> scenario.ScenarioSet:
     return scenario.read_scenario_set(_required(cfg, "scenario_file"), feeder)
 
 
-def _write(path, text: str):
-    with open(path, "w") as fh:
-        fh.write(text)
-
-
 def _write_json(path, obj):
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_gen_scenarios(args) -> int:
@@ -167,10 +161,10 @@ def cmd_train_dsse(args) -> int:
 
     model, losses = dsse.train_dsse(train_pairs, hp, feeder)
     dsse.save_dsse(model, os.path.join(out, "dsse.ckpt"))
-    _write(os.path.join(out, "dsse_loss.csv"),
-           "epoch, loss\n" + "\n".join(f"{i},{v!r}" for i, v in enumerate(losses)) + "\n")
+    write_atomic(os.path.join(out, "dsse_loss.csv"),
+                 "epoch, loss\n" + "\n".join(f"{i},{v!r}" for i, v in enumerate(losses)) + "\n")
     metrics = dsse.evaluate_dsse(model, test_pairs)
-    _write(os.path.join(out, "dsse_metrics.csv"), dsse.metrics_csv(metrics))
+    write_atomic(os.path.join(out, "dsse_metrics.csv"), dsse.metrics_csv(metrics))
     _write_json(os.path.join(out, "summary.json"), {
         "command": "train-dsse", "seed": seed,
         "train_pairs": len(train_pairs), "test_pairs": len(test_pairs),
@@ -197,7 +191,7 @@ def cmd_eval_dsse(args) -> int:
     pairs = dsse.build_training_pairs(sset, feeder, noise_pct,
                                       slack_voltage=slack, seed=seed)
     metrics = dsse.evaluate_dsse(model, pairs)
-    _write(os.path.join(out, "dsse_metrics.csv"), dsse.metrics_csv(metrics))
+    write_atomic(os.path.join(out, "dsse_metrics.csv"), dsse.metrics_csv(metrics))
     _write_json(os.path.join(out, "summary.json"), {
         "command": "eval-dsse", "seed": seed, "pairs": len(pairs),
         "mag_mape_per_phase": metrics.mag_mape_per_phase,
@@ -236,8 +230,8 @@ def cmd_train_agent(args) -> int:
     nets, trajectory = ddpg.train(_env_config(cfg, feeder), list(sset), train_cfg)
     ddpg.save_agent(os.path.join(out, "agent.ckpt"), nets, train_cfg,
                     feeder_fingerprint=feeder.fingerprint)
-    _write(os.path.join(out, "reward_trajectory.csv"),
-           ddpg.trajectory_csv(trajectory, train_cfg))
+    write_atomic(os.path.join(out, "reward_trajectory.csv"),
+                 ddpg.trajectory_csv(trajectory, train_cfg))
     _write_json(os.path.join(out, "summary.json"), {
         "command": "train-agent", "seed": seed, "episodes": train_cfg.episodes,
         "first10_mean": float(np.mean(trajectory[:10])) if len(trajectory) >= 10 else None,
@@ -267,7 +261,7 @@ def cmd_evaluate(args) -> int:
     sset = _scenarios_from(cfg, feeder)
 
     report = runtime.evaluate(nets, env_cfg, list(sset), seed=seed)
-    _write(os.path.join(out, "eval_profile.csv"), report.profile_csv())
+    write_atomic(os.path.join(out, "eval_profile.csv"), report.profile_csv())
     _write_json(os.path.join(out, "summary.json"),
                 {"command": "evaluate", "seed": seed, **report.summary()})
     _write_json(os.path.join(out, "latency.json"),
@@ -291,7 +285,7 @@ def cmd_run_online(args) -> int:
 
     run, _ = runtime.run_online(nets, env_cfg, list(sset), apr, seed=seed,
                                 train_cfg=train_cfg)
-    _write(os.path.join(out, "run_log.csv"), run.to_csv())
+    write_atomic(os.path.join(out, "run_log.csv"), run.to_csv())
     _write_json(os.path.join(out, "summary.json"), {
         "command": "run-online", "seed": seed, "steps": len(run.records),
         "fine_tune_events": run.fine_tune_events,
@@ -321,7 +315,7 @@ def cmd_oracle(args) -> int:
         except ValueError as exc:
             raise GridPilotError(f"oracle: {exc}") from exc
         lines.append(f"{sc.id},{best_a!r},{best_r!r}")
-    _write(os.path.join(out, "oracle.csv"), "\n".join(lines) + "\n")
+    write_atomic(os.path.join(out, "oracle.csv"), "\n".join(lines) + "\n")
     _write_json(os.path.join(out, "summary.json"), {
         "command": "oracle", "seed": seed, "n_grid": n_grid, "scenarios": len(sset)})
     print(f"oracle evaluated {len(sset)} scenarios at {n_grid} grid points")

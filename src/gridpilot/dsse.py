@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import nn
 from .errors import DatasetError, ModelMismatchError, TrainingError
-from .feeder import PHASE_ANGLES, Feeder, build_admittance
+from .feeder import PHASE_ANGLES, Feeder
 from .powerflow import (
     InjectionSet,
     MeasurementVector,
@@ -61,6 +61,11 @@ class DsseModel:
     output_std: np.ndarray
     feeder_fingerprint: str
     node_phases: list[tuple[str, str]]
+    # per node-phase, its phase letter's source angle in degrees
+    angle_refs_deg: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.angle_refs_deg = _angle_refs_deg(self.node_phases)
 
     @property
     def n_node_phases(self) -> int:
@@ -94,12 +99,13 @@ def build_training_pairs(scenarios: ScenarioSet, feeder: Feeder, noise_pct: floa
     """Solve each scenario and pair its noisy head measurement with the state.
 
     Targets stack v_mag (p.u.) then per-phase-relative angles (degrees).
-    Diverging scenarios are dropped and counted; more than 10% dropped means
-    the fixture or config is broken and raises DatasetError.
+    Solves on ``feeder.admittance``, which every call on the same feeder
+    shares. Diverging scenarios are dropped and counted; more than 10%
+    dropped means the fixture or config is broken and raises DatasetError.
     """
     from .scenario import to_injections  # local import; scenario->dsse stays one-way
 
-    admittance = build_admittance(feeder)
+    admittance = feeder.admittance
     refs = _angle_refs_deg(feeder.node_phases())
     rng = np.random.default_rng(seed)
     sigma = noise_pct / 100.0
@@ -211,7 +217,7 @@ def estimate_states(model: DsseModel, measurement: MeasurementVector) -> StateEs
     if clamped:
         log.warning("clamped %d implausible magnitude estimates", clamped)
         v_mag = np.clip(v_mag, 0.5, 1.5)
-    v_angle = _wrap_deg(raw[n:] + _angle_refs_deg(model.node_phases))
+    v_angle = _wrap_deg(raw[n:] + model.angle_refs_deg)
     return StateEstimate(v_mag=v_mag, v_angle=v_angle, clamp_count=clamped)
 
 
@@ -228,7 +234,7 @@ def evaluate_dsse(model: DsseModel, pairs) -> DsseMetrics:
         est = estimate_states(model, meas)
         true_mag = target[:n]
         true_rel = target[n:]
-        est_rel = _wrap_deg(est.v_angle - _angle_refs_deg(model.node_phases))
+        est_rel = _wrap_deg(est.v_angle - model.angle_refs_deg)
         abs_rel += np.abs(est.v_mag - true_mag) / np.abs(true_mag)
         abs_ang += np.abs(_wrap_deg(est_rel - true_rel))
     abs_rel /= len(pairs)

@@ -33,7 +33,7 @@ import numpy as np
 
 from .dsse import DsseModel, estimate_states
 from .errors import InfeasibleScenarioError, ModelMismatchError, PowerFlowDivergedError
-from .feeder import AdmittanceMatrix, Feeder, build_admittance
+from .feeder import AdmittanceMatrix, Feeder
 from .powerflow import (
     MeasurementVector,
     feeder_head_measurement,
@@ -77,7 +77,9 @@ class EnvConfig:
     zone_map: np.ndarray | None = None  # pv unit -> zone index; default all zone 0
     slack_voltage: float = 1.0
     reward: RewardConfig = field(default_factory=RewardConfig)
-    admittance: AdmittanceMatrix = None
+    # per pv unit, read-only: apparent-power and reactive ratings, p.u.
+    s_rated: np.ndarray = field(init=False, repr=False)
+    q_rated: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n_pv = len(self.feeder.pv_units)
@@ -95,8 +97,13 @@ class EnvConfig:
         if est is not None and est.n_node_phases != self.feeder.n_node_phases:
             raise ModelMismatchError(f"estimator outputs {est.n_node_phases} node-phases, "
                                      f"feeder has {self.feeder.n_node_phases}")
-        if self.admittance is None:
-            self.admittance = build_admittance(self.feeder)
+        self.s_rated = np.array([pv.s_rated for pv in self.feeder.pv_units], dtype=float)
+        self.q_rated = np.array([pv.q_rated for pv in self.feeder.pv_units], dtype=float)
+        self.s_rated.flags.writeable = self.q_rated.flags.writeable = False
+
+    @property
+    def admittance(self) -> AdmittanceMatrix:
+        return self.feeder.admittance
 
     @property
     def n_zones(self) -> int:
@@ -114,14 +121,23 @@ def q_max_no_curtailment(s_rated: float, p_pv: float) -> float:
     return math.sqrt(s_rated * s_rated - p_pv * p_pv)
 
 
-def q_max_vector(feeder: Feeder, scenario: Scenario) -> np.ndarray:
-    return np.array([q_max_no_curtailment(pv.s_rated, scenario.p_pv[k])
-                     for k, pv in enumerate(feeder.pv_units)])
+def q_max_vector(s_rated: np.ndarray, p_pv: np.ndarray) -> np.ndarray:
+    """``q_max_no_curtailment`` for every pv unit at once.
+
+    One array expression; ``np.sqrt`` is correctly rounded, as ``math.sqrt``
+    is. Raises ValueError when any p_pv lies outside [0, s_rated].
+    """
+    outside = (p_pv < 0) | (p_pv > s_rated)
+    if outside.any():
+        k = int(np.argmax(outside))
+        raise ValueError(f"p_pv={p_pv[k]} outside [0, s_rated={s_rated[k]}] (pv unit {k})")
+    return np.sqrt(s_rated * s_rated - p_pv * p_pv)
 
 
-def map_action(action: MdpAction, pv_units, zone_map) -> np.ndarray:
+def map_action(action: MdpAction, q_rated: np.ndarray, zone_map) -> np.ndarray:
     """Reactive setpoints q[k] = a[zone(k)] * q_rated[k], bounded by ratings.
 
+    ``q_rated`` is the per-unit reactive rating (``EnvConfig.q_rated``).
     Out-of-range coefficients are clamped to [-1, 1] (and logged); the final
     hard clamp to +-q_rated keeps the rating bound even if a caller bypasses
     the coefficient clamp.
@@ -130,9 +146,7 @@ def map_action(action: MdpAction, pv_units, zone_map) -> np.ndarray:
     clamped = np.clip(coeff, -1.0, 1.0)
     if not np.array_equal(coeff, clamped):
         log.debug("action coefficients clamped: %s", coeff)
-    q_rated = np.array([pv.q_rated for pv in pv_units])
-    q = clamped[zone_map] * q_rated if len(pv_units) else np.zeros(0)
-    return np.clip(q, -q_rated, q_rated)
+    return np.clip(clamped[zone_map] * q_rated, -q_rated, q_rated)
 
 
 def voltage_barrier(v: float, cfg: RewardConfig) -> float:
@@ -183,9 +197,9 @@ def env_step(cfg: EnvConfig, scenario: Scenario, action: MdpAction,
     nominal profile (never bootstrapped from, since the transition is
     terminal).
     """
-    q_set = map_action(action, cfg.feeder.pv_units, cfg.zone_map)
+    q_set = map_action(action, cfg.q_rated, cfg.zone_map)
     injections = to_injections(cfg.feeder, cfg.admittance, scenario, q_pv=q_set)
-    q_max_vals = q_max_vector(cfg.feeder, scenario)
+    q_max_vals = q_max_vector(cfg.s_rated, scenario.p_pv)
 
     try:
         sol = solve_power_flow(cfg.feeder, cfg.admittance, injections,

@@ -20,6 +20,7 @@ import importlib.resources
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -98,10 +99,18 @@ class Feeder:
     def n_node_phases(self) -> int:
         return sum(len(b.phases) for b in self.buses)
 
+    @cached_property
+    def admittance(self) -> "AdmittanceMatrix":
+        """This feeder's ``build_admittance``, built on first use and then shared
+        by every command stage that solves on it."""
+        return build_admittance(self)
+
 
 @dataclass
 class AdmittanceMatrix:
-    """Nodal admittance plus the constants the Z-bus power flow reuses.
+    """Nodal admittance plus the per-feeder constants every step reuses: the
+    Z-bus power-flow constants, the row of each load point and PV unit, and
+    the ``PHASES`` slot of each slack row.
 
     Every array is read-only; ``build_admittance`` is the only constructor.
     """
@@ -109,12 +118,15 @@ class AdmittanceMatrix:
     g: np.ndarray  # real, symmetric, p.u.
     b: np.ndarray  # real, symmetric, p.u.
     index_map: dict[tuple[str, str], int]  # (bus_id, phase) -> row
+    load_rows: np.ndarray  # feeder.loads[i] -> row
+    pv_rows: np.ndarray  # feeder.pv_units[k] -> row
     y: np.ndarray  # g + jb
     slack: np.ndarray  # source-bus rows, in source phase order
     free: np.ndarray  # every other row, ascending
     z_ff: np.ndarray  # inv(Y_ff)
     z_slack: np.ndarray  # Z_ff @ Y_fs, free x slack
     unit: np.ndarray  # per row, the unit phasor of its phase
+    slack_slots: np.ndarray  # per slack row, its phase's index in PHASES
 
     @property
     def size(self) -> int:
@@ -291,7 +303,7 @@ def build_admittance(feeder: Feeder) -> AdmittanceMatrix:
     as a branch admittance block between the to-bus node-phases and the
     matching from-bus node-phases. The free block Y_ff (every row but the
     source bus's) is inverted once here, so each power-flow iteration is a
-    matrix-vector product.
+    matrix-vector product. ``Feeder.admittance`` holds one per feeder.
     """
     index_map = {np_: i for i, np_ in enumerate(feeder.node_phases())}
     n = len(index_map)
@@ -333,6 +345,9 @@ def build_admittance(feeder: Feeder) -> AdmittanceMatrix:
         "z_ff": z_ff,
         "z_slack": z_ff @ y[np.ix_(free, slack)],
         "unit": np.array([np.exp(1j * PHASE_ANGLES[ph]) for _, ph in index_map]),
+        "load_rows": np.array([index_map[(x.bus_id, x.phase)] for x in feeder.loads], dtype=int),
+        "pv_rows": np.array([index_map[(x.bus_id, x.phase)] for x in feeder.pv_units], dtype=int),
+        "slack_slots": np.array([PHASES.index(ph) for ph in src.phases], dtype=int),
     }
     for arr in arrays.values():
         arr.flags.writeable = False

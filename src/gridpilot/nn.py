@@ -17,12 +17,14 @@ Conventions:
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import CheckpointError, ModelMismatchError, NumericalError
+from .fileio import write_atomic
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.9  # running = momentum * running + (1 - momentum) * batch
@@ -343,15 +345,15 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], metadata: dict) -> None
         offset += len(raw)
     header = json.dumps({"metadata": metadata, "arrays": manifest},
                         sort_keys=True).encode()
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<HQ", _VERSION, len(header)))
-        fh.write(header)
-        for raw in payload:
-            fh.write(raw)
+    write_atomic(path, _MAGIC, struct.pack("<HQ", _VERSION, len(header)), header, *payload)
+
+
+_PREFIX = len(_MAGIC) + struct.calcsize("<HQ")
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
+    """(arrays, metadata) of a checkpoint; CheckpointError if it is not one
+    (unreadable, truncated, wrong magic or version, malformed header)."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -359,25 +361,31 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         raise CheckpointError(f"cannot read {path}: {exc}") from exc
     if blob[:4] != _MAGIC:
         raise CheckpointError(f"{path} is not a checkpoint (bad magic)")
-    version, header_len = struct.unpack("<HQ", blob[4:14])
+    if len(blob) < _PREFIX:
+        raise CheckpointError(f"truncated checkpoint {path}")
+    version, header_len = struct.unpack("<HQ", blob[4:_PREFIX])
     if version != _VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
+    base = _PREFIX + header_len
+    if base > len(blob):
+        raise CheckpointError(f"truncated checkpoint {path}")
     try:
-        header = json.loads(blob[14:14 + header_len])
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(f"corrupt checkpoint header in {path}") from exc
-    base = 14 + header_len
-    arrays = {}
-    for item in header["arrays"]:
-        shape = tuple(item["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = base + item["offset"]
-        end = start + 8 * count
-        if end > len(blob):
-            raise CheckpointError(f"truncated checkpoint {path}")
-        arrays[item["name"]] = np.frombuffer(
-            blob[start:end], dtype="<f8").reshape(shape).copy()
-    return arrays, header["metadata"]
+        header = json.loads(blob[_PREFIX:base])
+        arrays = {}
+        for item in header["arrays"]:
+            shape = tuple(int(d) for d in item["shape"])
+            start = base + int(item["offset"])
+            end = start + 8 * math.prod(shape)
+            if not base <= start <= end <= len(blob):
+                raise CheckpointError(f"truncated checkpoint {path}")
+            arrays[str(item["name"])] = np.frombuffer(
+                blob[start:end], dtype="<f8").reshape(shape).copy()
+        metadata = header["metadata"]
+    except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
+        raise CheckpointError(f"corrupt checkpoint header in {path}: {exc!r}") from exc
+    if not isinstance(metadata, dict):
+        raise CheckpointError(f"corrupt checkpoint header in {path}: metadata is not an object")
+    return arrays, metadata
 
 
 def model_to_arrays(model: MlpModel) -> tuple[dict[str, np.ndarray], dict]:

@@ -24,11 +24,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import PowerFlowDivergedError
-from .feeder import PHASES, AdmittanceMatrix, Feeder
+from .feeder import AdmittanceMatrix, Feeder
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 50
@@ -54,17 +55,19 @@ class InjectionSet:
 
 @dataclass
 class PowerFlowSolution:
+    """Solved node-phase voltages; the derived views are computed once."""
+
     v_re: np.ndarray
     v_im: np.ndarray
     iterations: int
     residual: float
     converged: bool
 
-    @property
+    @cached_property
     def v_complex(self) -> np.ndarray:
         return self.v_re + 1j * self.v_im
 
-    @property
+    @cached_property
     def v_mag(self) -> np.ndarray:
         return np.hypot(self.v_re, self.v_im)
 
@@ -169,13 +172,12 @@ def feeder_head_measurement(feeder: Feeder, admittance: AdmittanceMatrix,
     noise is added per rectangular component with standard deviation
     ``noise_sigma`` times the phasor magnitude.
     """
-    src = feeder.bus(feeder.source_bus_id)
     v = solution.v_complex
     v_head = v[admittance.slack]
     i_head = admittance.y[admittance.slack] @ v
 
     out = {name: np.zeros(3) for name in ("v_re", "v_im", "i_re", "i_im")}
-    slots = [PHASES.index(ph) for ph in src.phases]
+    slots = admittance.slack_slots
     out["v_re"][slots], out["v_im"][slots] = v_head.real, v_head.imag
     out["i_re"][slots], out["i_im"][slots] = i_head.real, i_head.imag
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import logging
 import time
+from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -52,7 +53,7 @@ def apr_check(trailing_rewards, apr: AprConfig) -> str:
     """
     if len(trailing_rewards) < apr.window:
         return "ok"
-    trailing = float(np.mean(trailing_rewards[-apr.window:]))
+    trailing = float(np.mean(np.asarray(trailing_rewards)[-apr.window:]))
     if trailing < apr.reference_reward - apr.degradation_threshold:
         return "fine_tune"
     return "ok"
@@ -139,14 +140,16 @@ def run_online(nets: ddpg.AgentNets, cfg: EnvConfig, scenarios, apr: AprConfig,
     diverges is skipped with a warning. Fine-tuning bursts run on the same
     ``cfg``, so they observe through its estimator as the deployed agent
     does, and run episodes of ``train_cfg.horizon`` (the default
-    ``TrainConfig``'s when None). Returns the run log and the (possibly
-    fine-tuned) agent.
+    ``TrainConfig``'s when None). Only the last ``apr.window`` rewards and
+    scenarios are held, so memory stays flat however long the stream; the
+    reward window starts afresh after each fine-tune. Returns the run log and
+    the (possibly fine-tuned) agent.
     """
     _check_agent(nets, cfg)
     rng = np.random.default_rng(seed)
     run = RunLog()
-    rewards: list[float] = []
-    recent: list[Scenario] = []
+    rewards: deque[float] = deque(maxlen=apr.window)
+    recent: deque[Scenario] = deque(maxlen=apr.window)
 
     for step, scenario in enumerate(scenarios):
         try:
@@ -169,8 +172,8 @@ def run_online(nets: ddpg.AgentNets, cfg: EnvConfig, scenarios, apr: AprConfig,
         if decision == "fine_tune" and fine_tune_enabled:
             run.fine_tune_events.append(step)
             log.info("APR triggered fine-tune at step %d (trailing mean %.4g)",
-                     step, float(np.mean(rewards[-apr.window:])))
-            nets = fine_tune(nets, recent[-apr.window:], apr.fine_tune_episodes,
+                     step, float(np.mean(rewards)))
+            nets = fine_tune(nets, list(recent), apr.fine_tune_episodes,
                              cfg, train_cfg=train_cfg, seed=seed + step + 1)
             rewards.clear()  # fresh window for the updated agent
     return run, nets

@@ -17,12 +17,14 @@ from __future__ import annotations
 import csv
 import json
 import os
+import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import DatasetError
 from .feeder import AdmittanceMatrix, Feeder
+from .fileio import write_atomic
 from .powerflow import InjectionSet
 
 CSV_HEADER = "scenario_id, element_type, element_id, p_pu, q_pu"
@@ -231,8 +233,7 @@ def write_scenario_set(scenario_set: ScenarioSet, feeder: Feeder, csv_path) -> N
                          f"{float(sc.p_load[i])!r},{float(sc.q_load[i])!r}")
         for k, pv in enumerate(feeder.pv_units):
             lines.append(f"{sc.id},pv,{pv.bus_id}.{pv.phase},{float(sc.p_pv[k])!r},0.0")
-    with open(csv_path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(csv_path, "\n".join(lines) + "\n")
 
     meta = {
         "seed": scenario_set.seed,
@@ -240,64 +241,97 @@ def write_scenario_set(scenario_set: ScenarioSet, feeder: Feeder, csv_path) -> N
         "feeder_fingerprint": scenario_set.feeder_fingerprint or feeder.fingerprint,
         "scenario_count": len(scenario_set),
     }
-    with open(_sidecar_path(csv_path), "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_atomic(_sidecar_path(csv_path), json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
-def read_scenario_set(csv_path, feeder: Feeder) -> ScenarioSet:
-    """Load a persisted scenario set, checking elements against the feeder."""
+def _read_sidecar(csv_path) -> tuple[int, GenConfig, str]:
+    """(seed, generator config, feeder fingerprint) from the JSON sidecar."""
+    path = _sidecar_path(csv_path)
     try:
-        with open(_sidecar_path(csv_path)) as fh:
+        with open(path) as fh:
             meta = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise DatasetError(f"missing or unreadable sidecar for {csv_path}: {exc}") from exc
+    try:
+        cfg_raw = dict(meta["generator_config"])
+        for key in ("pv_to_load_ratio_range", "load_scale_range", "power_factor_range"):
+            cfg_raw[key] = tuple(cfg_raw[key])
+        fingerprint = meta.get("feeder_fingerprint", "")
+        if not isinstance(fingerprint, str):
+            raise TypeError("feeder_fingerprint must be a string")
+        return int(meta["seed"]), GenConfig(**cfg_raw), fingerprint
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DatasetError(f"malformed sidecar {path}: {exc!r}") from exc
 
-    cfg_raw = dict(meta["generator_config"])
-    for key in ("pv_to_load_ratio_range", "load_scale_range", "power_factor_range"):
-        cfg_raw[key] = tuple(cfg_raw[key])
-    config = GenConfig(**cfg_raw)
 
-    fingerprint = meta.get("feeder_fingerprint", "")
+# one CSV row, its element type and id read as codes (see read_scenario_set)
+_ROW_DTYPE = np.dtype([("sid", np.int64), ("kind", np.int32), ("name", np.int32),
+                       ("p", np.float64), ("q", np.float64)])
+
+
+def read_scenario_set(csv_path, feeder: Feeder) -> ScenarioSet:
+    """Load a persisted scenario set, checking elements against the feeder.
+
+    The rows are parsed in one numpy pass, each number exactly as ``float()``
+    reads it. Raises DatasetError on an unreadable or malformed sidecar, a
+    wrong header, no rows, a row that is not five fields with an integer
+    scenario id and finite p and q, an element the feeder lacks, or one
+    listed twice in a scenario. An element absent from a scenario reads as
+    zero.
+    """
+    seed, config, fingerprint = _read_sidecar(csv_path)
     if fingerprint and fingerprint != feeder.fingerprint:
         raise DatasetError("scenario file was generated for a different feeder "
                            f"(fingerprint {fingerprint[:12]}... != {feeder.fingerprint[:12]}...)")
 
-    load_slot = {f"{ld.bus_id}.{ld.phase}": i for i, ld in enumerate(feeder.loads)}
-    pv_slot = {f"{pv.bus_id}.{pv.phase}": k for k, pv in enumerate(feeder.pv_units)}
+    # a row's element type and id become codes (-1: not the feeder's), and a
+    # pair of codes becomes the element's column: loads, then pv units; the
+    # table's last row and column hold -1 for the -1 codes
+    elements = [("load", f"{ld.bus_id}.{ld.phase}") for ld in feeder.loads]
+    elements += [("pv", f"{pv.bus_id}.{pv.phase}") for pv in feeder.pv_units]
+    kinds = {"load": 0, "pv": 1}
+    names = {}
+    for _, name in elements:
+        names.setdefault(name, len(names))
+    column = np.full((len(kinds) + 1, len(names) + 1), -1)
+    for j, (kind, name) in enumerate(elements):
+        column[kinds[kind], names[name]] = j
+    converters = {1: lambda s: kinds.get(s, -1), 2: lambda s: names.get(s, -1)}
+    try:
+        with open(csv_path, newline="") as fh:
+            header = [c.strip() for c in fh.readline().split(",")]
+            if header != [c.strip() for c in CSV_HEADER.split(",")]:
+                raise DatasetError(f"unexpected scenario CSV header {header} in {csv_path}")
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+                rows = np.loadtxt(fh, delimiter=",", dtype=_ROW_DTYPE, comments=None,
+                                  ndmin=1, converters=converters)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DatasetError(f"cannot read {csv_path}: {exc}") from exc
+    except ValueError as exc:
+        raise DatasetError(f"malformed scenario CSV {csv_path}: {exc}") from exc
+    if rows.size == 0:
+        raise DatasetError(f"no scenario rows in {csv_path}")
+    cols = column[rows["kind"], rows["name"]]
+    bad = (cols < 0) | ~np.isfinite(rows["p"]) | ~np.isfinite(rows["q"])
+    if bad.any():
+        i = int(np.argmax(bad))
+        what = "an unknown element" if cols[i] < 0 else "a non-finite value"
+        raise DatasetError(f"scenario {rows['sid'][i]} has {what} in data row {i + 1} "
+                           f"of {csv_path}")
 
-    table: dict[int, Scenario] = {}
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = [c.strip() for c in next(reader)]
-        if header != [c.strip() for c in CSV_HEADER.split(",")]:
-            raise DatasetError(f"unexpected scenario CSV header {header}")
-        for row in reader:
-            if not row:
-                continue
-            sid = int(row[0])
-            sc = table.get(sid)
-            if sc is None:
-                sc = Scenario(id=sid, p_load=np.zeros(len(feeder.loads)),
-                              q_load=np.zeros(len(feeder.loads)),
-                              p_pv=np.zeros(len(feeder.pv_units)))
-                table[sid] = sc
-            etype, eid = row[1], row[2]
-            p, q = float(row[3]), float(row[4])
-            if etype == "load":
-                if eid not in load_slot:
-                    raise DatasetError(f"scenario {sid}: unknown load element {eid!r}")
-                sc.p_load[load_slot[eid]] = p
-                sc.q_load[load_slot[eid]] = q
-            elif etype == "pv":
-                if eid not in pv_slot:
-                    raise DatasetError(f"scenario {sid}: unknown pv element {eid!r}")
-                sc.p_pv[pv_slot[eid]] = p
-            else:
-                raise DatasetError(f"scenario {sid}: unknown element type {etype!r}")
-
-    scenarios = [table[sid] for sid in sorted(table)]
-    return ScenarioSet(scenarios=scenarios, seed=int(meta["seed"]),
+    ids, scenario_of_row = np.unique(rows["sid"], return_inverse=True)
+    cells = scenario_of_row * len(elements) + cols
+    if np.bincount(cells).max() > 1:
+        raise DatasetError(f"{csv_path} lists an element twice in one scenario")
+    p = np.zeros((len(ids), len(elements)))
+    q = np.zeros((len(ids), len(elements)))
+    p.flat[cells] = rows["p"]
+    q.flat[cells] = rows["q"]
+    n_loads = len(feeder.loads)
+    scenarios = [Scenario(id=int(sid), p_load=p[j, :n_loads], q_load=q[j, :n_loads],
+                          p_pv=p[j, n_loads:]) for j, sid in enumerate(ids)]
+    return ScenarioSet(scenarios=scenarios, seed=seed,
                        generator_config=config,
                        feeder_fingerprint=fingerprint or feeder.fingerprint)
 
@@ -306,21 +340,19 @@ def to_injections(feeder: Feeder, admittance: AdmittanceMatrix, scenario: Scenar
                   q_pv: np.ndarray | None = None) -> InjectionSet:
     """Net node-phase injections for one scenario, load-positive.
 
-    PV active output and any reactive setpoints enter with negative sign
+    Loads are added at ``admittance.load_rows``, then PV active output and
+    any reactive setpoints are subtracted at ``admittance.pv_rows``
     (generation); source-bus entries stay zero, the slack balances them.
+    ``np.add.at``/``np.subtract.at`` are unbuffered and run in element
+    order, so node-phases shared by several elements sum in feeder order.
     """
-    n = admittance.size
-    p = np.zeros(n)
-    q = np.zeros(n)
-    for i, ld in enumerate(feeder.loads):
-        idx = admittance.index_map[(ld.bus_id, ld.phase)]
-        p[idx] += scenario.p_load[i]
-        q[idx] += scenario.q_load[i]
-    for k, pv in enumerate(feeder.pv_units):
-        idx = admittance.index_map[(pv.bus_id, pv.phase)]
-        p[idx] -= scenario.p_pv[k]
-        if q_pv is not None:
-            q[idx] -= q_pv[k]
+    p = np.zeros(admittance.size)
+    q = np.zeros(admittance.size)
+    np.add.at(p, admittance.load_rows, scenario.p_load)
+    np.add.at(q, admittance.load_rows, scenario.q_load)
+    np.subtract.at(p, admittance.pv_rows, scenario.p_pv)
+    if q_pv is not None:
+        np.subtract.at(q, admittance.pv_rows, q_pv)
     return InjectionSet(p=p, q=q)
 
 

@@ -1,12 +1,14 @@
 import filecmp
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
 
 from conftest import FOURBUS_SLACK
-from gridpilot import ddpg, env
+from gridpilot import ddpg
+from gridpilot import feeder as feeder_mod
 from gridpilot.cli import main
 from gridpilot.feeder import resolve_feeder
 
@@ -247,21 +249,49 @@ def test_error_exit_codes(tmp_path, workspace):
         ("run-online", dict(scenario_file=scen_csv, agent_checkpoint=zones3_ckpt,
                             apr={"reference_reward": -1.0})),
     ]
+    # malformed scenario files and checkpoints: each was a raw ValueError,
+    # IndexError, StopIteration, KeyError or struct.error, or (nan) a run
+    # that diverged at every grid point
+    lines = open(scen_csv).read().splitlines()
+    sid, etype, eid, p, q = lines[1].split(",")
+    bad_rows = {"text_p": f"{sid},{etype},{eid},high,{q}",
+                "float_id": f"0.5,{etype},{eid},{p},{q}",
+                "short_row": f"{sid},{etype},{eid}",
+                "nan_p": f"{sid},{etype},{eid},nan,{q}"}
+    meta = open(scen_csv + ".meta.json").read()
+    bad_files = {name: ("\n".join([lines[0], row] + lines[2:]) + "\n", meta)
+                 for name, row in bad_rows.items()}
+    bad_files["empty"] = ("", meta)
+    bad_files["empty_sidecar"] = (open(scen_csv).read(), "{}")
+    for name, (text, sidecar) in bad_files.items():
+        path = tmp_path / f"{name}.csv"
+        path.write_text(text)
+        (tmp_path / f"{name}.csv.meta.json").write_text(sidecar)
+        bad_sections.append(("oracle", dict(scenario_file=str(path), oracle={"n_grid": 3})))
+    blob = open(agent_ckpt, "rb").read()
+    header = json.dumps({"metadata": {"kind": "agent"}}).encode()
+    bad_ckpts = {"five_bytes": blob[:5],
+                 "no_arrays": blob[:4] + struct.pack("<HQ", 1, len(header)) + header}
+    for name, data in bad_ckpts.items():
+        path = tmp_path / f"{name}.ckpt"
+        path.write_bytes(data)
+        bad_sections.append(("evaluate", dict(scenario_file=scen_csv,
+                                              agent_checkpoint=str(path))))
     for i, (command, entries) in enumerate(bad_sections):
         cfg = write_config(tmp_path / f"section{i}.json", **{**BASE, **entries})
         assert main([command, "--config", cfg,
-                     "--out", str(tmp_path / f"s{i}")]) == 2, command
+                     "--out", str(tmp_path / f"s{i}")]) == 2, (command, entries)
 
 
 def test_oracle_builds_admittance_once(tmp_path, workspace, monkeypatch):
     calls = []
-    real = env.build_admittance
+    real = feeder_mod.build_admittance
 
     def counting(feeder):
         calls.append(feeder.fingerprint)
         return real(feeder)
 
-    monkeypatch.setattr(env, "build_admittance", counting)
+    monkeypatch.setattr(feeder_mod, "build_admittance", counting)
     cfg = write_config(tmp_path / "oracle.json", **BASE,
                        scenario_file=str(workspace / "gen" / "scenarios.csv"),
                        oracle={"n_grid": 3})

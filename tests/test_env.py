@@ -57,6 +57,24 @@ def test_q_max_hand_values():
         q_max_no_curtailment(1.0, -0.1)
 
 
+def test_q_max_vector_bit_equal_to_scalar(feeder34):
+    s_rated = np.array([pv.s_rated for pv in feeder34.pv_units])
+    rng = np.random.default_rng(11)
+    p_pv = rng.uniform(0.0, 1.0, size=s_rated.shape) * s_rated
+    p_pv[:3] = 0.0, s_rated[1], np.nextafter(s_rated[2], 0.0)  # both ends of the range
+    q = q_max_vector(s_rated, p_pv)
+    ref = np.array([q_max_no_curtailment(s, p) for s, p in zip(s_rated, p_pv)])
+    assert q.tobytes() == ref.tobytes()
+
+    for k, bad in ((4, -1e-300), (7, np.nextafter(s_rated[7], 2.0)), (9, 2.0 * s_rated[9])):
+        p_bad = p_pv.copy()
+        p_bad[k] = bad
+        with pytest.raises(ValueError):
+            q_max_no_curtailment(s_rated[k], p_bad[k])
+        with pytest.raises(ValueError, match=f"pv unit {k}"):
+            q_max_vector(s_rated, p_bad)
+
+
 def test_reward_matches_brute_force_on_random_inputs():
     rng = np.random.default_rng(0)
     cfg = RewardConfig(lambda_weight=1.0, eta_weight=0.5)
@@ -113,8 +131,8 @@ def test_objective_deviation():
 @given(c=st.floats(-10.0, 10.0))
 def test_map_action_clamps_coefficients(feeder4, c):
     zone_map = np.zeros(len(feeder4.pv_units), dtype=int)
-    q = map_action(MdpAction(np.array([c])), feeder4.pv_units, zone_map)
     q_rated = np.array([pv.q_rated for pv in feeder4.pv_units])
+    q = map_action(MdpAction(np.array([c])), q_rated, zone_map)
     assert np.all(np.abs(q) <= q_rated + 1e-15)
     expected = np.clip(c, -1.0, 1.0) * q_rated
     assert np.allclose(q, expected)
@@ -124,13 +142,13 @@ def test_map_action_zone_routing(feeder34):
     n_pv = len(feeder34.pv_units)
     zone_map = np.arange(n_pv) % 3
     coeffs = np.array([0.5, -0.25, 1.0])
-    q = map_action(MdpAction(coeffs), feeder34.pv_units, zone_map)
     q_rated = np.array([pv.q_rated for pv in feeder34.pv_units])
+    q = map_action(MdpAction(coeffs), q_rated, zone_map)
     assert np.allclose(q, coeffs[zone_map] * q_rated)
 
 
 def test_map_action_no_pv():
-    q = map_action(MdpAction(np.array([1.0])), [], np.zeros(0, dtype=int))
+    q = map_action(MdpAction(np.array([1.0])), np.zeros(0), np.zeros(0, dtype=int))
     assert q.shape == (0,)
 
 
@@ -160,7 +178,7 @@ def test_env_step_info_consistency(env4_setup):
         objective_deviation(info["v_mag_true"]))
     assert info["violations"] == int(np.sum((info["v_mag_true"] < 0.95)
                                             | (info["v_mag_true"] > 1.05)))
-    assert np.array_equal(info["q_max"], q_max_vector(feeder, sc))
+    assert np.array_equal(info["q_max"], q_max_vector(cfg.s_rated, sc.p_pv))
 
 
 def test_env_step_head_power_sign(env4_setup):

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -235,6 +238,36 @@ def test_checkpoint_detects_truncation(tmp_path, rng):
     path.write_bytes(blob[:-32])
     with pytest.raises(CheckpointError):
         nn.load_checkpoint(path)
+
+
+def test_checkpoint_malformed_header_is_typed(tmp_path, rng):
+    good = tmp_path / "good.ckpt"
+    nn.save_checkpoint(good, {"a": rng.standard_normal(4)}, {"kind": "test"})
+    blob = good.read_bytes()
+    prefix = len(nn._MAGIC) + struct.calcsize("<HQ")
+
+    def with_header(header: dict) -> bytes:
+        raw = json.dumps(header).encode()
+        return nn._MAGIC + struct.pack("<HQ", nn._VERSION, len(raw)) + raw + blob[prefix:]
+
+    cases = {
+        "five_bytes": blob[:5],
+        "prefix_only": blob[:prefix],
+        "header_cut": blob[:prefix + 3],
+        "no_arrays": with_header({"metadata": {}}),
+        "no_metadata": with_header({"arrays": []}),
+        "not_an_object": with_header([1, 2]),
+        "bad_shape": with_header({"metadata": {}, "arrays": [
+            {"name": "a", "shape": ["x"], "offset": 0}]}),
+        "negative_offset": with_header({"metadata": {}, "arrays": [
+            {"name": "a", "shape": [4], "offset": -8}]}),
+        "metadata_list": with_header({"metadata": [], "arrays": []}),
+    }
+    for name, data in cases.items():
+        path = tmp_path / f"{name}.ckpt"
+        path.write_bytes(data)
+        with pytest.raises(CheckpointError):
+            nn.load_checkpoint(path)
 
 
 def test_model_arrays_round_trip_exact(tmp_path, rng):

@@ -105,7 +105,8 @@ def synth34_injections(feeder, adm, scale, coefficient):
     reactive coefficient (the single-zone action)."""
     gen = replace(synth34_gen(1), load_scale_range=(scale, scale))
     scenario = generate_scenario_set(feeder, gen, seed=7).scenarios[0]
-    q_pv = map_action(MdpAction(np.array([coefficient])), feeder.pv_units,
+    q_pv = map_action(MdpAction(np.array([coefficient])),
+                      np.array([pv.q_rated for pv in feeder.pv_units]),
                       np.zeros(len(feeder.pv_units), dtype=int))
     return to_injections(feeder, adm, scenario, q_pv=q_pv)
 

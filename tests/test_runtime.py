@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -265,6 +267,46 @@ def test_run_online_fine_tune_disabled(feeder4, nets4, scenarios4):
     assert run.fine_tune_events == []
     assert nets_out is nets4
     assert any(r.apr_decision == "fine_tune" for r in run.records)
+
+
+@pytest.mark.parametrize("fine_tune_enabled", [False, True])
+def test_run_online_windows_stay_bounded(feeder4, nets4, scenarios4, monkeypatch,
+                                         fine_tune_enabled):
+    # a long stream against a monitor that degrades on every full window; at
+    # each decision, read the loop's own reward and scenario windows
+    real_check = runtime.apr_check
+    seen = []
+
+    def watching_check(trailing_rewards, apr):
+        loop = sys._getframe(1).f_locals
+        seen.append((len(loop["rewards"]), len(loop["recent"])))
+        return real_check(trailing_rewards, apr)
+
+    tuned = []
+
+    def fake_fine_tune(nets, recent, episodes, cfg, train_cfg=None, seed=0):
+        tuned.append(list(recent))
+        return nets
+
+    monkeypatch.setattr(runtime, "apr_check", watching_check)
+    monkeypatch.setattr(runtime, "fine_tune", fake_fine_tune)
+    stream = scenarios4 * 25  # 300 cycles
+    apr = AprConfig(reference_reward=0.0, degradation_threshold=1e-9, window=7)
+    run, _ = run_online(nets4, system(feeder4), stream, apr,
+                        fine_tune_enabled=fine_tune_enabled)
+    assert len(run.records) == len(stream) == len(seen)
+    assert max(r for r, _ in seen) == apr.window
+    assert max(n for _, n in seen) == apr.window
+    if fine_tune_enabled:
+        # every 7th cycle fine-tunes on the last 7 scenarios, and the reward
+        # window restarts after it while the scenario window does not
+        assert run.fine_tune_events == list(range(6, len(stream), 7))
+        assert all(len(recent) == apr.window for recent in tuned)
+        assert tuned[-1] == stream[run.fine_tune_events[-1] - 6:run.fine_tune_events[-1] + 1]
+        assert seen[7] == (1, 7)
+    else:
+        assert run.fine_tune_events == []
+        assert [r.apr_decision for r in run.records[6:]] == ["fine_tune"] * (len(stream) - 6)
 
 
 def test_run_online_estimator_path(feeder4, nets4, scenarios4):

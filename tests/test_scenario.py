@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,11 +9,12 @@ from hypothesis import strategies as st
 
 from conftest import fourbus_gen, synth34_gen
 from gridpilot.errors import DatasetError
-from gridpilot.feeder import build_admittance
+from gridpilot.feeder import LoadPoint, PvUnit, build_admittance, validate_feeder
 from gridpilot.scenario import (
     CSV_HEADER,
     GenConfig,
     HouseholdPool,
+    Scenario,
     aggregate_profiles,
     generate_household_pool,
     generate_scenario_set,
@@ -258,3 +260,146 @@ def test_sidecar_metadata_contents(feeder4, tmp_path):
     assert meta["scenario_count"] == 2
     assert meta["feeder_fingerprint"] == feeder4.fingerprint
     assert meta["generator_config"]["households_per_node"] == 2
+
+
+def loop_injections(feeder, admittance, scenario, q_pv=None):
+    """The per-element reference: one ``index_map`` lookup per load and pv
+    unit, loads added first, then pv subtracted, in feeder order."""
+    p = np.zeros(admittance.size)
+    q = np.zeros(admittance.size)
+    for i, ld in enumerate(feeder.loads):
+        idx = admittance.index_map[(ld.bus_id, ld.phase)]
+        p[idx] += scenario.p_load[i]
+        q[idx] += scenario.q_load[i]
+    for k, pv in enumerate(feeder.pv_units):
+        idx = admittance.index_map[(pv.bus_id, pv.phase)]
+        p[idx] -= scenario.p_pv[k]
+        if q_pv is not None:
+            q[idx] -= q_pv[k]
+    return p, q
+
+
+def assert_injections_bit_equal(feeder, scenario, q_pv):
+    adm = build_admittance(feeder)
+    inj = to_injections(feeder, adm, scenario, q_pv=q_pv)
+    p, q = loop_injections(feeder, adm, scenario, q_pv)
+    assert inj.p.tobytes() == p.tobytes()
+    assert inj.q.tobytes() == q.tobytes()
+
+
+def test_to_injections_bit_equal_to_element_loop(feeder34):
+    rng = np.random.default_rng(5)
+    q_rated = np.array([pv.q_rated for pv in feeder34.pv_units])
+    for sc in generate_scenario_set(feeder34, synth34_gen(200), seed=17):
+        q_pv = rng.uniform(-1.0, 1.0, size=q_rated.shape) * q_rated
+        assert_injections_bit_equal(feeder34, sc, q_pv)
+    assert_injections_bit_equal(feeder34, sc, None)
+
+
+def test_to_injections_sums_elements_sharing_a_node_phase(feeder4):
+    # two loads and two pv units on b2.B, plus the fixture's own elements;
+    # the feeder format allows several elements on one node-phase
+    loads = feeder4.loads + [LoadPoint("b2", "B", 0.1, 0.02), LoadPoint("b2", "B", 0.3, 0.1)]
+    pv_units = feeder4.pv_units + [PvUnit("b2", "B", 0.5, 0.4), PvUnit("b2", "B", 0.3, 0.3)]
+    feeder = replace(feeder4, loads=loads, pv_units=pv_units, fingerprint="")
+    assert not validate_feeder(feeder)
+    rng = np.random.default_rng(8)
+    for _ in range(50):
+        # magnitudes spread over decades, so summation order shows in the bits
+        sc = Scenario(id=0, p_load=10.0 ** rng.uniform(-6, 0, len(loads)),
+                      q_load=10.0 ** rng.uniform(-6, 0, len(loads)),
+                      p_pv=10.0 ** rng.uniform(-6, 0, len(pv_units)))
+        assert_injections_bit_equal(feeder, sc, rng.uniform(-0.3, 0.3, len(pv_units)))
+
+
+def test_csv_numbers_parse_bit_equal_to_float(feeder34, tmp_path):
+    """Every p and q cell reads back as exactly ``float(cell)``, whatever
+    form the cell takes."""
+    sset = generate_scenario_set(feeder34, synth34_gen(20), seed=4)
+    path = tmp_path / "s.csv"
+    write_scenario_set(sset, feeder34, path)
+    rng = np.random.default_rng(3)
+    forms = [repr, "{:.17g}".format, "{:.6e}".format, "{:.3f}".format, " {!r} ".format]
+    lines = path.read_text().splitlines()
+    for i in range(1, len(lines)):
+        sid, etype, eid, _, _ = lines[i].split(",")
+        # random bit patterns cover subnormals, extremes and every exponent
+        p, q = rng.integers(0, 2**63, size=2, dtype=np.uint64).view(np.float64)
+        p, q = (x if math.isfinite(x) else 0.5 for x in (p, q))
+        fp, fq = forms[i % len(forms)], forms[(i // 5) % len(forms)]
+        lines[i] = f"{sid},{etype},{eid},{fp(float(p))},{fq(float(q))}"
+    path.write_text("\n".join(lines) + "\n")
+
+    loaded = read_scenario_set(path, feeder34)
+    load_slot = {f"{ld.bus_id}.{ld.phase}": i for i, ld in enumerate(feeder34.loads)}
+    pv_slot = {f"{pv.bus_id}.{pv.phase}": k for k, pv in enumerate(feeder34.pv_units)}
+    by_id = {sc.id: sc for sc in loaded}
+    for line in lines[1:]:
+        sid, etype, eid, p, q = line.split(",")
+        sc = by_id[int(sid)]
+        if etype == "load":
+            got = (sc.p_load[load_slot[eid]], sc.q_load[load_slot[eid]])
+            assert np.float64(got[1]).tobytes() == np.float64(float(q)).tobytes()
+        else:
+            got = (sc.p_pv[pv_slot[eid]],)
+        assert np.float64(got[0]).tobytes() == np.float64(float(p)).tobytes()
+
+
+def test_read_zero_fills_missing_rows_in_any_order(feeder4, tmp_path):
+    sset = generate_scenario_set(feeder4, fourbus_gen(3), seed=2)
+    path = tmp_path / "s.csv"
+    write_scenario_set(sset, feeder4, path)
+    lines = path.read_text().splitlines()
+    # drop scenario 0's first load row and list the rest backwards
+    rows = [ln for ln in lines[1:] if not ln.startswith("0,load,b2.B,")][::-1]
+    path.write_text("\n".join([lines[0]] + rows) + "\n")
+    loaded = read_scenario_set(path, feeder4)
+    assert [sc.id for sc in loaded] == [0, 1, 2]
+    assert loaded.scenarios[0].p_load[0] == 0.0 and loaded.scenarios[0].q_load[0] == 0.0
+    assert np.array_equal(loaded.scenarios[0].p_load[1:], sset.scenarios[0].p_load[1:])
+    for sa, sb in zip(loaded.scenarios[1:], sset.scenarios[1:]):
+        assert np.array_equal(sa.p_load, sb.p_load)
+        assert np.array_equal(sa.q_load, sb.q_load)
+        assert np.array_equal(sa.p_pv, sb.p_pv)
+
+
+def test_read_rejects_rows_on_a_feeder_without_elements(feeder2, tmp_path):
+    sset = generate_scenario_set(feeder2, fourbus_gen(1), seed=1)
+    path = tmp_path / "s.csv"
+    write_scenario_set(sset, feeder2, path)
+    bare = replace(feeder2, loads=[], fingerprint=feeder2.fingerprint)
+    with pytest.raises(DatasetError, match="unknown element"):
+        read_scenario_set(path, bare)
+
+
+@pytest.mark.parametrize("case", ["text_p", "float_id", "short_row", "long_row", "nan_p",
+                                  "inf_q", "empty_file", "header_only", "bad_type", "repeat",
+                                  "sidecar_empty", "sidecar_bad_range", "sidecar_list"])
+def test_read_rejects_malformed_input(feeder4, tmp_path, case):
+    sset = generate_scenario_set(feeder4, fourbus_gen(2), seed=1)
+    path = tmp_path / "s.csv"
+    write_scenario_set(sset, feeder4, path)
+    lines = path.read_text().splitlines()
+    sid, etype, eid, p, q = lines[1].split(",")
+    row = {"text_p": f"{sid},{etype},{eid},abc,{q}",
+           "float_id": f"1.5,{etype},{eid},{p},{q}",
+           "short_row": f"{sid},{etype},{eid}",
+           "long_row": f"{sid},{etype},{eid},{p},{q},1",
+           "nan_p": f"{sid},{etype},{eid},nan,{q}",
+           "inf_q": f"{sid},{etype},{eid},{p},inf",
+           "bad_type": f"{sid},battery,{eid},{p},{q}",
+           "repeat": f"{lines[1]}\n{sid},{etype},{eid},0.5,{q}"}.get(case)
+    if row is not None:
+        path.write_text("\n".join([lines[0], row] + lines[2:]) + "\n")
+    elif case == "empty_file":
+        path.write_text("")
+    elif case == "header_only":
+        path.write_text(lines[0] + "\n")
+    else:
+        sidecar = tmp_path / "s.csv.meta.json"
+        meta = json.loads(sidecar.read_text())
+        meta["generator_config"]["load_scale_range"] = 3
+        sidecar.write_text({"sidecar_empty": "{}", "sidecar_list": "[1, 2]",
+                            "sidecar_bad_range": json.dumps(meta)}[case])
+    with pytest.raises(DatasetError):
+        read_scenario_set(path, feeder4)

@@ -81,7 +81,6 @@ from .ddpg import (
     TrainConfig,
     act,
     build_agent,
-    critic_value,
     load_agent,
     policy_update,
     save_agent,

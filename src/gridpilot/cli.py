@@ -243,7 +243,7 @@ def cmd_train_agent(args) -> int:
 
 
 def _load_agent_for(cfg: dict, feeder: Feeder):
-    nets, train_cfg, _, meta = ddpg.load_agent(_required(cfg, "agent_checkpoint"))
+    nets, train_cfg, meta = ddpg.load_agent(_required(cfg, "agent_checkpoint"))
     fp = meta.get("feeder_fingerprint", "")
     if fp and fp != feeder.fingerprint:
         raise GridPilotError("agent checkpoint does not match the feeder")

@@ -8,13 +8,15 @@ action appended to the state vector. Targets are soft-updated copies.
 then ``act`` -> ``env_step`` -> ``observe`` for up to ``TrainConfig.horizon``
 steps. It is strictly sequential on one RNG stream (exploration, measurement
 noise, replay sampling), so a (seed, config, scenarios) triple pins the
-whole trajectory bit-for-bit.
+whole trajectory bit-for-bit. A checkpoint (``save_agent``) holds the four
+nets and the ``TrainConfig``; the replay buffer and RNG are not saved, so a
+run cannot be resumed from one, only deployed or fine-tuned.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -160,16 +162,6 @@ def act(nets: AgentNets, state: np.ndarray, sigma: float = 0.0,
     return MdpAction(np.clip(a, -1.0, 1.0))
 
 
-def critic_value(nets: AgentNets, state: np.ndarray, action: MdpAction) -> float:
-    x = np.concatenate([state, action.coefficients])
-    if x.shape[0] != nets.critic.input_dim:
-        raise ModelMismatchError(
-            f"state+action has {x.shape[0]} entries, critic expects {nets.critic.input_dim}")
-    nets.critic.eval()
-    out, _ = nn.forward(nets.critic, x[None, :])
-    return float(out[0, 0])
-
-
 def td_loss(nets: AgentNets, batch: dict, gamma: float
             ) -> tuple[float, dict[str, np.ndarray]]:
     """Squared TD error against target-network bootstrap values.
@@ -252,7 +244,7 @@ def train(env_cfg: EnvConfig, scenarios, cfg: TrainConfig,
     aborts with TrainingError carrying the last episode-boundary snapshot in
     ``last_good``.
 
-    ``nets`` allows resuming or fine-tuning an existing agent;
+    ``nets`` starts from an existing agent (fine-tuning);
     ``critic_freeze_updates`` skips the first N critic updates (fine-tune
     stabilization).
     """
@@ -330,10 +322,8 @@ def trajectory_csv(trajectory: list[float], cfg: TrainConfig) -> str:
 
 
 def save_agent(path, nets: AgentNets, cfg: TrainConfig,
-               buffer: ReplayBuffer | None = None,
-               rng: np.random.Generator | None = None,
                feeder_fingerprint: str = "") -> None:
-    """Bundle nets, config, and optionally replay/RNG state into one file."""
+    """Bundle the four nets and the training config into one file."""
     arrays: dict[str, np.ndarray] = {}
     descriptors = {}
     for name in ("actor", "critic", "actor_target", "critic_target"):
@@ -341,27 +331,17 @@ def save_agent(path, nets: AgentNets, cfg: TrainConfig,
         descriptors[name] = descriptor
         for key, val in net_arrays.items():
             arrays[f"{name}.{key}"] = val
-    meta = {
+    nn.save_checkpoint(path, arrays, {
         "kind": "agent",
         "nets": descriptors,
         "config": asdict(cfg),
         "feeder_fingerprint": feeder_fingerprint,
-        "has_buffer": buffer is not None,
-    }
-    if buffer is not None:
-        arrays["buffer.s"] = buffer.s[:buffer.size]
-        arrays["buffer.a"] = buffer.a[:buffer.size]
-        arrays["buffer.r"] = buffer.r[:buffer.size]
-        arrays["buffer.s2"] = buffer.s2[:buffer.size]
-        arrays["buffer.terminal"] = buffer.terminal[:buffer.size].astype(float)
-        meta["buffer"] = {"capacity": buffer.capacity, "size": buffer.size,
-                          "head": buffer.head}
-    if rng is not None:
-        meta["rng_state"] = rng.bit_generator.state
-    nn.save_checkpoint(path, arrays, meta)
+    })
 
 
-def load_agent(path) -> tuple[AgentNets, TrainConfig, ReplayBuffer | None, dict]:
+def load_agent(path) -> tuple[AgentNets, TrainConfig, dict]:
+    """(nets, config, metadata) of an agent checkpoint; CheckpointError when
+    the file is not one or its nets or config metadata is missing or bad."""
     arrays, meta = nn.load_checkpoint(path)
     if meta.get("kind") != "agent":
         raise CheckpointError(f"{path} is not an agent checkpoint")
@@ -371,19 +351,15 @@ def load_agent(path) -> tuple[AgentNets, TrainConfig, ReplayBuffer | None, dict]
         sub = {k[len(prefix):]: v for k, v in arrays.items() if k.startswith(prefix)}
         return nn.model_from_arrays(sub, meta["nets"][name])
 
-    nets = AgentNets(actor=net("actor"), critic=net("critic"),
-                     actor_target=net("actor_target"), critic_target=net("critic_target"))
-    cfg = TrainConfig(**meta["config"])
-    buffer = None
-    if meta.get("has_buffer"):
-        info = meta["buffer"]
-        buffer = ReplayBuffer(info["capacity"], nets.state_dim, nets.action_dim)
-        size = info["size"]
-        buffer.s[:size] = arrays["buffer.s"]
-        buffer.a[:size] = arrays["buffer.a"]
-        buffer.r[:size] = arrays["buffer.r"]
-        buffer.s2[:size] = arrays["buffer.s2"]
-        buffer.terminal[:size] = arrays["buffer.terminal"].astype(bool)
-        buffer.size = size
-        buffer.head = info["head"]
-    return nets, cfg, buffer, meta
+    try:
+        nets = AgentNets(actor=net("actor"), critic=net("critic"),
+                         actor_target=net("actor_target"), critic_target=net("critic_target"))
+        cfg = TrainConfig(**meta["config"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"malformed agent checkpoint {path}: {exc!r}") from exc
+    s, a = nets.state_dim, nets.action_dim
+    dims = [(m.input_dim, m.output_dim) for m in
+            (nets.actor, nets.actor_target, nets.critic, nets.critic_target)]
+    if dims != [(s, a), (s, a), (s + a, 1), (s + a, 1)]:
+        raise CheckpointError(f"{path}: actor, critic and target dimensions disagree")
+    return nets, cfg, meta

@@ -23,10 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
-from .errors import DatasetError, ModelMismatchError, TrainingError
+from .errors import CheckpointError, DatasetError, ModelMismatchError, TrainingError
 from .feeder import PHASE_ANGLES, Feeder
 from .powerflow import (
-    InjectionSet,
     MeasurementVector,
     PowerFlowDivergedError,
     feeder_head_measurement,
@@ -113,15 +112,15 @@ def build_training_pairs(scenarios: ScenarioSet, feeder: Feeder, noise_pct: floa
     pairs = []
     dropped = 0
     for sc in scenarios:
-        injections = to_injections(feeder, admittance, sc)
+        injections = to_injections(admittance, sc)
         try:
             sol = solve_power_flow(feeder, admittance, injections,
                                    slack_voltage=slack_voltage)
         except PowerFlowDivergedError:
             dropped += 1
             continue
-        meas = feeder_head_measurement(feeder, admittance, sol,
-                                       noise_sigma=sigma, rng=rng if sigma > 0 else None)
+        meas = feeder_head_measurement(admittance, sol, noise_sigma=sigma,
+                                       rng=rng if sigma > 0 else None)
         angle_rel = _wrap_deg(sol.v_ang_deg - refs)
         pairs.append((meas, np.concatenate([sol.v_mag, angle_rel])))
 
@@ -273,15 +272,27 @@ def save_dsse(model: DsseModel, path) -> None:
 
 
 def load_dsse(path) -> DsseModel:
+    """The estimator in a ``save_dsse`` file; CheckpointError when its net,
+    normalizers or node-phase layout is missing or malformed."""
     arrays, meta = nn.load_checkpoint(path)
     if meta.get("kind") != "dsse":
         raise ModelMismatchError(f"{path} is not a state-estimator checkpoint")
-    net = nn.model_from_arrays(arrays, meta["net"])
-    net.eval()
-    return DsseModel(net=net,
-                     input_mean=arrays["norm.input_mean"],
-                     input_std=arrays["norm.input_std"],
-                     output_mean=arrays["norm.output_mean"],
-                     output_std=arrays["norm.output_std"],
-                     feeder_fingerprint=meta["feeder_fingerprint"],
-                     node_phases=[(b, p) for b, p in meta["node_phases"]])
+    try:
+        net = nn.model_from_arrays(arrays, meta["net"])
+        net.eval()
+        model = DsseModel(net=net,
+                          input_mean=arrays["norm.input_mean"],
+                          input_std=arrays["norm.input_std"],
+                          output_mean=arrays["norm.output_mean"],
+                          output_std=arrays["norm.output_std"],
+                          feeder_fingerprint=meta["feeder_fingerprint"],
+                          node_phases=[(b, p) for b, p in meta["node_phases"]])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"malformed state-estimator checkpoint {path}: {exc!r}") from exc
+    n_in, n_out = 12, 2 * model.n_node_phases
+    if ((net.input_dim, net.output_dim) != (n_in, n_out)
+            or {model.input_mean.shape, model.input_std.shape} != {(n_in,)}
+            or {model.output_mean.shape, model.output_std.shape} != {(n_out,)}):
+        raise CheckpointError(f"{path}: estimator net, normalizers and "
+                              f"{model.n_node_phases} node-phases disagree")
+    return model

@@ -34,11 +34,7 @@ import numpy as np
 from .dsse import DsseModel, estimate_states
 from .errors import InfeasibleScenarioError, ModelMismatchError, PowerFlowDivergedError
 from .feeder import AdmittanceMatrix, Feeder
-from .powerflow import (
-    MeasurementVector,
-    feeder_head_measurement,
-    solve_power_flow,
-)
+from .powerflow import feeder_head_measurement, solve_power_flow
 from .scenario import Scenario, to_injections
 
 log = logging.getLogger(__name__)
@@ -198,7 +194,7 @@ def env_step(cfg: EnvConfig, scenario: Scenario, action: MdpAction,
     terminal).
     """
     q_set = map_action(action, cfg.q_rated, cfg.zone_map)
-    injections = to_injections(cfg.feeder, cfg.admittance, scenario, q_pv=q_set)
+    injections = to_injections(cfg.admittance, scenario, q_pv=q_set)
     q_max_vals = q_max_vector(cfg.s_rated, scenario.p_pv)
 
     try:
@@ -215,8 +211,7 @@ def env_step(cfg: EnvConfig, scenario: Scenario, action: MdpAction,
     r = reward(sol.v_mag, q_set, q_max_vals, cfg.reward)
 
     sigma = cfg.measurement_noise_pct / 100.0
-    meas = feeder_head_measurement(cfg.feeder, cfg.admittance, sol,
-                                   noise_sigma=sigma,
+    meas = feeder_head_measurement(cfg.admittance, sol, noise_sigma=sigma,
                                    rng=rng if sigma > 0 else None)
     state = sol.v_mag.copy()
 
@@ -229,7 +224,6 @@ def env_step(cfg: EnvConfig, scenario: Scenario, action: MdpAction,
         "terminal": False,
         "diverged": False,
         "v_mag_true": sol.v_mag,
-        "v_ang_deg_true": sol.v_ang_deg,
         "q_setpoints": q_set,
         "q_max": q_max_vals,
         "p_head": float(s_head.real.sum()),

@@ -381,7 +381,8 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
             arrays[str(item["name"])] = np.frombuffer(
                 blob[start:end], dtype="<f8").reshape(shape).copy()
         metadata = header["metadata"]
-    except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
+    # JSONDecodeError is a ValueError; int() of an inf read from 1e400 overflows
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise CheckpointError(f"corrupt checkpoint header in {path}: {exc!r}") from exc
     if not isinstance(metadata, dict):
         raise CheckpointError(f"corrupt checkpoint header in {path}: metadata is not an object")
@@ -403,23 +404,31 @@ def model_to_arrays(model: MlpModel) -> tuple[dict[str, np.ndarray], dict]:
     return arrays, {"arch": arch, "mode": model.mode}
 
 
+_BN_KEYS = ("gamma", "beta", "running_mean", "running_var")  # BatchNormState field order
+
+
 def model_from_arrays(arrays: dict[str, np.ndarray], descriptor: dict) -> MlpModel:
+    """Inverse of ``model_to_arrays``. CheckpointError when the descriptor is
+    malformed or an array is missing or has another shape than its layer's."""
     layers = []
     try:
         for i, spec in enumerate(descriptor["arch"]):
-            bn = None
-            if spec["batch_norm"]:
-                bn = BatchNormState(scale=arrays[f"L{i}.gamma"],
-                                    shift=arrays[f"L{i}.beta"],
-                                    running_mean=arrays[f"L{i}.running_mean"],
-                                    running_var=arrays[f"L{i}.running_var"])
-            layers.append(DenseLayer(weights=arrays[f"L{i}.W"], biases=arrays[f"L{i}.b"],
+            bn_keys = _BN_KEYS if spec["batch_norm"] else ()
+            shapes = {"W": (spec["in"], spec["out"]), "b": (spec["out"],),
+                      **dict.fromkeys(bn_keys, (spec["out"],))}
+            arr = {key: arrays[f"L{i}.{key}"] for key in shapes}
+            if any(arr[key].shape != shape for key, shape in shapes.items()):
+                raise CheckpointError(
+                    f"checkpoint arrays of layer {i} disagree with architecture descriptor")
+            bn = BatchNormState(*(arr[key] for key in bn_keys)) if bn_keys else None
+            layers.append(DenseLayer(weights=arr["W"], biases=arr["b"],
                                      activation=spec["activation"],
                                      dropout_rate=spec["dropout_rate"], batch_norm=bn))
+        mode = descriptor.get("mode", "eval")
+        if not layers:
+            raise CheckpointError("checkpoint describes a model without layers")
     except KeyError as exc:
-        raise CheckpointError(f"checkpoint is missing array {exc}") from exc
-    model = MlpModel(layers=layers, mode=descriptor.get("mode", "eval"))
-    for layer, spec in zip(model.layers, descriptor["arch"]):
-        if (layer.in_dim, layer.out_dim) != (spec["in"], spec["out"]):
-            raise CheckpointError("checkpoint arrays disagree with architecture descriptor")
-    return model
+        raise CheckpointError(f"checkpoint is missing {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"malformed architecture descriptor: {exc!r}") from exc
+    return MlpModel(layers=layers, mode=mode)

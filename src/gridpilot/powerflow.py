@@ -17,7 +17,10 @@ into free (f) and slack (s) rows, f = 0 at the free rows reads
 systems via the bus admittance matrix", IEEE TPWRS 2018). ``Z_ff`` and
 ``Z_ff Y_fs`` are built once per feeder by ``build_admittance``, so each
 iteration is two matrix-vector products: one applying the update, one
-checking the mismatch against ``tol`` in absolute terms.
+checking the mismatch against ``tol`` in absolute terms. A solve either
+returns a converged ``PowerFlowSolution`` or raises PowerFlowDivergedError.
+The feeder-head measurement reads the source bus's slack rows of the same
+admittance, so neither it nor the solve needs anything else of the feeder.
 """
 
 from __future__ import annotations
@@ -55,13 +58,15 @@ class InjectionSet:
 
 @dataclass
 class PowerFlowSolution:
-    """Solved node-phase voltages; the derived views are computed once."""
+    """Solved node-phase voltages; the derived views are computed once.
+
+    Only a converged solve returns one: a divergence raises instead.
+    """
 
     v_re: np.ndarray
     v_im: np.ndarray
     iterations: int
     residual: float
-    converged: bool
 
     @cached_property
     def v_complex(self) -> np.ndarray:
@@ -93,14 +98,6 @@ class MeasurementVector:
     def as_features(self) -> np.ndarray:
         return np.concatenate([self.v_re, self.v_im, self.i_re, self.i_im])
 
-    @classmethod
-    def from_features(cls, features: np.ndarray) -> "MeasurementVector":
-        features = np.asarray(features, dtype=float)
-        if features.shape != (12,):
-            raise ValueError(f"expected 12 features, got shape {features.shape}")
-        return cls(v_re=features[0:3].copy(), v_im=features[3:6].copy(),
-                   i_re=features[6:9].copy(), i_im=features[9:12].copy())
-
 
 def flat_start(admittance: AdmittanceMatrix, slack_voltage: float) -> np.ndarray:
     """Initial complex voltage: every node-phase at the slack phasor of its phase."""
@@ -130,6 +127,7 @@ def solve_power_flow(feeder: Feeder, admittance: AdmittanceMatrix, injections: I
                      max_iter: int = DEFAULT_MAX_ITER) -> PowerFlowSolution:
     """Z-bus fixed point from a flat start until the mismatch drops below tol.
 
+    Reads only ``admittance``, which was built from ``feeder``.
     ``iterations`` counts the fixed-point updates. Raises
     PowerFlowDivergedError when the mismatch turns non-finite or is still
     above tol after ``max_iter`` updates; the exception carries the last
@@ -152,8 +150,7 @@ def solve_power_flow(feeder: Feeder, admittance: AdmittanceMatrix, injections: I
                                              residual=residual, iterations=iteration)
             if residual < tol:
                 return PowerFlowSolution(v_re=v.real.copy(), v_im=v.imag.copy(),
-                                         iterations=iteration, residual=residual,
-                                         converged=True)
+                                         iterations=iteration, residual=residual)
             if iteration < max_iter:
                 v[free] = w - admittance.z_ff @ np.conj(s_free / v[free])
 
@@ -162,8 +159,8 @@ def solve_power_flow(feeder: Feeder, admittance: AdmittanceMatrix, injections: I
         residual=residual, iterations=max_iter)
 
 
-def feeder_head_measurement(feeder: Feeder, admittance: AdmittanceMatrix,
-                            solution: PowerFlowSolution, noise_sigma: float = 0.0,
+def feeder_head_measurement(admittance: AdmittanceMatrix, solution: PowerFlowSolution,
+                            noise_sigma: float = 0.0,
                             rng: np.random.Generator | None = None) -> MeasurementVector:
     """Voltage and line-current phasors at the source bus.
 

@@ -131,19 +131,20 @@ def _control_cycle(cfg: EnvConfig, nets: ddpg.AgentNets, scenario: Scenario,
 
 
 def run_online(nets: ddpg.AgentNets, cfg: EnvConfig, scenarios, apr: AprConfig,
-               seed: int = 0, train_cfg: ddpg.TrainConfig | None = None,
-               fine_tune_enabled: bool = True) -> tuple[RunLog, ddpg.AgentNets]:
+               seed: int = 0, train_cfg: ddpg.TrainConfig | None = None
+               ) -> tuple[RunLog, ddpg.AgentNets]:
     """Drive the trained agent over a scenario stream with APR supervision.
 
     Each stream element is one control cycle (``_control_cycle``) on the
     system ``cfg`` describes; a scenario whose idle or controlled solve
-    diverges is skipped with a warning. Fine-tuning bursts run on the same
-    ``cfg``, so they observe through its estimator as the deployed agent
-    does, and run episodes of ``train_cfg.horizon`` (the default
-    ``TrainConfig``'s when None). Only the last ``apr.window`` rewards and
-    scenarios are held, so memory stays flat however long the stream; the
-    reward window starts afresh after each fine-tune. Returns the run log and
-    the (possibly fine-tuned) agent.
+    diverges is skipped with a warning. Each cycle's APR decision goes into
+    its ``StepRecord``, and every "fine_tune" decision starts a fine-tuning
+    burst. Bursts run on the same ``cfg``, so they observe through its
+    estimator as the deployed agent does, and run episodes of
+    ``train_cfg.horizon`` (the default ``TrainConfig``'s when None). Only the
+    last ``apr.window`` rewards and scenarios are held, so memory stays flat
+    however long the stream; the reward window starts afresh after each
+    fine-tune. Returns the run log and the (possibly fine-tuned) agent.
     """
     _check_agent(nets, cfg)
     rng = np.random.default_rng(seed)
@@ -169,7 +170,7 @@ def run_online(nets: ddpg.AgentNets, cfg: EnvConfig, scenarios, apr: AprConfig,
             q_head=info["q_head"], violations=info["violations"],
             apr_decision=decision))
 
-        if decision == "fine_tune" and fine_tune_enabled:
+        if decision == "fine_tune":
             run.fine_tune_events.append(step)
             log.info("APR triggered fine-tune at step %d (trailing mean %.4g)",
                      step, float(np.mean(rewards)))

@@ -14,10 +14,10 @@ generation with the same config and seed writes byte-identical files.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 import warnings
+from collections import Counter
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -195,37 +195,29 @@ def split(scenario_set: ScenarioSet, train_fraction: float, seed: int
     return subset(train_idx), subset(test_idx)
 
 
-def ingest_household_csv(path, base_power_kva: float) -> HouseholdPool:
-    """Read real household profiles (household_id, p_kw, pv_kw) as a pool."""
-    loads, pvs = [], []
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = [c.strip() for c in next(reader)]
-            if header != ["household_id", "p_kw", "pv_kw"]:
-                raise DatasetError(f"unexpected household CSV header {header}")
-            for row in reader:
-                if not row:
-                    continue
-                loads.append(float(row[1]) / base_power_kva)
-                pvs.append(float(row[2]) / base_power_kva)
-    except OSError as exc:
-        raise DatasetError(f"cannot read {path}: {exc}") from exc
-    if not loads:
-        raise DatasetError(f"no household rows in {path}")
-    return HouseholdPool(load=np.array(loads), pv=np.array(pvs))
-
-
 def _sidecar_path(csv_path) -> str:
     return os.fspath(csv_path) + ".meta.json"
+
+
+def _csv_elements(feeder: Feeder) -> list[tuple[str, str]]:
+    """(element type, ``bus.phase``) of each CSV element: loads, then pv units."""
+    return ([("load", f"{ld.bus_id}.{ld.phase}") for ld in feeder.loads]
+            + [("pv", f"{pv.bus_id}.{pv.phase}") for pv in feeder.pv_units])
 
 
 def write_scenario_set(scenario_set: ScenarioSet, feeder: Feeder, csv_path) -> None:
     """Persist as CSV rows plus a JSON sidecar with config/seed/fingerprint.
 
     Floats are written with repr (shortest round-trip form), so identical
-    values produce identical bytes.
+    values produce identical bytes. A row names its element only by type
+    and ``bus.phase``, so a feeder with two loads or two pv units on one
+    node-phase raises DatasetError before either file is written.
     """
+    shared = [e for e, n in Counter(_csv_elements(feeder)).items() if n > 1]
+    if shared:
+        kind, name = shared[0]
+        raise DatasetError(f"two {kind} elements share node-phase {name}; "
+                           "the scenario CSV could not tell them apart")
     lines = [CSV_HEADER]
     for sc in scenario_set.scenarios:
         for i, ld in enumerate(feeder.loads):
@@ -260,7 +252,7 @@ def _read_sidecar(csv_path) -> tuple[int, GenConfig, str]:
         if not isinstance(fingerprint, str):
             raise TypeError("feeder_fingerprint must be a string")
         return int(meta["seed"]), GenConfig(**cfg_raw), fingerprint
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DatasetError(f"malformed sidecar {path}: {exc!r}") from exc
 
 
@@ -287,8 +279,7 @@ def read_scenario_set(csv_path, feeder: Feeder) -> ScenarioSet:
     # a row's element type and id become codes (-1: not the feeder's), and a
     # pair of codes becomes the element's column: loads, then pv units; the
     # table's last row and column hold -1 for the -1 codes
-    elements = [("load", f"{ld.bus_id}.{ld.phase}") for ld in feeder.loads]
-    elements += [("pv", f"{pv.bus_id}.{pv.phase}") for pv in feeder.pv_units]
+    elements = _csv_elements(feeder)
     kinds = {"load": 0, "pv": 1}
     names = {}
     for _, name in elements:
@@ -336,7 +327,7 @@ def read_scenario_set(csv_path, feeder: Feeder) -> ScenarioSet:
                        feeder_fingerprint=fingerprint or feeder.fingerprint)
 
 
-def to_injections(feeder: Feeder, admittance: AdmittanceMatrix, scenario: Scenario,
+def to_injections(admittance: AdmittanceMatrix, scenario: Scenario,
                   q_pv: np.ndarray | None = None) -> InjectionSet:
     """Net node-phase injections for one scenario, load-positive.
 
@@ -354,19 +345,3 @@ def to_injections(feeder: Feeder, admittance: AdmittanceMatrix, scenario: Scenar
     if q_pv is not None:
         np.subtract.at(q, admittance.pv_rows, q_pv)
     return InjectionSet(p=p, q=q)
-
-
-def realized_pv_ratios(scenario_set: ScenarioSet, feeder: Feeder) -> np.ndarray:
-    """Per-unit pv/load ratios over all scenarios, for distribution checks.
-
-    Only PV units co-located with a load point contribute; rating clips can
-    push realized ratios below the configured range, never above.
-    """
-    load_slot = {(ld.bus_id, ld.phase): i for i, ld in enumerate(feeder.loads)}
-    out = []
-    for sc in scenario_set:
-        for k, pv in enumerate(feeder.pv_units):
-            slot = load_slot.get((pv.bus_id, pv.phase))
-            if slot is not None and sc.p_load[slot] > 0:
-                out.append(sc.p_pv[k] / sc.p_load[slot])
-    return np.array(out)

@@ -1,8 +1,28 @@
+import shutil
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from gridpilot.feeder import build_admittance, builtin_feeder_path, load_feeder
 from gridpilot.scenario import GenConfig
+
+# Every hypothesis test draws the same examples on every run (seeded from
+# the test itself) and keeps no example database on disk. A test's own
+# @settings only adds to this profile.
+settings.register_profile("gridpilot", derandomize=True, database=None, deadline=None)
+settings.load_profile("gridpilot")
+
+
+def pytest_configure(config):
+    # hypothesis still caches source constants and unicode tables in its home
+    # directory; keep them out of the checkout, in one removed after the run
+    home = tempfile.mkdtemp(prefix="gridpilot-hypothesis-")
+    config.add_cleanup(lambda: shutil.rmtree(home, ignore_errors=True))
+    set_hypothesis_home_dir(home)
+
 
 # Scenario-generation settings the bundled fixtures were tuned against.
 # synth34 runs its feeder head at 1.045 p.u.; 4bus at 1.04 p.u.

@@ -19,6 +19,16 @@ def write_config(path, **entries):
     return str(path)
 
 
+def with_metadata(blob: bytes, edit) -> bytes:
+    """The checkpoint ``blob`` with ``edit`` applied to its header metadata."""
+    prefix = 4 + struct.calcsize("<HQ")
+    version, length = struct.unpack("<HQ", blob[4:prefix])
+    header = json.loads(blob[prefix:prefix + length])
+    edit(header["metadata"])
+    raw = json.dumps(header, sort_keys=True).encode()
+    return blob[:4] + struct.pack("<HQ", version, len(raw)) + raw + blob[prefix + length:]
+
+
 BASE = dict(feeder="4bus", slack_voltage=FOURBUS_SLACK, seed=3)
 SCEN = {"count": 140, "load_scale_range": [0.1, 0.5],
         "power_factor_range": [0.95, 1.0], "households_per_node": 2}
@@ -272,11 +282,24 @@ def test_error_exit_codes(tmp_path, workspace):
     header = json.dumps({"metadata": {"kind": "agent"}}).encode()
     bad_ckpts = {"five_bytes": blob[:5],
                  "no_arrays": blob[:4] + struct.pack("<HQ", 1, len(header)) + header}
+    # a sound container whose metadata is not: each was a raw KeyError,
+    # ValueError or TypeError, or (no layers) an IndexError once evaluated
+    bad_ckpts["no_config"] = with_metadata(blob, lambda m: m.pop("config"))
+    bad_ckpts["no_nets"] = with_metadata(blob, lambda m: m.pop("nets"))
+    bad_ckpts["horizon_0"] = with_metadata(blob, lambda m: m["config"].update(horizon=0))
+    bad_ckpts["config_key"] = with_metadata(blob, lambda m: m["config"].update(bogus=1))
+    bad_ckpts["arch_no_in"] = with_metadata(
+        blob, lambda m: m["nets"]["critic"]["arch"][1].pop("in"))
+    bad_ckpts["no_layers"] = with_metadata(blob, lambda m: m["nets"]["actor"].update(arch=[]))
     for name, data in bad_ckpts.items():
         path = tmp_path / f"{name}.ckpt"
         path.write_bytes(data)
         bad_sections.append(("evaluate", dict(scenario_file=scen_csv,
                                               agent_checkpoint=str(path))))
+    no_net = tmp_path / "no_net.ckpt"
+    no_net.write_bytes(with_metadata(open(dsse_ckpt, "rb").read(), lambda m: m.pop("net")))
+    bad_sections.append(("evaluate", dict(scenario_file=scen_csv, agent_checkpoint=agent_ckpt,
+                                          dsse_checkpoint=str(no_net))))
     for i, (command, entries) in enumerate(bad_sections):
         cfg = write_config(tmp_path / f"section{i}.json", **{**BASE, **entries})
         assert main([command, "--config", cfg,

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from gridpilot.dsse import (
     train_dsse,
 )
 from gridpilot.env import EnvConfig
-from gridpilot.errors import DatasetError, ModelMismatchError
+from gridpilot.errors import CheckpointError, DatasetError, ModelMismatchError
 from gridpilot.scenario import Scenario, ScenarioSet, generate_scenario_set
 
 
@@ -184,3 +186,17 @@ def test_load_rejects_wrong_kind(tmp_path):
     nn.save_checkpoint(p, {"x": np.zeros(3)}, {"kind": "agent"})
     with pytest.raises(ModelMismatchError, match="not a state-estimator"):
         load_dsse(p)
+
+
+def test_load_rejects_shapes_that_disagree(tmp_path, model4):
+    # the net, the normalizers and the node-phase layout must fit together,
+    # or the first estimate fails inside numpy
+    model, _ = model4
+    cases = {"short_input_mean": replace(model, input_mean=model.input_mean[:6]),
+             "short_output_std": replace(model, output_std=model.output_std[1:]),
+             "node_phase_dropped": replace(model, node_phases=model.node_phases[:-1])}
+    for name, bad in cases.items():
+        p = tmp_path / f"{name}.gpck"
+        save_dsse(bad, p)
+        with pytest.raises(CheckpointError, match="disagree"):
+            load_dsse(p)

@@ -91,14 +91,14 @@ def test_reward_matches_brute_force_on_random_inputs():
         assert got == pytest.approx(expected, abs=1e-12)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(v=st.floats(0.5, 1.5), lam=st.floats(0.0, 5.0), eta=st.floats(0.0, 5.0))
 def test_reward_never_positive(v, lam, eta):
     cfg = RewardConfig(lambda_weight=lam, eta_weight=eta)
     assert reward(np.array([v]), np.array([0.3]), np.array([0.2]), cfg) <= 0.0
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(v=st.floats(0.9501, 1.0499))
 def test_barrier_quadratic_branch_inside_band(v):
     cfg = RewardConfig()
@@ -106,7 +106,7 @@ def test_barrier_quadratic_branch_inside_band(v):
     assert voltage_barrier(v, cfg) == (v - 1.0) * (v - 1.0)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(v=st.one_of(st.floats(0.5, 0.9499), st.floats(1.0501, 1.5)))
 def test_barrier_absolute_branch_outside_band(v):
     cfg = RewardConfig()
@@ -127,7 +127,7 @@ def test_objective_deviation():
 
 # --- action mapping ----------------------------------------------------------
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(c=st.floats(-10.0, 10.0))
 def test_map_action_clamps_coefficients(feeder4, c):
     zone_map = np.zeros(len(feeder4.pv_units), dtype=int)

@@ -1,0 +1,169 @@
+"""Fuzzed files at the input boundaries: a damaged checkpoint or scenario
+file either loads or raises the package's typed error, never a raw
+KeyError, TypeError or ValueError."""
+
+import copy
+import json
+import operator
+import struct
+from functools import reduce
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import fourbus_gen
+from gridpilot import ddpg, dsse, nn
+from gridpilot.errors import CheckpointError, DatasetError, GridPilotError
+from gridpilot.scenario import generate_scenario_set, read_scenario_set, write_scenario_set
+
+_PREFIX = 4 + struct.calcsize("<HQ")  # magic, version, header length
+
+# any JSON value, including the NaN and Infinity that json.loads accepts
+JSON_VALUES = (st.none() | st.booleans() | st.integers(-2, 2**70) | st.floats()
+               | st.text(max_size=4) | st.lists(st.integers(-1, 3), max_size=3)
+               | st.just({}))
+
+
+def json_paths(node, path=()):
+    """The key path of every value nested in a parsed JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from json_paths(child, path + (key,))
+
+
+def mutate_json(doc, data):
+    """A copy of ``doc`` with one nested value replaced by a drawn JSON
+    value, or (in an object) deleted."""
+    doc = copy.deepcopy(doc)
+    path = data.draw(st.sampled_from(list(json_paths(doc))))
+    parent = reduce(operator.getitem, path[:-1], doc)
+    if isinstance(parent, dict) and data.draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(JSON_VALUES)
+    return doc
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.fixture(scope="module")
+def checkpoints(fuzz_dir, feeder4):
+    """Loader and bytes of a small agent and a small batch-norm estimator
+    checkpoint for 4bus."""
+    rng = np.random.default_rng(0)
+    n = feeder4.n_node_phases
+    actor = nn.build_mlp([n, 6, 1], rng=rng)
+    critic = nn.build_mlp([n + 1, 6, 1], rng=rng)
+    nets = ddpg.AgentNets(actor, critic, nn.clone_model(actor), nn.clone_model(critic))
+    ddpg.save_agent(fuzz_dir / "agent.ckpt", nets, ddpg.TrainConfig(),
+                    feeder_fingerprint=feeder4.fingerprint)
+    net = nn.build_mlp([12, 6, 2 * n], batch_norm=True, rng=rng)
+    net.eval()
+    model = dsse.DsseModel(net=net, input_mean=np.zeros(12), input_std=np.ones(12),
+                           output_mean=np.zeros(2 * n), output_std=np.ones(2 * n),
+                           feeder_fingerprint=feeder4.fingerprint,
+                           node_phases=feeder4.node_phases())
+    dsse.save_dsse(model, fuzz_dir / "dsse.ckpt")
+    return {kind: (load, (fuzz_dir / f"{kind}.ckpt").read_bytes())
+            for kind, load in (("agent", ddpg.load_agent), ("dsse", dsse.load_dsse))}
+
+
+def loads_or_raises(load, path, error):
+    try:
+        load(path)
+    except error:
+        pass
+
+
+@settings(max_examples=150)
+@given(kind=st.sampled_from(["agent", "dsse"]), data=st.data())
+def test_byte_flipped_checkpoint_loads_or_raises(checkpoints, fuzz_dir, kind, data):
+    load, blob = checkpoints[kind]
+    header_end = _PREFIX + struct.unpack("<Q", blob[6:_PREFIX])[0]
+    damaged = bytearray(blob)
+    # most flips land in the prefix and header, where they change meaning
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(0, header_end - 1) | st.integers(0, len(blob) - 1))
+        damaged[i] ^= data.draw(st.integers(1, 255))
+    path = fuzz_dir / "flipped.ckpt"
+    path.write_bytes(bytes(damaged))
+    loads_or_raises(load, path, GridPilotError)
+
+
+@settings(max_examples=60)
+@given(kind=st.sampled_from(["agent", "dsse"]), data=st.data())
+def test_truncated_checkpoint_raises(checkpoints, fuzz_dir, kind, data):
+    load, blob = checkpoints[kind]
+    path = fuzz_dir / "truncated.ckpt"
+    path.write_bytes(blob[:data.draw(st.integers(0, len(blob) - 1))])
+    with pytest.raises(CheckpointError):
+        load(path)
+
+
+@settings(max_examples=300)
+@given(kind=st.sampled_from(["agent", "dsse"]), data=st.data())
+def test_mutated_checkpoint_header_loads_or_raises(checkpoints, fuzz_dir, kind, data):
+    load, blob = checkpoints[kind]
+    header_end = _PREFIX + struct.unpack("<Q", blob[6:_PREFIX])[0]
+    header = mutate_json(json.loads(blob[_PREFIX:header_end]), data)
+    raw = json.dumps(header, sort_keys=True).encode()
+    path = fuzz_dir / "mutated.ckpt"
+    path.write_bytes(blob[:6] + struct.pack("<Q", len(raw)) + raw + blob[header_end:])
+    loads_or_raises(load, path, GridPilotError)
+
+
+@pytest.fixture(scope="module")
+def scenario_file(fuzz_dir, feeder4):
+    """Lines of a written 4bus scenario CSV and its parsed sidecar."""
+    path = fuzz_dir / "scenarios.csv"
+    write_scenario_set(generate_scenario_set(feeder4, fourbus_gen(3), seed=5), feeder4, path)
+    sidecar = json.loads((fuzz_dir / "scenarios.csv.meta.json").read_text())
+    return path.read_text().splitlines(), sidecar
+
+
+# characters a damaged numeric or id cell might hold
+_CELL = st.text(alphabet="0123456789.-+eEnaifINFx_ ,;\t\r\n\"'b2AB#", max_size=12)
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_mutated_scenario_rows_load_or_raise(scenario_file, fuzz_dir, feeder4, data):
+    lines, sidecar = scenario_file
+    lines = list(lines)
+    row = data.draw(st.integers(0, len(lines) - 1))
+    cells = lines[row].split(",")
+    action = data.draw(st.sampled_from(["replace", "drop", "add", "delete_row"]))
+    if action == "replace":
+        cells[data.draw(st.integers(0, len(cells) - 1))] = data.draw(_CELL)
+    elif action == "drop":
+        del cells[data.draw(st.integers(0, len(cells) - 1))]
+    elif action == "add":
+        cells.insert(data.draw(st.integers(0, len(cells))), data.draw(_CELL))
+    lines[row] = ",".join(cells)
+    if action == "delete_row":
+        del lines[row]
+    path = fuzz_dir / "rows.csv"
+    path.write_text("\n".join(lines) + "\n")
+    (fuzz_dir / "rows.csv.meta.json").write_text(json.dumps(sidecar))
+    loads_or_raises(lambda p: read_scenario_set(p, feeder4), path, DatasetError)
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_mutated_sidecar_loads_or_raises(scenario_file, fuzz_dir, feeder4, data):
+    lines, sidecar = scenario_file
+    path = fuzz_dir / "sidecar.csv"
+    path.write_text("\n".join(lines) + "\n")
+    (fuzz_dir / "sidecar.csv.meta.json").write_text(json.dumps(mutate_json(sidecar, data)))
+    loads_or_raises(lambda p: read_scenario_set(p, feeder4), path, DatasetError)

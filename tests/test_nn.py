@@ -262,6 +262,9 @@ def test_checkpoint_malformed_header_is_typed(tmp_path, rng):
         "negative_offset": with_header({"metadata": {}, "arrays": [
             {"name": "a", "shape": [4], "offset": -8}]}),
         "metadata_list": with_header({"metadata": [], "arrays": []}),
+        # an offset of 1e400 or Infinity reads as inf, which int() cannot take
+        "infinite_offset": with_header({"metadata": {}, "arrays": [
+            {"name": "a", "shape": [4], "offset": float("inf")}]}),
     }
     for name, data in cases.items():
         path = tmp_path / f"{name}.ckpt"
@@ -285,8 +288,24 @@ def test_model_arrays_round_trip_exact(tmp_path, rng):
 
 
 def test_model_from_arrays_rejects_missing(rng):
-    model = nn.build_mlp([2, 3, 1], rng=rng)
+    model = nn.build_mlp([2, 3, 1], batch_norm=True, rng=rng)
     arrays, descriptor = nn.model_to_arrays(model)
-    del arrays["L1.W"]
+    no_w1 = {k: v for k, v in arrays.items() if k != "L1.W"}
     with pytest.raises(CheckpointError):
-        nn.model_from_arrays(arrays, descriptor)
+        nn.model_from_arrays(no_w1, descriptor)
+    # a descriptor without its arch, any layer, or any key of a layer
+    bad = {"no_arch": {}, "no_layers": {"arch": []}, "arch_not_list": {"arch": 3}}
+    for key in ("in", "out", "activation", "dropout_rate", "batch_norm"):
+        arch = [dict(spec) for spec in descriptor["arch"]]
+        del arch[0][key]
+        bad[f"no_{key}"] = {"arch": arch}
+    for name, desc in bad.items():
+        with pytest.raises(CheckpointError):
+            nn.model_from_arrays(arrays, desc)
+    # arrays whose shapes disagree with the arch
+    arch = [dict(spec) for spec in descriptor["arch"]]
+    arch[0]["out"] = 4  # no longer the shape of L0.W, L0.b or the batch-norm arrays
+    short = dict(arrays, **{"L0.running_var": np.ones(2)})
+    for arr, desc in ((arrays, {"arch": arch}), (short, descriptor)):
+        with pytest.raises(CheckpointError, match="disagree"):
+            nn.model_from_arrays(arr, desc)

@@ -260,20 +260,11 @@ def test_run_online_apr_triggers_fine_tune(feeder4, nets4, scenarios4, monkeypat
     assert run.records[3].apr_decision == "ok"  # fresh window after tuning
 
 
-def test_run_online_fine_tune_disabled(feeder4, nets4, scenarios4):
-    apr = AprConfig(reference_reward=0.0, degradation_threshold=1e-9, window=3)
-    run, nets_out = run_online(nets4, system(feeder4), scenarios4[:6], apr,
-                               fine_tune_enabled=False)
-    assert run.fine_tune_events == []
-    assert nets_out is nets4
-    assert any(r.apr_decision == "fine_tune" for r in run.records)
-
-
-@pytest.mark.parametrize("fine_tune_enabled", [False, True])
+@pytest.mark.parametrize("degrading", [False, True])
 def test_run_online_windows_stay_bounded(feeder4, nets4, scenarios4, monkeypatch,
-                                         fine_tune_enabled):
-    # a long stream against a monitor that degrades on every full window; at
-    # each decision, read the loop's own reward and scenario windows
+                                         degrading):
+    # a long stream against a monitor that degrades on every full window, or
+    # on none; at each decision, read the loop's own reward and scenario windows
     real_check = runtime.apr_check
     seen = []
 
@@ -291,13 +282,14 @@ def test_run_online_windows_stay_bounded(feeder4, nets4, scenarios4, monkeypatch
     monkeypatch.setattr(runtime, "apr_check", watching_check)
     monkeypatch.setattr(runtime, "fine_tune", fake_fine_tune)
     stream = scenarios4 * 25  # 300 cycles
-    apr = AprConfig(reference_reward=0.0, degradation_threshold=1e-9, window=7)
-    run, _ = run_online(nets4, system(feeder4), stream, apr,
-                        fine_tune_enabled=fine_tune_enabled)
+    # every reward lies below 0 and above -1e9
+    reference = 0.0 if degrading else -1e9
+    apr = AprConfig(reference_reward=reference, degradation_threshold=1e-9, window=7)
+    run, _ = run_online(nets4, system(feeder4), stream, apr)
     assert len(run.records) == len(stream) == len(seen)
     assert max(r for r, _ in seen) == apr.window
     assert max(n for _, n in seen) == apr.window
-    if fine_tune_enabled:
+    if degrading:
         # every 7th cycle fine-tunes on the last 7 scenarios, and the reward
         # window restarts after it while the scenario window does not
         assert run.fine_tune_events == list(range(6, len(stream), 7))
@@ -305,8 +297,10 @@ def test_run_online_windows_stay_bounded(feeder4, nets4, scenarios4, monkeypatch
         assert tuned[-1] == stream[run.fine_tune_events[-1] - 6:run.fine_tune_events[-1] + 1]
         assert seen[7] == (1, 7)
     else:
-        assert run.fine_tune_events == []
-        assert [r.apr_decision for r in run.records[6:]] == ["fine_tune"] * (len(stream) - 6)
+        # the reward window fills once and then slides, never cleared
+        assert run.fine_tune_events == [] and tuned == []
+        assert all(r.apr_decision == "ok" for r in run.records)
+        assert seen[6:] == [(7, 7)] * (len(stream) - 6)
 
 
 def test_run_online_estimator_path(feeder4, nets4, scenarios4):

@@ -18,9 +18,7 @@ from gridpilot.scenario import (
     aggregate_profiles,
     generate_household_pool,
     generate_scenario_set,
-    ingest_household_csv,
     read_scenario_set,
-    realized_pv_ratios,
     split,
     to_injections,
     write_scenario_set,
@@ -38,7 +36,7 @@ def test_gen_config_validation():
         GenConfig(count=1, households_per_node=0)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(seed=st.integers(0, 2**31), pool_size=st.integers(2, 40))
 def test_pool_respects_configured_ranges(seed, pool_size):
     cfg = GenConfig(count=1, household_pool_size=pool_size,
@@ -116,6 +114,22 @@ def test_standalone_pv_units_draw_their_own_households(feeder34):
                   if (pv.bus_id, pv.phase) not in load_slots]
     assert standalone, "fixture should carry standalone units"
     assert np.all(sc.p_pv[standalone] > 0.0)
+
+
+def realized_pv_ratios(scenario_set, feeder) -> np.ndarray:
+    """Per-unit pv/load ratios over all scenarios, for distribution checks.
+
+    Only PV units co-located with a load point contribute; rating clips can
+    push realized ratios below the configured range, never above.
+    """
+    load_slot = {(ld.bus_id, ld.phase): i for i, ld in enumerate(feeder.loads)}
+    out = []
+    for sc in scenario_set:
+        for k, pv in enumerate(feeder.pv_units):
+            slot = load_slot.get((pv.bus_id, pv.phase))
+            if slot is not None and sc.p_load[slot] > 0:
+                out.append(sc.p_pv[k] / sc.p_load[slot])
+    return np.array(out)
 
 
 def test_realized_ratios_stay_in_range(feeder34):
@@ -220,24 +234,10 @@ def test_read_rejects_unknown_elements(feeder4, tmp_path):
         read_scenario_set(path, feeder4)
 
 
-def test_ingest_household_csv(tmp_path):
-    path = tmp_path / "households.csv"
-    path.write_text("household_id,p_kw,pv_kw\nh1,2.4,1.8\nh2,5.0,0.0\n")
-    pool = ingest_household_csv(path, base_power_kva=100.0)
-    assert pool.size == 2
-    assert pool.load == pytest.approx([0.024, 0.05])
-    assert pool.pv == pytest.approx([0.018, 0.0])
-
-    bad = tmp_path / "bad.csv"
-    bad.write_text("id,kw\n1,2\n")
-    with pytest.raises(DatasetError):
-        ingest_household_csv(bad, base_power_kva=100.0)
-
-
 def test_to_injections_signs_and_slack(feeder4, admittance4):
     sset = generate_scenario_set(feeder4, fourbus_gen(1), seed=3)
     sc = sset.scenarios[0]
-    inj = to_injections(feeder4, admittance4, sc)
+    inj = to_injections(admittance4, sc)
     src_rows = [admittance4.index_map[("src", ph)] for ph in "ABC"]
     assert np.all(inj.p[src_rows] == 0.0)
     assert np.all(inj.q[src_rows] == 0.0)
@@ -246,9 +246,29 @@ def test_to_injections_signs_and_slack(feeder4, admittance4):
     assert inj.p[k_pv] == pytest.approx(-sc.p_pv[0])  # generation is negative
 
     q_pv = np.array([0.1])
-    inj_q = to_injections(feeder4, admittance4, sc, q_pv=q_pv)
+    inj_q = to_injections(admittance4, sc, q_pv=q_pv)
     assert inj_q.q[k_pv] == pytest.approx(inj.q[k_pv] - 0.1)
     assert np.array_equal(inj_q.p, inj.p)
+
+
+@pytest.mark.parametrize("kind", ["load", "pv"])
+def test_write_refuses_elements_sharing_a_node_phase(feeder4, tmp_path, kind):
+    # validate_feeder accepts a second element on one node-phase, but the CSV
+    # names both by the same bus.phase, so the file could not be read back
+    if kind == "load":
+        feeder = replace(feeder4, loads=feeder4.loads + [LoadPoint("b2", "B", 0.1, 0.02)],
+                         fingerprint="")
+        shared = "b2.B"
+    else:
+        pv = feeder4.pv_units[0]
+        feeder = replace(feeder4, pv_units=feeder4.pv_units + [
+            PvUnit(pv.bus_id, pv.phase, 0.3, 0.3)], fingerprint="")
+        shared = f"{pv.bus_id}.{pv.phase}"
+    assert not validate_feeder(feeder)
+    sset = generate_scenario_set(feeder, fourbus_gen(2), seed=1)
+    with pytest.raises(DatasetError, match=f"{kind} elements share node-phase {shared}"):
+        write_scenario_set(sset, feeder, tmp_path / "s.csv")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sidecar_metadata_contents(feeder4, tmp_path):
@@ -281,7 +301,7 @@ def loop_injections(feeder, admittance, scenario, q_pv=None):
 
 def assert_injections_bit_equal(feeder, scenario, q_pv):
     adm = build_admittance(feeder)
-    inj = to_injections(feeder, adm, scenario, q_pv=q_pv)
+    inj = to_injections(adm, scenario, q_pv=q_pv)
     p, q = loop_injections(feeder, adm, scenario, q_pv)
     assert inj.p.tobytes() == p.tobytes()
     assert inj.q.tobytes() == q.tobytes()
@@ -374,7 +394,8 @@ def test_read_rejects_rows_on_a_feeder_without_elements(feeder2, tmp_path):
 
 @pytest.mark.parametrize("case", ["text_p", "float_id", "short_row", "long_row", "nan_p",
                                   "inf_q", "empty_file", "header_only", "bad_type", "repeat",
-                                  "sidecar_empty", "sidecar_bad_range", "sidecar_list"])
+                                  "sidecar_empty", "sidecar_bad_range", "sidecar_list",
+                                  "sidecar_infinite_seed"])
 def test_read_rejects_malformed_input(feeder4, tmp_path, case):
     sset = generate_scenario_set(feeder4, fourbus_gen(2), seed=1)
     path = tmp_path / "s.csv"
@@ -398,8 +419,10 @@ def test_read_rejects_malformed_input(feeder4, tmp_path, case):
     else:
         sidecar = tmp_path / "s.csv.meta.json"
         meta = json.loads(sidecar.read_text())
+        inf_seed = json.dumps({**meta, "seed": float("inf")})  # int() cannot take it
         meta["generator_config"]["load_scale_range"] = 3
         sidecar.write_text({"sidecar_empty": "{}", "sidecar_list": "[1, 2]",
-                            "sidecar_bad_range": json.dumps(meta)}[case])
+                            "sidecar_bad_range": json.dumps(meta),
+                            "sidecar_infinite_seed": inf_seed}[case])
     with pytest.raises(DatasetError):
         read_scenario_set(path, feeder4)

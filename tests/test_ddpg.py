@@ -404,12 +404,22 @@ def test_agent_checkpoint_round_trip(tmp_path, train_setup):
     save_agent(p2, nets2, cfg2, feeder_fingerprint="abc123")
     assert p2.read_bytes() == p.read_bytes()
 
-    # the fingerprint is optional and the config may be the default one
-    bare = tmp_path / "bare.gpck"
-    save_agent(bare, small_nets(), TrainConfig())
-    _, cfg3, meta3 = load_agent(bare)
-    assert cfg3 == TrainConfig()
-    assert meta3["feeder_fingerprint"] == ""
+
+def test_agent_checkpoint_without_buffer(tmp_path):
+    # a checkpoint holds only the nets and the config: no replay buffer or
+    # generator state, and the fingerprint is optional
+    nets = small_nets()
+    p = tmp_path / "bare.gpck"
+    save_agent(p, nets, TrainConfig())
+    arrays, raw_meta = nn.load_checkpoint(p)
+    assert all(k.split(".", 1)[0] in ("actor", "critic", "actor_target", "critic_target")
+               for k in arrays)
+    assert set(raw_meta) == {"kind", "nets", "config", "feeder_fingerprint"}
+    nets2, cfg2, meta = load_agent(p)
+    assert "rng_state" not in meta
+    assert meta["feeder_fingerprint"] == ""
+    assert cfg2 == TrainConfig()
+    assert nets2.state_dim == nets.state_dim and nets2.action_dim == nets.action_dim
 
 
 def test_load_agent_rejects_nets_that_do_not_fit(tmp_path):

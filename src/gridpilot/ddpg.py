@@ -11,6 +11,10 @@ noise, replay sampling), so a (seed, config, scenarios) triple pins the
 whole trajectory bit-for-bit. A checkpoint (``save_agent``) holds the four
 nets and the ``TrainConfig``; the replay buffer and RNG are not saved, so a
 run cannot be resumed from one, only deployed or fine-tuned.
+
+Each update runs critic, actor, then targets (Lillicrap et al., ICLR 2016)
+on whole parameter vectors (``nn.MlpModel.params``); the policy gradient
+takes only d(Q)/d(input) from the critic (``nn.input_gradient``).
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .errors import CheckpointError, ModelMismatchError, NumericalError, Trainin
 ACTOR_HIDDEN = (400, 300)
 CRITIC_HIDDEN = (400, 300)
 FINAL_INIT = 3e-3
+NET_NAMES = ("actor", "critic", "actor_target", "critic_target")
 
 
 @dataclass
@@ -162,12 +167,11 @@ def act(nets: AgentNets, state: np.ndarray, sigma: float = 0.0,
     return MdpAction(np.clip(a, -1.0, 1.0))
 
 
-def td_loss(nets: AgentNets, batch: dict, gamma: float
-            ) -> tuple[float, dict[str, np.ndarray]]:
+def td_loss(nets: AgentNets, batch: dict, gamma: float) -> tuple[float, np.ndarray]:
     """Squared TD error against target-network bootstrap values.
 
     y = r + gamma * Q'(s', pi'(s')) with y = r on terminal transitions;
-    returns (mean squared error, critic parameter gradients).
+    returns (mean squared error, its gradient laid out like critic.params).
     """
     a2, _ = nn.forward(nets.actor_target, batch["s2"])
     q2, _ = nn.forward(nets.critic_target, np.hstack([batch["s2"], a2]))
@@ -177,49 +181,46 @@ def td_loss(nets: AgentNets, batch: dict, gamma: float
     diff = q - y
     loss = float(np.mean(diff * diff))
     dq = 2.0 * diff / diff.size
-    grads, _ = nn.backward(nets.critic, cache, dq)
-    return loss, grads
+    return loss, nn.backward(nets.critic, cache, dq)
 
 
-def policy_gradient(nets: AgentNets, states: np.ndarray
-                    ) -> tuple[float, dict[str, np.ndarray]]:
-    """Gradients for descending -mean Q(s, pi(s)) (i.e. policy ascent).
+def policy_gradient(nets: AgentNets, states: np.ndarray) -> tuple[float, np.ndarray]:
+    """(mean Q, gradient of -mean Q(s, pi(s)) laid out like actor.params).
 
-    The critic's own parameters are not touched; its backward pass only
-    supplies dQ/da, chained into the actor.
+    Descending it is policy ascent. The critic's own parameters are not
+    touched, and no gradient of them is formed: the critic only supplies
+    dQ/da, chained into the actor.
     """
     states = np.atleast_2d(states)
     a, cache_a = nn.forward(nets.actor, states)
     q, cache_c = nn.forward(nets.critic, np.hstack([states, a]))
     mean_q = float(np.mean(q))
     dq = np.full_like(q, -1.0 / q.shape[0])  # d(-mean Q)/dQ
-    _, dx = nn.backward(nets.critic, cache_c, dq)
-    da = dx[:, states.shape[1]:]
-    grads, _ = nn.backward(nets.actor, cache_a, da)
-    return mean_q, grads
+    # slice the action columns off the whole input gradient: slicing the
+    # critic's weights first would change the matmul's last bits
+    dx = nn.input_gradient(nets.critic, cache_c, dq)
+    return mean_q, nn.backward(nets.actor, cache_a, dx[:, states.shape[1]:])
 
 
 def policy_update(nets: AgentNets, states: np.ndarray, optimizer: nn.AdamState) -> float:
     """One actor ascent step on the sampled policy gradient; returns mean Q."""
-    mean_q, grads = policy_gradient(nets, states)
-    nn.adam_step(optimizer, nn.model_parameters(nets.actor), grads)
+    mean_q, grad = policy_gradient(nets, states)
+    nn.adam_step(optimizer, nets.actor, grad)
     return mean_q
 
 
-def soft_update(learned: dict[str, np.ndarray], target: dict[str, np.ndarray],
-                tau: float) -> None:
+def soft_update(learned: np.ndarray, target: np.ndarray, tau: float) -> None:
     """theta' <- tau * theta + (1 - tau) * theta', elementwise in place."""
-    for key, src in learned.items():
-        dst = target.get(key)
-        if dst is None or dst.shape != src.shape:
-            raise ModelMismatchError(f"target parameter {key!r} missing or misshapen")
-        dst *= 1.0 - tau
-        dst += tau * src
+    if target.shape != learned.shape:
+        raise ModelMismatchError(
+            f"target parameters have shape {target.shape}, learned {learned.shape}")
+    target *= 1.0 - tau
+    target += tau * learned
 
 
 def soft_update_nets(nets: AgentNets, tau: float) -> None:
-    soft_update(nn.model_parameters(nets.actor), nn.model_parameters(nets.actor_target), tau)
-    soft_update(nn.model_parameters(nets.critic), nn.model_parameters(nets.critic_target), tau)
+    soft_update(nets.actor.params, nets.actor_target.params, tau)
+    soft_update(nets.critic.params, nets.critic_target.params, tau)
 
 
 def _sigma_schedule(cfg: TrainConfig, episode: int) -> float:
@@ -257,7 +258,6 @@ def train(env_cfg: EnvConfig, scenarios, cfg: TrainConfig,
     buffer = ReplayBuffer(cfg.buffer_capacity, nets.state_dim, nets.action_dim)
     actor_opt = nn.AdamState(learning_rate=cfg.actor_lr)
     critic_opt = nn.AdamState(learning_rate=cfg.critic_lr)
-    critic_params = nn.model_parameters(nets.critic)
 
     threshold = cfg.batch_size if cfg.updates_start == "batch" else cfg.buffer_capacity
     scenario_list = list(scenarios)
@@ -285,10 +285,10 @@ def train(env_cfg: EnvConfig, scenarios, cfg: TrainConfig,
                 if len(buffer) >= threshold:
                     batch = buffer.sample(cfg.batch_size, rng)
                     if updates >= critic_freeze_updates:
-                        loss, grads = td_loss(nets, batch, cfg.gamma)
+                        loss, grad = td_loss(nets, batch, cfg.gamma)
                         if not math.isfinite(loss):
                             raise NumericalError(f"TD loss diverged to {loss}")
-                        nn.adam_step(critic_opt, critic_params, grads)
+                        nn.adam_step(critic_opt, nets.critic, grad)
                     policy_update(nets, batch["s"], actor_opt)
                     soft_update_nets(nets, cfg.tau)
                     updates += 1
@@ -299,16 +299,14 @@ def train(env_cfg: EnvConfig, scenarios, cfg: TrainConfig,
             err.last_good = snapshot
             raise err from exc
         trajectory.append(cum_reward)
-        snapshot = clone_agent(nets)
+        for name in NET_NAMES:
+            nn.copy_into(getattr(snapshot, name), getattr(nets, name))
     return nets, trajectory
 
 
 def clone_agent(nets: AgentNets) -> AgentNets:
     """Independent deep copy of all four nets."""
-    return AgentNets(actor=nn.clone_model(nets.actor),
-                     critic=nn.clone_model(nets.critic),
-                     actor_target=nn.clone_model(nets.actor_target),
-                     critic_target=nn.clone_model(nets.critic_target))
+    return AgentNets(*(nn.clone_model(getattr(nets, name)) for name in NET_NAMES))
 
 
 def trajectory_csv(trajectory: list[float], cfg: TrainConfig) -> str:
@@ -326,7 +324,7 @@ def save_agent(path, nets: AgentNets, cfg: TrainConfig,
     """Bundle the four nets and the training config into one file."""
     arrays: dict[str, np.ndarray] = {}
     descriptors = {}
-    for name in ("actor", "critic", "actor_target", "critic_target"):
+    for name in NET_NAMES:
         net_arrays, descriptor = nn.model_to_arrays(getattr(nets, name))
         descriptors[name] = descriptor
         for key, val in net_arrays.items():
@@ -352,8 +350,7 @@ def load_agent(path) -> tuple[AgentNets, TrainConfig, dict]:
         return nn.model_from_arrays(sub, meta["nets"][name])
 
     try:
-        nets = AgentNets(actor=net("actor"), critic=net("critic"),
-                         actor_target=net("actor_target"), critic_target=net("critic_target"))
+        nets = AgentNets(*(net(name) for name in NET_NAMES))
         cfg = TrainConfig(**meta["config"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed agent checkpoint {path}: {exc!r}") from exc

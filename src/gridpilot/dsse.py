@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
-from .errors import CheckpointError, DatasetError, ModelMismatchError, TrainingError
+from .errors import CheckpointError, DatasetError, TrainingError
 from .feeder import PHASE_ANGLES, Feeder
 from .powerflow import (
     MeasurementVector,
@@ -163,7 +163,6 @@ def train_dsse(pairs, hyperparams: DsseHyperparams, feeder: Feeder
                        dropout_rate=hyperparams.dropout_rate,
                        batch_norm=hyperparams.batch_norm, rng=rng)
     adam = nn.AdamState(learning_rate=hyperparams.learning_rate)
-    params = nn.model_parameters(net)
 
     losses = []
     n = x.shape[0]
@@ -180,8 +179,7 @@ def train_dsse(pairs, hyperparams: DsseHyperparams, feeder: Feeder
             loss, dloss = nn.mse_loss(out, y[idx])
             if not math.isfinite(loss):
                 raise TrainingError(f"loss diverged to {loss}", epoch=epoch)
-            grads, _ = nn.backward(net, cache, dloss)
-            nn.adam_step(adam, params, grads)
+            nn.adam_step(adam, net, nn.backward(net, cache, dloss))
             epoch_loss += loss
             n_batches += 1
         losses.append(epoch_loss / max(n_batches, 1))
@@ -276,7 +274,7 @@ def load_dsse(path) -> DsseModel:
     normalizers or node-phase layout is missing or malformed."""
     arrays, meta = nn.load_checkpoint(path)
     if meta.get("kind") != "dsse":
-        raise ModelMismatchError(f"{path} is not a state-estimator checkpoint")
+        raise CheckpointError(f"{path} is not a state-estimator checkpoint")
     try:
         net = nn.model_from_arrays(arrays, meta["net"])
         net.eval()

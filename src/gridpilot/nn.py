@@ -4,18 +4,22 @@ Everything is plain numpy in float64. A model is an ordered list of dense
 layers; each layer applies, in order: affine transform, optional batch
 normalization, activation, optional inverted dropout. Gradients are
 hand-derived and verified against central finite differences in the tests,
-so any change here must keep backward() in lockstep with forward().
+so any change here must keep the backward pass in lockstep with forward().
 
 Conventions:
   - batches are (n_samples, n_features), weights are (in_dim, out_dim)
   - train mode samples dropout masks and uses batch statistics for batch
     norm (updating running statistics as a side effect); eval mode is
     deterministic and uses running statistics
-  - parameters and gradients travel as flat dicts keyed "L{i}.{W,b,gamma,beta}"
+  - a model's trainable arrays are views into one vector, ``MlpModel.params``,
+    keyed "L{i}.{W,b,gamma,beta}" in layer order; ``backward`` returns
+    d(loss)/d(params) in that layout (never the input gradient, which
+    ``input_gradient`` returns alone), and ``adam_step`` consumes it as scratch
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import struct
@@ -72,12 +76,16 @@ class DenseLayer:
 class MlpModel:
     layers: list[DenseLayer]
     mode: str = "train"
+    # every trainable array of ``layers`` is a view into this vector
+    params: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for prev, nxt in zip(self.layers, self.layers[1:]):
             if prev.out_dim != nxt.in_dim:
                 raise ModelMismatchError(
                     f"layer dims do not chain: {prev.out_dim} -> {nxt.in_dim}")
+        _bind(self, np.concatenate(
+            [np.ravel(arr) for arr in model_parameters(self).values()], dtype=float))
 
     @property
     def input_dim(self) -> int:
@@ -135,10 +143,52 @@ def build_mlp(dims: list[int], hidden_activation: str = "relu",
     return MlpModel(layers=layers)
 
 
+def _slots(model: MlpModel):
+    """(key, owner, attribute) of every trainable array, in ``params`` order."""
+    for i, layer in enumerate(model.layers):
+        yield f"L{i}.W", layer, "weights"
+        yield f"L{i}.b", layer, "biases"
+        if layer.batch_norm is not None:
+            yield f"L{i}.gamma", layer.batch_norm, "scale"
+            yield f"L{i}.beta", layer.batch_norm, "shift"
+
+
+def _views(model: MlpModel, flat: np.ndarray) -> dict[str, np.ndarray]:
+    """Views of a vector laid out like ``model.params``, keyed like its arrays."""
+    views, offset = {}, 0
+    for key, owner, attr in _slots(model):
+        shape = getattr(owner, attr).shape
+        size = math.prod(shape)
+        views[key] = flat[offset:offset + size].reshape(shape)
+        offset += size
+    return views
+
+
+def _bind(model: MlpModel, flat: np.ndarray) -> None:
+    """Make ``flat`` the model's parameter vector and each array a view of it."""
+    for (_, owner, attr), view in zip(_slots(model), _views(model, flat).values()):
+        setattr(owner, attr, view)
+    model.params = flat
+
+
 def clone_model(model: MlpModel) -> MlpModel:
-    """Deep copy with independent parameter arrays (target-network init)."""
-    arrays, descriptor = model_to_arrays(model)
-    return model_from_arrays({k: v.copy() for k, v in arrays.items()}, descriptor)
+    """Deep copy with an independent parameter vector (target-network init)."""
+    flat = model.params.copy()
+    # deepcopy the rest, taking each parameter view from the copied vector
+    memo = {id(model.params): flat}
+    memo.update((id(old), new) for old, new in
+                zip(model_parameters(model).values(), _views(model, flat).values()))
+    return copy.deepcopy(model, memo)
+
+
+def copy_into(target: MlpModel, source: MlpModel) -> None:
+    """Overwrite ``target``, a clone of ``source``, with ``source``'s parameters
+    and batch-norm statistics, reusing ``target``'s memory."""
+    np.copyto(target.params, source.params)
+    for dst, src in zip(target.layers, source.layers):
+        if src.batch_norm is not None:
+            dst.batch_norm.running_mean = src.batch_norm.running_mean.copy()
+            dst.batch_norm.running_var = src.batch_norm.running_var.copy()
 
 
 def _activate(name: str, z: np.ndarray) -> np.ndarray:
@@ -149,12 +199,15 @@ def _activate(name: str, z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _activate_grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
+def _activation_backward(name: str, y: np.ndarray, a: np.ndarray,
+                         da: np.ndarray) -> np.ndarray:
+    """d(loss)/d(y) from d(loss)/d(a), a = activation(y); relu multiplies by its
+    mask and identity by nothing, which leaves every product's bits as they are."""
     if name == "relu":
-        return (z > 0.0).astype(float)
+        return da * (y > 0.0)
     if name == "tanh":
-        return 1.0 - a * a
-    return np.ones_like(z)
+        return da * (1.0 - a * a)
+    return da
 
 
 def forward(model: MlpModel, batch: np.ndarray, rng_seed=None) -> tuple[np.ndarray, list]:
@@ -178,7 +231,8 @@ def forward(model: MlpModel, batch: np.ndarray, rng_seed=None) -> tuple[np.ndarr
 
     cache = []
     for layer in model.layers:
-        z = x @ layer.weights + layer.biases
+        z = x @ layer.weights
+        z += layer.biases
         entry = {"x": x, "z": z, "train": train}
 
         y = z
@@ -214,18 +268,16 @@ def forward(model: MlpModel, batch: np.ndarray, rng_seed=None) -> tuple[np.ndarr
     return x, cache
 
 
-def backward(model: MlpModel, cache: list, output_gradient: np.ndarray
-             ) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Backpropagate d(loss)/d(outputs) through a cached forward pass.
-
-    Returns ({"L{i}.W": dW, ...}, d(loss)/d(inputs)). Batch-norm gradients
-    flow through the batch statistics in train mode and through the frozen
-    running statistics in eval mode.
-    """
+def _backprop(model: MlpModel, cache: list, output_gradient: np.ndarray):
+    """Yield (i, d(loss)/d(batch-norm output), d(loss)/d(affine output)) from
+    the last layer to layer 0, whose input gradient is never formed. Batch
+    norm is differentiated through the batch statistics in train mode and
+    through the running statistics in eval mode."""
     if len(cache) != len(model.layers):
         raise ModelMismatchError("cache does not match model (stale or truncated)")
-    grads: dict[str, np.ndarray] = {}
-    da = np.atleast_2d(np.asarray(output_gradient, dtype=float))
+    # contiguous: an identity layer passes it on as dz, and a strided dz could
+    # change the order of the reductions and products taken from it
+    da = np.atleast_2d(np.ascontiguousarray(output_gradient, dtype=float))
 
     for i in range(len(model.layers) - 1, -1, -1):
         layer, entry = model.layers[i], cache[i]
@@ -235,13 +287,11 @@ def backward(model: MlpModel, cache: list, output_gradient: np.ndarray
         if "mask" in entry:
             da = da * entry["mask"]
 
-        dy = da * _activate_grad(layer.activation, entry["y"], entry["a"])
+        dy = _activation_backward(layer.activation, entry["y"], entry["a"], da)
 
         bn = layer.batch_norm
         if bn is not None:
             z_hat, inv_std = entry["z_hat"], entry["inv_std"]
-            grads[f"L{i}.gamma"] = (dy * z_hat).sum(axis=0)
-            grads[f"L{i}.beta"] = dy.sum(axis=0)
             dz_hat = dy * bn.scale
             if entry["train"]:
                 n = z_hat.shape[0]
@@ -253,24 +303,34 @@ def backward(model: MlpModel, cache: list, output_gradient: np.ndarray
         else:
             dz = dy
 
-        x = entry["x"]
-        grads[f"L{i}.W"] = x.T @ dz
-        grads[f"L{i}.b"] = dz.sum(axis=0)
-        da = dz @ layer.weights.T
+        yield i, dy, dz
+        if i:
+            da = dz @ layer.weights.T
 
-    return grads, da
+
+def backward(model: MlpModel, cache: list, output_gradient: np.ndarray) -> np.ndarray:
+    """d(loss)/d(model.params), as one new vector, from d(loss)/d(outputs)."""
+    grad = np.empty_like(model.params)
+    views = _views(model, grad)
+    for i, dy, dz in _backprop(model, cache, output_gradient):
+        entry = cache[i]
+        if model.layers[i].batch_norm is not None:
+            np.sum(dy * entry["z_hat"], axis=0, out=views[f"L{i}.gamma"])
+            np.sum(dy, axis=0, out=views[f"L{i}.beta"])
+        np.matmul(entry["x"].T, dz, out=views[f"L{i}.W"])
+        np.sum(dz, axis=0, out=views[f"L{i}.b"])
+    return grad
+
+
+def input_gradient(model: MlpModel, cache: list, output_gradient: np.ndarray) -> np.ndarray:
+    """d(loss)/d(inputs) from d(loss)/d(outputs); no parameter gradient is formed."""
+    *_, (_, _, dz) = _backprop(model, cache, output_gradient)
+    return dz @ model.layers[0].weights.T
 
 
 def model_parameters(model: MlpModel) -> dict[str, np.ndarray]:
-    """Live references to every trainable array, keyed like backward()'s grads."""
-    params = {}
-    for i, layer in enumerate(model.layers):
-        params[f"L{i}.W"] = layer.weights
-        params[f"L{i}.b"] = layer.biases
-        if layer.batch_norm is not None:
-            params[f"L{i}.gamma"] = layer.batch_norm.scale
-            params[f"L{i}.beta"] = layer.batch_norm.shift
-    return params
+    """Live references to every trainable array, keyed "L{i}.{W,b,gamma,beta}"."""
+    return {key: getattr(owner, attr) for key, owner, attr in _slots(model)}
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
@@ -291,35 +351,45 @@ class AdamState:
     beta2: float = 0.999
     epsilon: float = 1e-8
     step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    m: np.ndarray | None = None  # first and second moments, laid out like params
+    v: np.ndarray | None = None
 
 
-def adam_step(state: AdamState, params: dict[str, np.ndarray],
-              grads: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """One bias-corrected Adam update, applied in place to params."""
+def adam_step(state: AdamState, model: MlpModel, grad: np.ndarray) -> None:
+    """One bias-corrected Adam update of ``model.params`` in place (Kingma & Ba,
+    Algorithm 1). ``grad`` is consumed as scratch. A non-finite gradient
+    raises NumericalError naming the parameter before anything is updated."""
     state.step += 1
     t = state.step
+    params = model.params
+    if grad.shape != params.shape:
+        raise ModelMismatchError(
+            f"gradient has shape {grad.shape}, parameters {params.shape}")
+    if not np.isfinite(grad).all():
+        key = next(k for k, g in _views(model, grad).items() if not np.isfinite(g).all())
+        raise NumericalError(f"non-finite gradient for {key!r} at step {t}")
+    if state.m is None:
+        state.m = np.zeros_like(params)
+        state.v = np.zeros_like(params)
+    m, v = state.m, state.v
     correction1 = 1.0 - state.beta1**t
     correction2 = 1.0 - state.beta2**t
-    for key, grad in grads.items():
-        if key not in params:
-            raise ModelMismatchError(f"gradient for unknown parameter {key!r}")
-        if not np.all(np.isfinite(grad)):
-            raise NumericalError(f"non-finite gradient for {key!r} at step {t}")
-        if key not in state.m:
-            state.m[key] = np.zeros_like(params[key])
-            state.v[key] = np.zeros_like(params[key])
-        m = state.m[key]
-        v = state.v[key]
-        m *= state.beta1
-        m += (1 - state.beta1) * grad
-        v *= state.beta2
-        v += (1 - state.beta2) * grad * grad
-        m_hat = m / correction1
-        v_hat = v / correction2
-        params[key] -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
-    return params
+    # one elementwise operation a line, in the order of the expressions m = b1 m +
+    # (1 - b1) g, v = b2 v + ((1 - b2) g) g, p -= (lr (m / c1)) / (sqrt(v / c2) + eps)
+    tmp = np.multiply(grad, 1 - state.beta2)
+    tmp *= grad
+    v *= state.beta2
+    v += tmp
+    grad *= 1 - state.beta1
+    m *= state.beta1
+    m += grad
+    np.divide(m, correction1, out=grad)
+    grad *= state.learning_rate
+    np.divide(v, correction2, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += state.epsilon
+    grad /= tmp
+    params -= grad
 
 
 # --- checkpointing ---------------------------------------------------------

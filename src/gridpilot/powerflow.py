@@ -115,13 +115,6 @@ def _residual(admittance: AdmittanceMatrix, v: np.ndarray, s: np.ndarray) -> flo
                      np.max(np.abs(f.imag), initial=0.0)))
 
 
-def power_mismatch(admittance: AdmittanceMatrix, v: np.ndarray,
-                   injections: InjectionSet) -> tuple[np.ndarray, np.ndarray]:
-    """Mismatch vectors (f_p, f_q) at every node-phase for a voltage guess."""
-    f = _mismatch(admittance, v, injections.p + 1j * injections.q)
-    return f.real, f.imag
-
-
 def solve_power_flow(feeder: Feeder, admittance: AdmittanceMatrix, injections: InjectionSet,
                      slack_voltage: float = 1.0, tol: float = DEFAULT_TOL,
                      max_iter: int = DEFAULT_MAX_ITER) -> PowerFlowSolution:

@@ -14,6 +14,7 @@ generation with the same config and seed writes byte-identical files.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import warnings
@@ -209,9 +210,10 @@ def write_scenario_set(scenario_set: ScenarioSet, feeder: Feeder, csv_path) -> N
     """Persist as CSV rows plus a JSON sidecar with config/seed/fingerprint.
 
     Floats are written with repr (shortest round-trip form), so identical
-    values produce identical bytes. A row names its element only by type
-    and ``bus.phase``, so a feeder with two loads or two pv units on one
-    node-phase raises DatasetError before either file is written.
+    values produce identical bytes; the sidecar records the CSV's sha256. A
+    row names its element only by type and ``bus.phase``, so a feeder with
+    two loads or two pv units on one node-phase raises DatasetError before
+    either file is written.
     """
     shared = [e for e, n in Counter(_csv_elements(feeder)).items() if n > 1]
     if shared:
@@ -225,9 +227,11 @@ def write_scenario_set(scenario_set: ScenarioSet, feeder: Feeder, csv_path) -> N
                          f"{float(sc.p_load[i])!r},{float(sc.q_load[i])!r}")
         for k, pv in enumerate(feeder.pv_units):
             lines.append(f"{sc.id},pv,{pv.bus_id}.{pv.phase},{float(sc.p_pv[k])!r},0.0")
-    write_atomic(csv_path, "\n".join(lines) + "\n")
+    data = ("\n".join(lines) + "\n").encode()
+    write_atomic(csv_path, data)
 
     meta = {
+        "csv_sha256": hashlib.sha256(data).hexdigest(),
         "seed": scenario_set.seed,
         "generator_config": asdict(scenario_set.generator_config),
         "feeder_fingerprint": scenario_set.feeder_fingerprint or feeder.fingerprint,
@@ -237,7 +241,8 @@ def write_scenario_set(scenario_set: ScenarioSet, feeder: Feeder, csv_path) -> N
 
 
 def _read_sidecar(csv_path) -> tuple[int, GenConfig, str]:
-    """(seed, generator config, feeder fingerprint) from the JSON sidecar."""
+    """(seed, generator config, feeder fingerprint) from the JSON sidecar,
+    whose ``csv_sha256`` must be the digest of the CSV beside it."""
     path = _sidecar_path(csv_path)
     try:
         with open(path) as fh:
@@ -251,9 +256,17 @@ def _read_sidecar(csv_path) -> tuple[int, GenConfig, str]:
         fingerprint = meta.get("feeder_fingerprint", "")
         if not isinstance(fingerprint, str):
             raise TypeError("feeder_fingerprint must be a string")
-        return int(meta["seed"]), GenConfig(**cfg_raw), fingerprint
+        seed, config, digest = int(meta["seed"]), GenConfig(**cfg_raw), meta["csv_sha256"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DatasetError(f"malformed sidecar {path}: {exc!r}") from exc
+    try:
+        with open(csv_path, "rb") as fh:
+            actual = hashlib.file_digest(fh, "sha256").hexdigest()
+    except OSError as exc:
+        raise DatasetError(f"cannot read {csv_path}: {exc}") from exc
+    if actual != digest:
+        raise DatasetError(f"{csv_path} is not the CSV its sidecar describes (sha256)")
+    return seed, config, fingerprint
 
 
 # one CSV row, its element type and id read as codes (see read_scenario_set)
@@ -266,7 +279,7 @@ def read_scenario_set(csv_path, feeder: Feeder) -> ScenarioSet:
 
     The rows are parsed in one numpy pass, each number exactly as ``float()``
     reads it. Raises DatasetError on an unreadable or malformed sidecar, a
-    wrong header, no rows, a row that is not five fields with an integer
+    CSV whose sha256 is not the sidecar's, a wrong header, no rows, a row that is not five fields with an integer
     scenario id and finite p and q, an element the feeder lacks, or one
     listed twice in a scenario. An element absent from a scenario reads as
     zero.

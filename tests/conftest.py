@@ -1,3 +1,6 @@
+import hashlib
+import json
+import pathlib
 import shutil
 import tempfile
 
@@ -38,6 +41,17 @@ def synth34_gen(count: int) -> GenConfig:
 def fourbus_gen(count: int) -> GenConfig:
     return GenConfig(count=count, load_scale_range=(0.1, 0.5),
                      power_factor_range=(0.95, 1.0), households_per_node=2)
+
+
+def rewrite_csv(path, text: str) -> None:
+    """Replace a written scenario CSV and stamp its new sha256 into the
+    sidecar beside it, so the reader's checks of the rows themselves run."""
+    path = pathlib.Path(path)
+    path.write_text(text)
+    sidecar = path.with_name(path.name + ".meta.json")
+    meta = json.loads(sidecar.read_text())
+    meta["csv_sha256"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    sidecar.write_text(json.dumps(meta))
 
 
 @pytest.fixture(scope="session")

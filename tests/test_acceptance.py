@@ -85,10 +85,9 @@ def test_criterion_2_equation_units(capsys):
         and curtailment_barrier(1.2, 1.0) == abs(1.2) - 1.0
         and q_max_no_curtailment(1.0, 0.6) == 0.8
     )
-    learned = {"w": np.array([1.0])}
-    target = {"w": np.array([0.0])}
-    ddpg.soft_update(learned, target, 0.001)
-    exact = exact and target["w"][0] == 0.001
+    target = np.array([0.0])
+    ddpg.soft_update(np.array([1.0]), target, 0.001)
+    exact = exact and target[0] == 0.001
 
     rng = np.random.default_rng(0)
     worst = 0.0

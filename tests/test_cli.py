@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import FOURBUS_SLACK
+from conftest import FOURBUS_SLACK, rewrite_csv
 from gridpilot import ddpg
 from gridpilot import feeder as feeder_mod
 from gridpilot.cli import main
@@ -275,8 +275,11 @@ def test_error_exit_codes(tmp_path, workspace):
     bad_files["empty_sidecar"] = (open(scen_csv).read(), "{}")
     for name, (text, sidecar) in bad_files.items():
         path = tmp_path / f"{name}.csv"
-        path.write_text(text)
         (tmp_path / f"{name}.csv.meta.json").write_text(sidecar)
+        if name == "empty_sidecar":
+            path.write_text(text)
+        else:  # a sidecar that matches the bad rows, which must fail on their own
+            rewrite_csv(path, text)
         bad_sections.append(("oracle", dict(scenario_file=str(path), oracle={"n_grid": 3})))
     blob = open(agent_ckpt, "rb").read()
     header = json.dumps({"metadata": {"kind": "agent"}}).encode()

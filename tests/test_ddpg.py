@@ -138,17 +138,16 @@ def test_replay_sample_only_filled_region():
 # --- update arithmetic --------------------------------------------------------
 
 def test_soft_update_hand_value():
-    learned = {"w": np.array([1.0])}
-    target = {"w": np.array([0.0])}
-    soft_update(learned, target, 0.001)
-    assert target["w"][0] == 0.001  # exactly: 0.001*1 + 0.999*0
+    target = np.array([0.0])
+    soft_update(np.array([1.0]), target, 0.001)
+    assert target[0] == 0.001  # exactly: 0.001*1 + 0.999*0
 
 
 def test_soft_update_mismatch_raises():
     with pytest.raises(ModelMismatchError):
-        soft_update({"w": np.zeros(2)}, {"w": np.zeros(3)}, 0.5)
+        soft_update(np.zeros(2), np.zeros(3), 0.5)
     with pytest.raises(ModelMismatchError):
-        soft_update({"w": np.zeros(2)}, {}, 0.5)
+        soft_update(np.zeros(2), np.zeros(0), 0.5)
 
 
 def test_soft_update_nets_converges_geometrically():
@@ -183,7 +182,7 @@ def test_td_loss_terminal_masking():
     assert loss == pytest.approx(float(np.mean((q - y) ** 2)), abs=1e-15)
     # terminal rows bootstrap from nothing: y == r exactly there
     assert np.array_equal(y[batch["terminal"], 0], batch["r"][batch["terminal"]])
-    assert set(grads) == set(nn.model_parameters(nets.critic))
+    assert grads.shape == nets.critic.params.shape
 
 
 def test_policy_gradient_matches_finite_differences():
@@ -210,7 +209,7 @@ def test_policy_gradient_matches_finite_differences():
             down = objective()
             flat[idx] = orig
             num = (up - down) / (2 * h)
-            ana = grads[key].reshape(-1)[idx]
+            ana = nn._views(nets.actor, grads)[key].reshape(-1)[idx]
             worst = max(worst, abs(num - ana) / max(abs(num), abs(ana), 1e-8))
     assert worst <= 1e-4
 
@@ -403,6 +402,25 @@ def test_agent_checkpoint_round_trip(tmp_path, train_setup):
     p2 = tmp_path / "again.gpck"
     save_agent(p2, nets2, cfg2, feeder_fingerprint="abc123")
     assert p2.read_bytes() == p.read_bytes()
+
+
+def test_loaded_agent_trains_like_the_saved_one(tmp_path, train_setup):
+    # loading packs each net's arrays into a fresh parameter vector; training
+    # on from it must follow the in-memory agent bit for bit
+    env_cfg, scenarios = train_setup
+    cfg = quick_cfg()
+    nets, _ = train(env_cfg, scenarios, cfg)
+    p = tmp_path / "agent.gpck"
+    save_agent(p, nets, cfg)
+    loaded, _, _ = load_agent(p)
+    tuned_a, traj_a = train(env_cfg, scenarios, cfg, nets=ddpg.clone_agent(nets))
+    tuned_b, traj_b = train(env_cfg, scenarios, cfg, nets=loaded)
+    assert traj_a == traj_b
+    pa, pb = tmp_path / "a.gpck", tmp_path / "b.gpck"
+    save_agent(pa, tuned_a, cfg)
+    save_agent(pb, tuned_b, cfg)
+    assert pa.read_bytes() == pb.read_bytes()
+    assert pa.read_bytes() != p.read_bytes()
 
 
 def test_agent_checkpoint_without_buffer(tmp_path):

@@ -184,7 +184,7 @@ def test_save_load_round_trip(tmp_path, model4, pairs4):
 def test_load_rejects_wrong_kind(tmp_path):
     p = tmp_path / "other.gpck"
     nn.save_checkpoint(p, {"x": np.zeros(3)}, {"kind": "agent"})
-    with pytest.raises(ModelMismatchError, match="not a state-estimator"):
+    with pytest.raises(CheckpointError, match="not a state-estimator"):
         load_dsse(p)
 
 

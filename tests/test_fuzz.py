@@ -3,6 +3,7 @@ file either loads or raises the package's typed error, never a raw
 KeyError, TypeError or ValueError."""
 
 import copy
+import hashlib
 import json
 import operator
 import struct
@@ -153,9 +154,12 @@ def test_mutated_scenario_rows_load_or_raise(scenario_file, fuzz_dir, feeder4, d
     lines[row] = ",".join(cells)
     if action == "delete_row":
         del lines[row]
+    text = "\n".join(lines) + "\n"
     path = fuzz_dir / "rows.csv"
-    path.write_text("\n".join(lines) + "\n")
-    (fuzz_dir / "rows.csv.meta.json").write_text(json.dumps(sidecar))
+    path.write_text(text)
+    # stamped with the mutated CSV's digest, so the rows reach the parser
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    (fuzz_dir / "rows.csv.meta.json").write_text(json.dumps({**sidecar, "csv_sha256": digest}))
     loads_or_raises(lambda p: read_scenario_set(p, feeder4), path, DatasetError)
 
 

@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from fd_oracle import assert_gradients_match
+from fd_oracle import assert_gradients_match, assert_input_gradient_matches
 from gridpilot import nn
 from gridpilot.errors import CheckpointError, ModelMismatchError, NumericalError
 
@@ -43,28 +43,19 @@ def test_gradients_eval_mode_batchnorm(rng):
 
 
 def test_input_gradient_matches_finite_differences(rng):
-    model = nn.build_mlp([4, 10, 2], rng=rng).eval()
-    x = rng.standard_normal((3, 4))
-    target = rng.standard_normal((3, 2))
-    out, cache = nn.forward(model, x)
-    _, dloss = nn.mse_loss(out, target)
-    _, dx = nn.backward(model, cache, dloss)
-
-    h = 1e-6
-    worst = 0.0
-    for i in range(x.shape[0]):
-        for j in range(x.shape[1]):
-            for sign in (1,):
-                xp = x.copy()
-                xp[i, j] += h
-                up = nn.mse_loss(nn.forward(model, xp)[0], target)[0]
-                xm = x.copy()
-                xm[i, j] -= h
-                down = nn.mse_loss(nn.forward(model, xm)[0], target)[0]
-                numeric = (up - down) / (2 * h)
-                scale = max(abs(numeric), abs(dx[i, j]), 1e-8)
-                worst = max(worst, abs(numeric - dx[i, j]) / scale)
-    assert worst <= 1e-4
+    plain = nn.build_mlp([4, 10, 2], rng=rng).eval()
+    assert_input_gradient_matches(plain, rng.standard_normal((3, 4)),
+                                  rng.standard_normal((3, 2)), rng=rng)
+    # train-mode batch norm: each input also moves the batch statistics
+    bn = nn.build_mlp([4, 12, 12, 3], batch_norm=True, rng=rng)
+    assert_input_gradient_matches(bn, rng.standard_normal((10, 4)),
+                                  rng.standard_normal((10, 3)), rng=rng)
+    nn.forward(bn, rng.standard_normal((32, 4)))  # populate running stats
+    assert_input_gradient_matches(bn.eval(), rng.standard_normal((5, 4)),
+                                  rng.standard_normal((5, 3)), rng=rng)
+    dropout = nn.build_mlp([4, 12, 12, 3], dropout_rate=0.5, batch_norm=True, rng=rng)
+    assert_input_gradient_matches(dropout, rng.standard_normal((10, 4)),
+                                  rng.standard_normal((10, 3)), rng_seed=17, rng=rng)
 
 
 def test_forward_shapes_and_activation_bounds(rng):
@@ -163,29 +154,102 @@ def test_mse_loss_value_and_gradient():
 
 
 def test_adam_first_step_and_asymptotic_step_size():
-    params = {"w": np.array([10.0])}
+    model = nn.build_mlp([1, 1], rng=np.random.default_rng(0))  # W and b
+    model.params[:] = 10.0
     state = nn.AdamState(learning_rate=0.01)
-    nn.adam_step(state, params, {"w": np.array([0.37])})
+    nn.adam_step(state, model, np.full(2, 0.37))
     # bias correction makes the very first update ~= lr * sign(grad)
-    assert abs(10.0 - params["w"][0]) == pytest.approx(0.01, rel=1e-6)
+    assert np.abs(10.0 - model.params) == pytest.approx(0.01, rel=1e-6)
 
     for _ in range(10_000):
-        before = params["w"].copy()
-        nn.adam_step(state, params, {"w": np.array([0.37])})
-    assert abs(before[0] - params["w"][0]) == pytest.approx(0.01, rel=1e-5)
+        before = model.params.copy()
+        nn.adam_step(state, model, np.full(2, 0.37))
+    assert np.abs(before - model.params) == pytest.approx(0.01, rel=1e-5)
 
 
-def test_adam_updates_in_place_and_validates():
-    w = np.zeros(3)
-    params = {"w": w}
+def test_adam_updates_in_place_and_validates(rng):
+    model = nn.build_mlp([3, 4, 2], rng=rng)
+    params, weights = model.params, model.layers[0].weights
+    before = params.copy()
     state = nn.AdamState(learning_rate=0.1)
-    out = nn.adam_step(state, params, {"w": np.ones(3)})
-    assert out["w"] is w  # same array object, mutated in place
-    assert not np.allclose(w, 0.0)
+    nn.adam_step(state, model, np.ones_like(params))
+    assert model.params is params and model.layers[0].weights is weights
+    assert not np.any(params == before)  # every element moved, views too
     with pytest.raises(ModelMismatchError):
-        nn.adam_step(state, params, {"nope": np.ones(3)})
-    with pytest.raises(NumericalError):
-        nn.adam_step(state, params, {"w": np.array([1.0, np.nan, 0.0])})
+        nn.adam_step(state, model, np.ones(params.size + 1))
+
+
+def test_adam_names_non_finite_parameter(rng):
+    model = nn.build_mlp([3, 4, 2], batch_norm=True, rng=rng)
+    state = nn.AdamState(learning_rate=0.1)
+    nn.adam_step(state, model, np.ones_like(model.params))
+    before = model.params.copy()
+    for key, bad in (("L0.gamma", np.nan), ("L1.b", np.inf), ("L0.W", -np.inf)):
+        grad = np.ones_like(model.params)
+        nn._views(model, grad)[key].flat[-1] = bad
+        with pytest.raises(NumericalError, match=f"'{key}'"):
+            nn.adam_step(state, model, grad)
+        assert np.array_equal(model.params, before)  # nothing was updated
+
+
+def _reference_adam_step(state, params, grads, m, v):
+    """The per-key Adam loop that adam_step replaced, kept verbatim."""
+    state.step += 1
+    t = state.step
+    correction1 = 1.0 - state.beta1**t
+    correction2 = 1.0 - state.beta2**t
+    for key, grad in grads.items():
+        if key not in m:
+            m[key] = np.zeros_like(params[key])
+            v[key] = np.zeros_like(params[key])
+        mk = m[key]
+        vk = v[key]
+        mk *= state.beta1
+        mk += (1 - state.beta1) * grad
+        vk *= state.beta2
+        vk += (1 - state.beta2) * grad * grad
+        m_hat = mk / correction1
+        v_hat = vk / correction2
+        params[key] -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+
+
+@pytest.mark.parametrize("dims, batch_norm, lr", [
+    ([100, 400, 300, 1], False, 1e-3),  # actor-sized
+    ([12, 200, 200, 200, 200, 200, 120], True, 0.095),  # DSSE-sized, batch norm
+])
+def test_adam_bit_equal_to_per_key_loop(dims, batch_norm, lr):
+    rng = np.random.default_rng(11)
+    model = nn.build_mlp(dims, batch_norm=batch_norm, rng=rng)
+    reference = nn.clone_model(model)
+    ref_params = nn.model_parameters(reference)
+    state, ref_state = nn.AdamState(learning_rate=lr), nn.AdamState(learning_rate=lr)
+    m, v = {}, {}
+    for _ in range(100):
+        grad = rng.standard_normal(model.params.size) * rng.uniform(1e-4, 10.0)
+        _reference_adam_step(ref_state, ref_params,
+                             nn._views(reference, grad.copy()), m, v)
+        nn.adam_step(state, model, grad)
+    assert np.array_equal(model.params, reference.params)
+    ref_m = np.concatenate([a.ravel() for a in m.values()])
+    ref_v = np.concatenate([a.ravel() for a in v.values()])
+    assert np.array_equal(state.m, ref_m) and np.array_equal(state.v, ref_v)
+
+
+def test_flat_vector_aliases_every_layer_array(rng):
+    built = nn.build_mlp([3, 5, 4, 2], batch_norm=True, rng=rng)
+    arrays, descriptor = nn.model_to_arrays(built)
+    rebuilt = nn.model_from_arrays({k: v.copy() for k, v in arrays.items()}, descriptor)
+    for model in (built, nn.clone_model(built), rebuilt):
+        params = nn.model_parameters(model)
+        assert list(params) == ["L0.W", "L0.b", "L0.gamma", "L0.beta",
+                                "L1.W", "L1.b", "L1.gamma", "L1.beta", "L2.W", "L2.b"]
+        assert model.params.size == sum(a.size for a in params.values())
+        model.params[:] = np.arange(model.params.size)
+        offset = 0
+        for key, arr in params.items():
+            assert arr.base is model.params, key
+            assert np.array_equal(arr.ravel(), np.arange(offset, offset + arr.size)), key
+            offset += arr.size
 
 
 def test_model_parameters_are_live_references(rng):
@@ -205,6 +269,32 @@ def test_clone_model_is_independent(rng):
     assert np.array_equal(nn.forward(model, x)[0], nn.forward(twin, x)[0])
     twin.layers[0].weights += 1.0
     assert not np.array_equal(model.layers[0].weights, twin.layers[0].weights)
+    assert not np.shares_memory(model.params, twin.params)
+    bn, twin_bn = model.layers[0].batch_norm, twin.layers[0].batch_norm
+    assert not np.shares_memory(bn.running_mean, twin_bn.running_mean)
+    assert not np.shares_memory(bn.running_var, twin_bn.running_var)
+    before = twin.params.copy()
+    model.params += 1.0
+    nn.adam_step(nn.AdamState(learning_rate=0.1), model, np.ones_like(model.params))
+    assert np.array_equal(twin.params, before)
+
+
+def test_copy_into_overwrites_in_place(rng):
+    model = nn.build_mlp([2, 4, 1], batch_norm=True, rng=rng)
+    snapshot = nn.clone_model(model)
+    params, weights = snapshot.params, snapshot.layers[0].weights
+    nn.forward(model, rng.standard_normal((8, 2)))  # move running stats
+    model.params += 1.0
+    nn.copy_into(snapshot, model)
+    assert snapshot.params is params and snapshot.layers[0].weights is weights
+    assert np.array_equal(snapshot.params, model.params)
+    x = rng.standard_normal((3, 2))
+    assert np.array_equal(nn.forward(model.eval(), x)[0], nn.forward(snapshot.eval(), x)[0])
+    model.params += 1.0
+    nn.forward(model.train(), rng.standard_normal((8, 2)))
+    assert not np.array_equal(snapshot.params, model.params)
+    assert not np.array_equal(snapshot.layers[0].batch_norm.running_mean,
+                              model.layers[0].batch_norm.running_mean)
 
 
 def test_checkpoint_round_trip_and_reproducibility(tmp_path, rng):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fourbus_gen, synth34_gen
+from conftest import fourbus_gen, rewrite_csv, synth34_gen
 from gridpilot.errors import DatasetError
 from gridpilot.feeder import LoadPoint, PvUnit, build_admittance, validate_feeder
 from gridpilot.scenario import (
@@ -228,8 +229,7 @@ def test_read_rejects_unknown_elements(feeder4, tmp_path):
     sset = generate_scenario_set(feeder4, fourbus_gen(1), seed=1)
     path = tmp_path / "s.csv"
     write_scenario_set(sset, feeder4, path)
-    text = path.read_text().replace("b4.A", "zz.A", 1)
-    path.write_text(text)
+    rewrite_csv(path, path.read_text().replace("b4.A", "zz.A", 1))
     with pytest.raises(DatasetError, match="unknown"):
         read_scenario_set(path, feeder4)
 
@@ -280,6 +280,23 @@ def test_sidecar_metadata_contents(feeder4, tmp_path):
     assert meta["scenario_count"] == 2
     assert meta["feeder_fingerprint"] == feeder4.fingerprint
     assert meta["generator_config"]["households_per_node"] == 2
+    assert meta["csv_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_read_rejects_csv_of_another_sidecar(feeder4, tmp_path):
+    # a seed-1 CSV beside the sidecar of a seed-2 set on the same feeder:
+    # same fingerprint and element rows, other data
+    one, two = tmp_path / "one.csv", tmp_path / "two.csv"
+    write_scenario_set(generate_scenario_set(feeder4, fourbus_gen(3), seed=1), feeder4, one)
+    write_scenario_set(generate_scenario_set(feeder4, fourbus_gen(3), seed=2), feeder4, two)
+    (tmp_path / "one.csv.meta.json").write_bytes((tmp_path / "two.csv.meta.json").read_bytes())
+    with pytest.raises(DatasetError, match="not the CSV its sidecar describes"):
+        read_scenario_set(one, feeder4)
+    meta = json.loads((tmp_path / "two.csv.meta.json").read_text())
+    del meta["csv_sha256"]
+    (tmp_path / "two.csv.meta.json").write_text(json.dumps(meta))
+    with pytest.raises(DatasetError, match="csv_sha256"):
+        read_scenario_set(two, feeder4)
 
 
 def loop_injections(feeder, admittance, scenario, q_pv=None):
@@ -348,7 +365,7 @@ def test_csv_numbers_parse_bit_equal_to_float(feeder34, tmp_path):
         p, q = (x if math.isfinite(x) else 0.5 for x in (p, q))
         fp, fq = forms[i % len(forms)], forms[(i // 5) % len(forms)]
         lines[i] = f"{sid},{etype},{eid},{fp(float(p))},{fq(float(q))}"
-    path.write_text("\n".join(lines) + "\n")
+    rewrite_csv(path, "\n".join(lines) + "\n")
 
     loaded = read_scenario_set(path, feeder34)
     load_slot = {f"{ld.bus_id}.{ld.phase}": i for i, ld in enumerate(feeder34.loads)}
@@ -372,7 +389,7 @@ def test_read_zero_fills_missing_rows_in_any_order(feeder4, tmp_path):
     lines = path.read_text().splitlines()
     # drop scenario 0's first load row and list the rest backwards
     rows = [ln for ln in lines[1:] if not ln.startswith("0,load,b2.B,")][::-1]
-    path.write_text("\n".join([lines[0]] + rows) + "\n")
+    rewrite_csv(path, "\n".join([lines[0]] + rows) + "\n")
     loaded = read_scenario_set(path, feeder4)
     assert [sc.id for sc in loaded] == [0, 1, 2]
     assert loaded.scenarios[0].p_load[0] == 0.0 and loaded.scenarios[0].q_load[0] == 0.0
@@ -411,11 +428,11 @@ def test_read_rejects_malformed_input(feeder4, tmp_path, case):
            "bad_type": f"{sid},battery,{eid},{p},{q}",
            "repeat": f"{lines[1]}\n{sid},{etype},{eid},0.5,{q}"}.get(case)
     if row is not None:
-        path.write_text("\n".join([lines[0], row] + lines[2:]) + "\n")
+        rewrite_csv(path, "\n".join([lines[0], row] + lines[2:]) + "\n")
     elif case == "empty_file":
-        path.write_text("")
+        rewrite_csv(path, "")
     elif case == "header_only":
-        path.write_text(lines[0] + "\n")
+        rewrite_csv(path, lines[0] + "\n")
     else:
         sidecar = tmp_path / "s.csv.meta.json"
         meta = json.loads(sidecar.read_text())

@@ -344,6 +344,9 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     return loss, 2.0 * diff / diff.size
 
 
+_ADAM_BLOCK = 1 << 15  # elements per block of adam_step: a 256 KiB temporary
+
+
 @dataclass
 class AdamState:
     learning_rate: float
@@ -374,22 +377,30 @@ def adam_step(state: AdamState, model: MlpModel, grad: np.ndarray) -> None:
     m, v = state.m, state.v
     correction1 = 1.0 - state.beta1**t
     correction2 = 1.0 - state.beta2**t
-    # one elementwise operation a line, in the order of the expressions m = b1 m +
-    # (1 - b1) g, v = b2 v + ((1 - b2) g) g, p -= (lr (m / c1)) / (sqrt(v / c2) + eps)
-    tmp = np.multiply(grad, 1 - state.beta2)
-    tmp *= grad
-    v *= state.beta2
-    v += tmp
-    grad *= 1 - state.beta1
-    m *= state.beta1
-    m += grad
-    np.divide(m, correction1, out=grad)
-    grad *= state.learning_rate
-    np.divide(v, correction2, out=tmp)
-    np.sqrt(tmp, out=tmp)
-    tmp += state.epsilon
-    grad /= tmp
-    params -= grad
+    # block by block, so that the one temporary stays small enough for the
+    # allocator to reuse; a parameter-sized one is fresh, page-faulting
+    # memory on every call
+    scratch = np.empty(min(_ADAM_BLOCK, params.size))
+    for start in range(0, params.size, _ADAM_BLOCK):
+        block = slice(start, start + _ADAM_BLOCK)
+        g, mb, vb, pb = grad[block], m[block], v[block], params[block]
+        tmp = scratch[:g.size]
+        # one elementwise operation a line, in the order of m = b1 m + (1 - b1) g,
+        # v = b2 v + ((1 - b2) g) g, p -= (lr (m / c1)) / (sqrt(v / c2) + eps)
+        np.multiply(g, 1 - state.beta2, out=tmp)
+        tmp *= g
+        vb *= state.beta2
+        vb += tmp
+        g *= 1 - state.beta1
+        mb *= state.beta1
+        mb += g
+        np.divide(mb, correction1, out=g)
+        g *= state.learning_rate
+        np.divide(vb, correction2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += state.epsilon
+        g /= tmp
+        pb -= g
 
 
 # --- checkpointing ---------------------------------------------------------

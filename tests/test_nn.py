@@ -1,5 +1,6 @@
 import json
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -192,25 +193,31 @@ def test_adam_names_non_finite_parameter(rng):
         assert np.array_equal(model.params, before)  # nothing was updated
 
 
-def _reference_adam_step(state, params, grads, m, v):
-    """The per-key Adam loop that adam_step replaced, kept verbatim."""
+def _reference_adam_step(state, params, grads):
+    """The per-key Adam loop that adam_step replaced, verbatim; ``state``
+    holds the moments as dicts ``m`` and ``v``."""
     state.step += 1
     t = state.step
     correction1 = 1.0 - state.beta1**t
     correction2 = 1.0 - state.beta2**t
     for key, grad in grads.items():
-        if key not in m:
-            m[key] = np.zeros_like(params[key])
-            v[key] = np.zeros_like(params[key])
-        mk = m[key]
-        vk = v[key]
-        mk *= state.beta1
-        mk += (1 - state.beta1) * grad
-        vk *= state.beta2
-        vk += (1 - state.beta2) * grad * grad
-        m_hat = mk / correction1
-        v_hat = vk / correction2
+        if key not in params:
+            raise ModelMismatchError(f"gradient for unknown parameter {key!r}")
+        if not np.all(np.isfinite(grad)):
+            raise NumericalError(f"non-finite gradient for {key!r} at step {t}")
+        if key not in state.m:
+            state.m[key] = np.zeros_like(params[key])
+            state.v[key] = np.zeros_like(params[key])
+        m = state.m[key]
+        v = state.v[key]
+        m *= state.beta1
+        m += (1 - state.beta1) * grad
+        v *= state.beta2
+        v += (1 - state.beta2) * grad * grad
+        m_hat = m / correction1
+        v_hat = v / correction2
         params[key] -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    return params
 
 
 @pytest.mark.parametrize("dims, batch_norm, lr", [
@@ -221,18 +228,17 @@ def test_adam_bit_equal_to_per_key_loop(dims, batch_norm, lr):
     rng = np.random.default_rng(11)
     model = nn.build_mlp(dims, batch_norm=batch_norm, rng=rng)
     reference = nn.clone_model(model)
-    ref_params = nn.model_parameters(reference)
-    state, ref_state = nn.AdamState(learning_rate=lr), nn.AdamState(learning_rate=lr)
-    m, v = {}, {}
+    state = nn.AdamState(learning_rate=lr)
+    ref_state = SimpleNamespace(learning_rate=lr, beta1=0.9, beta2=0.999, epsilon=1e-8,
+                                step=0, m={}, v={})
     for _ in range(100):
         grad = rng.standard_normal(model.params.size) * rng.uniform(1e-4, 10.0)
-        _reference_adam_step(ref_state, ref_params,
-                             nn._views(reference, grad.copy()), m, v)
+        _reference_adam_step(ref_state, nn.model_parameters(reference),
+                             nn._views(reference, grad.copy()))
         nn.adam_step(state, model, grad)
     assert np.array_equal(model.params, reference.params)
-    ref_m = np.concatenate([a.ravel() for a in m.values()])
-    ref_v = np.concatenate([a.ravel() for a in v.values()])
-    assert np.array_equal(state.m, ref_m) and np.array_equal(state.v, ref_v)
+    assert np.array_equal(state.m, np.concatenate([a.ravel() for a in ref_state.m.values()]))
+    assert np.array_equal(state.v, np.concatenate([a.ravel() for a in ref_state.v.values()]))
 
 
 def test_flat_vector_aliases_every_layer_array(rng):

@@ -259,12 +259,14 @@ def _read_sidecar(csv_path) -> tuple[int, GenConfig, str]:
         seed, config, digest = int(meta["seed"]), GenConfig(**cfg_raw), meta["csv_sha256"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DatasetError(f"malformed sidecar {path}: {exc!r}") from exc
+    sha = hashlib.sha256()
     try:
         with open(csv_path, "rb") as fh:
-            actual = hashlib.file_digest(fh, "sha256").hexdigest()
+            for chunk in iter(lambda: fh.read(1 << 20), b""):
+                sha.update(chunk)
     except OSError as exc:
         raise DatasetError(f"cannot read {csv_path}: {exc}") from exc
-    if actual != digest:
+    if sha.hexdigest() != digest:
         raise DatasetError(f"{csv_path} is not the CSV its sidecar describes (sha256)")
     return seed, config, fingerprint
 
@@ -279,10 +281,10 @@ def read_scenario_set(csv_path, feeder: Feeder) -> ScenarioSet:
 
     The rows are parsed in one numpy pass, each number exactly as ``float()``
     reads it. Raises DatasetError on an unreadable or malformed sidecar, a
-    CSV whose sha256 is not the sidecar's, a wrong header, no rows, a row that is not five fields with an integer
-    scenario id and finite p and q, an element the feeder lacks, or one
-    listed twice in a scenario. An element absent from a scenario reads as
-    zero.
+    CSV whose sha256 is not the sidecar's, a wrong header, no rows, a row
+    that is not five fields with an integer scenario id and finite p and q,
+    an element the feeder lacks, or one listed twice in a scenario. An
+    element absent from a scenario reads as zero.
     """
     seed, config, fingerprint = _read_sidecar(csv_path)
     if fingerprint and fingerprint != feeder.fingerprint:

@@ -214,8 +214,11 @@ def soft_update(learned: np.ndarray, target: np.ndarray, tau: float) -> None:
     if target.shape != learned.shape:
         raise ModelMismatchError(
             f"target parameters have shape {target.shape}, learned {learned.shape}")
-    target *= 1.0 - tau
-    target += tau * learned
+    for start in range(0, target.size, nn.BLOCK_SIZE):
+        block = slice(start, start + nn.BLOCK_SIZE)
+        dst = target[block]
+        dst *= 1.0 - tau
+        dst += tau * learned[block]
 
 
 def soft_update_nets(nets: AgentNets, tau: float) -> None:

@@ -344,7 +344,11 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     return loss, 2.0 * diff / diff.size
 
 
-_ADAM_BLOCK = 1 << 15  # elements per block of adam_step: a 256 KiB temporary
+# elementwise updates of a whole parameter vector (Adam, soft updates) run in
+# blocks of this many elements, so that each temporary they need is small
+# enough for the allocator to reuse: a parameter-sized one is fresh,
+# page-faulting memory on every call
+BLOCK_SIZE = 1 << 15
 
 
 @dataclass
@@ -377,12 +381,9 @@ def adam_step(state: AdamState, model: MlpModel, grad: np.ndarray) -> None:
     m, v = state.m, state.v
     correction1 = 1.0 - state.beta1**t
     correction2 = 1.0 - state.beta2**t
-    # block by block, so that the one temporary stays small enough for the
-    # allocator to reuse; a parameter-sized one is fresh, page-faulting
-    # memory on every call
-    scratch = np.empty(min(_ADAM_BLOCK, params.size))
-    for start in range(0, params.size, _ADAM_BLOCK):
-        block = slice(start, start + _ADAM_BLOCK)
+    scratch = np.empty(min(BLOCK_SIZE, params.size))
+    for start in range(0, params.size, BLOCK_SIZE):
+        block = slice(start, start + BLOCK_SIZE)
         g, mb, vb, pb = grad[block], m[block], v[block], params[block]
         tmp = scratch[:g.size]
         # one elementwise operation a line, in the order of m = b1 m + (1 - b1) g,

@@ -262,7 +262,7 @@ def _read_sidecar(csv_path) -> tuple[int, GenConfig, str]:
     sha = hashlib.sha256()
     try:
         with open(csv_path, "rb") as fh:
-            for chunk in iter(lambda: fh.read(1 << 20), b""):
+            for chunk in iter(lambda: fh.read(1 << 16), b""):
                 sha.update(chunk)
     except OSError as exc:
         raise DatasetError(f"cannot read {csv_path}: {exc}") from exc

@@ -141,6 +141,12 @@ def test_soft_update_hand_value():
     target = np.array([0.0])
     soft_update(np.array([1.0]), target, 0.001)
     assert target[0] == 0.001  # exactly: 0.001*1 + 0.999*0
+    # a vector of several blocks gets the same two products in every element
+    rng = np.random.default_rng(0)
+    learned, target = rng.standard_normal((2, 2 * nn.BLOCK_SIZE + 5))
+    expected = target * (1.0 - 0.001) + 0.001 * learned
+    soft_update(learned, target, 0.001)
+    assert np.array_equal(target, expected)
 
 
 def test_soft_update_mismatch_raises():

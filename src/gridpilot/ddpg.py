@@ -93,8 +93,8 @@ class TrainConfig:
             raise ValueError("gamma must lie in [0, 1]")
         if not 0.0 < self.tau <= 1.0:
             raise ValueError("tau must lie in (0, 1]")
-        if self.batch_size > self.buffer_capacity:
-            raise ValueError("batch_size cannot exceed buffer capacity")
+        if not 1 <= self.batch_size <= self.buffer_capacity:
+            raise ValueError("need 1 <= batch_size <= buffer_capacity")
         if self.noise_process not in ("gaussian", "ou"):
             raise ValueError("noise_process must be 'gaussian' or 'ou'")
         if self.updates_start not in ("batch", "filled"):
@@ -178,9 +178,7 @@ def td_loss(nets: AgentNets, batch: dict, gamma: float) -> tuple[float, np.ndarr
     y = batch["r"][:, None] + gamma * q2 * (~batch["terminal"])[:, None]
 
     q, cache = nn.forward(nets.critic, np.hstack([batch["s"], batch["a"]]))
-    diff = q - y
-    loss = float(np.mean(diff * diff))
-    dq = 2.0 * diff / diff.size
+    loss, dq = nn.mse_loss(q, y)
     return loss, nn.backward(nets.critic, cache, dq)
 
 

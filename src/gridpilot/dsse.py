@@ -50,6 +50,14 @@ class DsseHyperparams:
     batch_norm: bool = True
     seed: int = 0
 
+    def __post_init__(self):
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ValueError("epochs and batch_size must be >= 1")
+        if any(width < 1 for width in self.hidden_layers):
+            raise ValueError("hidden layer widths must be >= 1")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ValueError("dropout_rate must lie in [0, 1)")
+
 
 @dataclass
 class DsseModel:
@@ -105,6 +113,8 @@ def build_training_pairs(scenarios: ScenarioSet, feeder: Feeder, noise_pct: floa
     from .scenario import to_injections  # local import; scenario->dsse stays one-way
 
     admittance = feeder.admittance
+    if not noise_pct >= 0.0:
+        raise DatasetError(f"noise_pct must be >= 0, got {noise_pct}")
     refs = _angle_refs_deg(feeder.node_phases())
     rng = np.random.default_rng(seed)
     sigma = noise_pct / 100.0

@@ -83,8 +83,10 @@ class EnvConfig:
             self.zone_map = np.zeros(n_pv, dtype=int)
         else:
             self.zone_map = np.asarray(self.zone_map, dtype=int)
-            if self.zone_map.shape != (n_pv,):
-                raise ValueError(f"zone_map must cover all {n_pv} pv units")
+            if self.zone_map.shape != (n_pv,) or (self.zone_map < 0).any():
+                raise ValueError(f"zone_map must give all {n_pv} pv units a zone index >= 0")
+        if not self.measurement_noise_pct >= 0.0:
+            raise ValueError("measurement_noise_pct must be >= 0")
         est = self.estimator
         if est is not None and est.feeder_fingerprint != self.feeder.fingerprint:
             raise ModelMismatchError(

@@ -233,7 +233,7 @@ def forward(model: MlpModel, batch: np.ndarray, rng_seed=None) -> tuple[np.ndarr
     for layer in model.layers:
         z = x @ layer.weights
         z += layer.biases
-        entry = {"x": x, "z": z, "train": train}
+        entry = {"x": x, "train": train}
 
         y = z
         bn = layer.batch_norm

@@ -180,6 +180,8 @@ def split(scenario_set: ScenarioSet, train_fraction: float, seed: int
         raise DatasetError("need at least 2 scenarios to split")
     if not 0.0 < train_fraction < 1.0:
         raise DatasetError("train_fraction must be strictly between 0 and 1")
+    if seed < 0:
+        raise DatasetError(f"split seed must be >= 0, got {seed}")
     n_train = int(round(train_fraction * n))
     n_train = min(max(n_train, 1), n - 1)  # both halves stay nonempty
 

@@ -199,6 +199,9 @@ def test_error_exit_codes(tmp_path, workspace):
     bad.write_text("{not json")
     assert main(["gen-scenarios", "--config", str(bad),
                  "--out", str(tmp_path / "o2")]) == 2
+    bad.write_bytes(b"\xff{}")  # not UTF-8: was a raw UnicodeDecodeError
+    assert main(["gen-scenarios", "--config", str(bad),
+                 "--out", str(tmp_path / "o2")]) == 2
 
     no_feeder = write_config(tmp_path / "nofeeder.json", scenario=SCEN)
     assert main(["gen-scenarios", "--config", no_feeder,
@@ -258,6 +261,35 @@ def test_error_exit_codes(tmp_path, workspace):
         ("evaluate", dict(scenario_file=scen_csv, agent_checkpoint=zones3_ckpt)),
         ("run-online", dict(scenario_file=scen_csv, agent_checkpoint=zones3_ckpt,
                             apr={"reference_reward": -1.0})),
+        # values of the wrong type and paths that are not strings: each was a
+        # raw TypeError, OverflowError or AttributeError, and agent_checkpoint
+        # 0 opened (and closed) file descriptor 0, stdin
+        ("gen-scenarios", dict(scenario={**SCEN, "count": 1.5})),
+        ("gen-scenarios", dict(scenario={**SCEN, "households_per_node": 1.5})),
+        ("gen-scenarios", dict(scenario={**SCEN, "load_scale_range": ["a", "b"]})),
+        ("train-agent", dict(scenario_file=scen_csv, train={"episodes": 2.5})),
+        ("train-agent", dict(scenario_file=scen_csv, train={"buffer_capacity": 64.5})),
+        ("train-dsse", dict(scenario_file=scen_csv, dsse={"hidden_layers": [16.5]})),
+        ("gen-scenarios", dict(scenario=SCEN, seed=float("inf"))),  # JSON 1e400
+        ("oracle", dict(scenario_file=scen_csv, oracle={"n_grid": float("inf")})),
+        ("gen-scenarios", dict(scenario=SCEN, feeder=5)),
+        ("oracle", dict(scenario_file=7)),
+        ("oracle", dict(scenario_file=scen_csv + "\0")),
+        ("evaluate", dict(scenario_file=scen_csv, agent_checkpoint=0)),
+        ("gen-scenarios", dict(scenario=SCEN, seed=-1)),
+        ("train-dsse", dict(scenario_file=scen_csv, split={"seed": -1})),
+        # values out of range: tracebacks, or (negative or NaN noise) a run
+        # that exited 0 as if noise-free
+        ("train-dsse", dict(scenario_file=scen_csv, dsse={"epochs": 0})),
+        ("train-dsse", dict(scenario_file=scen_csv, dsse={"batch_size": 0})),
+        ("train-dsse", dict(scenario_file=scen_csv, dsse={"hidden_layers": [-1]})),
+        ("train-dsse", dict(scenario_file=scen_csv, dsse={"noise_pct": -3})),
+        ("train-agent", dict(scenario_file=scen_csv, train={"batch_size": 0,
+                                                            "buffer_capacity": 0})),
+        ("train-agent", dict(scenario_file=scen_csv, env={"zone_map": [-1]})),
+        ("train-agent", dict(scenario_file=scen_csv, env={"measurement_noise_pct": -3})),
+        ("train-agent", dict(scenario_file=scen_csv,
+                             env={"measurement_noise_pct": float("nan")})),
     ]
     # malformed scenario files and checkpoints: each was a raw ValueError,
     # IndexError, StopIteration, KeyError or struct.error, or (nan) a run

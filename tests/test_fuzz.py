@@ -1,6 +1,7 @@
-"""Fuzzed files at the input boundaries: a damaged checkpoint or scenario
-file either loads or raises the package's typed error, never a raw
-KeyError, TypeError or ValueError."""
+"""Fuzzed inputs at the boundaries: a damaged checkpoint or scenario file
+either loads or raises the package's typed error, never a raw KeyError,
+TypeError or ValueError, and a mutated config ends every command in exit
+code 0 or 2."""
 
 import copy
 import hashlib
@@ -14,8 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fourbus_gen
+from conftest import FOURBUS_SLACK, fourbus_gen
 from gridpilot import ddpg, dsse, nn
+from gridpilot.cli import main
 from gridpilot.errors import CheckpointError, DatasetError, GridPilotError
 from gridpilot.scenario import generate_scenario_set, read_scenario_set, write_scenario_set
 
@@ -40,16 +42,19 @@ def json_paths(node, path=()):
         yield from json_paths(child, path + (key,))
 
 
-def mutate_json(doc, data):
-    """A copy of ``doc`` with one nested value replaced by a drawn JSON
-    value, or (in an object) deleted."""
+def mutate_json(doc, data, values=JSON_VALUES, kept=()):
+    """A copy of ``doc`` with one nested value replaced by one of ``values``,
+    or (in an object) deleted. A path in ``kept`` is never deleted or
+    replaced by {}."""
     doc = copy.deepcopy(doc)
     path = data.draw(st.sampled_from(list(json_paths(doc))))
     parent = reduce(operator.getitem, path[:-1], doc)
-    if isinstance(parent, dict) and data.draw(st.booleans()):
+    if path in kept:
+        parent[path[-1]] = data.draw(values.filter(lambda v: v != {}))
+    elif isinstance(parent, dict) and data.draw(st.booleans()):
         del parent[path[-1]]
     else:
-        parent[path[-1]] = data.draw(JSON_VALUES)
+        parent[path[-1]] = data.draw(values)
     return doc
 
 
@@ -171,3 +176,64 @@ def test_mutated_sidecar_loads_or_raises(scenario_file, fuzz_dir, feeder4, data)
     path.write_text("\n".join(lines) + "\n")
     (fuzz_dir / "sidecar.csv.meta.json").write_text(json.dumps(mutate_json(sidecar, data)))
     loads_or_raises(lambda p: read_scenario_set(p, feeder4), path, DatasetError)
+
+
+# config values: like JSON_VALUES, but with integers small enough that a run
+# stays short when they land on a size
+CONFIG_VALUES = (st.none() | st.booleans() | st.integers(-2, 4) | st.floats()
+                 | st.text(max_size=4) | st.lists(st.integers(-1, 3), max_size=3)
+                 | st.just({}))
+# entries whose default is a full-length run (100 episodes, 100 epochs of a
+# 5 x 200 estimator, 201 grid points): they bound the run time
+SIZED = {("train",), ("train", "episodes"), ("dsse",), ("dsse", "epochs"),
+         ("dsse", "hidden_layers"), ("oracle", "n_grid")}
+
+
+@pytest.fixture(scope="module")
+def configs(fuzz_dir, feeder4, checkpoints):
+    """A small known-good 4bus config for each command."""
+    few, many = fuzz_dir / "few.csv", fuzz_dir / "many.csv"
+    write_scenario_set(generate_scenario_set(feeder4, fourbus_gen(3), seed=5), feeder4, few)
+    # train-dsse needs 100 training pairs
+    write_scenario_set(generate_scenario_set(feeder4, fourbus_gen(125), seed=6), feeder4, many)
+    base = {"feeder": "4bus", "seed": 3, "slack_voltage": FOURBUS_SLACK,
+            "scenario_file": str(few)}
+    reward = {"lambda_weight": 1.0, "eta_weight": 0.5, "v_min": 0.95, "v_max": 1.05,
+              "v_nominal": 1.0}
+    deployed = {**base, "agent_checkpoint": str(fuzz_dir / "agent.ckpt"),
+                "dsse_checkpoint": str(fuzz_dir / "dsse.ckpt"), "reward": reward,
+                "env": {"measurement_noise_pct": 1.0,
+                        "zone_map": [0] * len(feeder4.pv_units)}}
+    return {
+        "gen-scenarios": {**base, "scenario": {
+            "count": 3, "pv_to_load_ratio_range": [0.74, 1.05],
+            "load_scale_range": [0.1, 0.5], "power_factor_range": [0.95, 1.0],
+            "household_pool_size": 4, "households_per_node": 2}},
+        "train-dsse": {**base, "scenario_file": str(many),
+                       "split": {"train_fraction": 0.8, "seed": 1},
+                       "dsse": {"hidden_layers": [4], "epochs": 2, "batch_size": 50,
+                                "learning_rate": 0.01, "dropout_rate": 0.1,
+                                "batch_norm": True, "noise_pct": 1.0}},
+        "eval-dsse": {**base, "dsse_checkpoint": str(fuzz_dir / "dsse.ckpt"),
+                      "dsse": {"noise_pct": 1.0}},
+        "train-agent": {**deployed, "train": {
+            "episodes": 2, "horizon": 2, "gamma": 0.95, "tau": 0.01, "batch_size": 2,
+            "actor_lr": 0.001, "critic_lr": 0.001, "noise_sigma_start": 0.5,
+            "noise_sigma_end": 0.01, "noise_mu": 0.1, "noise_process": "ou",
+            "buffer_capacity": 4, "updates_start": "batch"}},
+        "evaluate": deployed,
+        "run-online": {**deployed, "apr": {"reference_reward": -0.001, "window": 2,
+                                          "degradation_threshold": None,
+                                          "fine_tune_episodes": 1}},
+        "oracle": {**base, "reward": reward, "oracle": {"n_grid": 5}},
+    }
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+@pytest.mark.parametrize("command", ["gen-scenarios", "train-dsse", "eval-dsse", "train-agent",
+                                     "evaluate", "run-online", "oracle"])
+def test_mutated_config_exits_0_or_2(configs, fuzz_dir, command, data):
+    path = fuzz_dir / f"{command}.json"
+    path.write_text(json.dumps(mutate_json(configs[command], data, CONFIG_VALUES, SIZED)))
+    assert main([command, "--config", str(path), "--out", str(fuzz_dir / command)]) in (0, 2)

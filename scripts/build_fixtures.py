@@ -19,7 +19,7 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from gridpilot.env import EnvConfig, MdpAction, RewardConfig, env_step  # noqa: E402
+from gridpilot.env import EnvConfig, RewardConfig, env_step  # noqa: E402
 from gridpilot.feeder import load_feeder  # noqa: E402
 from gridpilot.scenario import GenConfig, generate_scenario_set  # noqa: E402
 
@@ -184,7 +184,7 @@ def report(data, slack, gen_cfg, n=300, seed=7, label=""):
         stats = {"max_v": [], "min_v": [], "over": 0, "under": 0,
                  "reward": [], "iters": [], "dev": []}
         for sc in sset:
-            state, r, info = env_step(cfg, sc, MdpAction(np.full(n_zones, a)))
+            state, r, info = env_step(cfg, sc, np.full(n_zones, a))
             if info["terminal"]:
                 print(f"  a={a:+.2f}: DIVERGED scenario {sc.id}")
                 continue

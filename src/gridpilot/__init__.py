@@ -33,7 +33,6 @@ from .feeder import (
 )
 from .powerflow import (
     InjectionSet,
-    MeasurementVector,
     PowerFlowSolution,
     feeder_head_measurement,
     solve_power_flow,
@@ -52,7 +51,6 @@ from .scenario import (
 )
 from .env import (
     EnvConfig,
-    MdpAction,
     RewardConfig,
     curtailment_barrier,
     env_step,

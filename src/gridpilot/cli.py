@@ -15,10 +15,8 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import sys
-import typing
 from dataclasses import fields
 
 import numpy as np
@@ -27,7 +25,7 @@ from . import ddpg, dsse, runtime, scenario
 from .env import EnvConfig, RewardConfig
 from .errors import GridPilotError
 from .feeder import Feeder, resolve_feeder
-from .fileio import write_atomic
+from .fileio import from_json, write_atomic
 
 # every top-level key some command reads; one config file may serve several
 # commands, so a key only another command reads is not an error
@@ -76,50 +74,22 @@ def _object(cfg: dict, section: str, keys=None) -> dict:
     return raw
 
 
-def _fits(value, hint) -> bool:
-    """Whether a parsed JSON ``value`` fits the type ``hint``: an integer for
-    int, an integer or finite real for float, a boolean for bool, a list of
-    the right length of such values for a tuple, and null for None."""
-    args = typing.get_args(hint)
-    if typing.get_origin(hint) is tuple:
-        if not isinstance(value, list):
-            return False
-        items = args[:1] * len(value) if args[-1] is ... else args
-        return len(value) == len(items) and all(map(_fits, value, items))
-    if args:  # a union, such as float | None
-        return any(_fits(value, arg) for arg in args)
-    if hint is float:
-        return (isinstance(value, float) and math.isfinite(value)
-                or _fits(value, int) and abs(value) <= sys.float_info.max)
-    return isinstance(value, hint) and not (hint is int and isinstance(value, bool))
-
-
-def _typed(where: str, value, hint):
-    """``value`` (a list as a tuple), or GridPilotError if it does not fit ``hint``."""
-    if not _fits(value, hint):
-        name = hint.__name__ if isinstance(hint, type) else str(hint)
-        raise GridPilotError(f"config value {where} must be of type {name}, got {value!r}")
-    return tuple(value) if isinstance(value, list) else value
-
-
 def _number(raw: dict, key: str, default, kind=float):
     """``kind(raw[key])`` (``default`` when absent), or GridPilotError if the
     value does not fit ``kind``."""
-    return kind(_typed(repr(key), raw.get(key, default), kind))
+    try:
+        return kind(from_json(kind, raw.get(key, default), f"config value {key!r}"))
+    except ValueError as exc:
+        raise GridPilotError(str(exc)) from exc
 
 
 def _section(cfg: dict, section: str, cls, drop=(), **fixed):
-    """Build dataclass ``cls`` from ``cfg[section]``.
-
-    Keys in ``drop`` are read elsewhere, and each value must fit its
-    field's type. Missing or unknown keys and rejected values raise
-    GridPilotError instead of TypeError/ValueError.
-    """
-    hints = typing.get_type_hints(cls)
-    kwargs = {k: _typed(f"{section}.{k}", v, hints[k]) if k in hints else v
-              for k, v in _object(cfg, section).items() if k not in drop}
+    """Dataclass ``cls`` from ``cfg[section]`` less the keys in ``drop`` (read
+    elsewhere) plus ``fixed``; GridPilotError for a missing, unknown or
+    ill-typed key or a rejected value."""
+    raw = {k: v for k, v in _object(cfg, section).items() if k not in drop}
     try:
-        return cls(**fixed, **kwargs)
+        return from_json(cls, raw, section, **fixed)
     except (TypeError, ValueError) as exc:
         raise GridPilotError(f"bad {section!r} config: {exc}") from exc
 
@@ -306,11 +276,11 @@ def main(argv=None) -> int:
             raise GridPilotError(f"seed must be >= 0, got {seed}")
         os.makedirs(args.out, exist_ok=True)
         summary = _COMMANDS[args.command](cfg, feeder, seed, args.out)
-    except GridPilotError as exc:
+        _write_json(os.path.join(args.out, "summary.json"),
+                    {"command": args.command, "seed": seed, **summary})
+    except (GridPilotError, OSError) as exc:  # OSError: --out or an artifact unwritable
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _write_json(os.path.join(args.out, "summary.json"),
-                {"command": args.command, "seed": seed, **summary})
     return 0
 
 

@@ -25,8 +25,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import nn
-from .env import EnvConfig, MdpAction, env_step, idle_step, observe
+from .env import EnvConfig, env_step, idle_step, observe
 from .errors import CheckpointError, ModelMismatchError, NumericalError, TrainingError
+from .fileio import from_json
 
 ACTOR_HIDDEN = (400, 300)
 CRITIC_HIDDEN = (400, 300)
@@ -150,8 +151,8 @@ class OuNoise:
 
 def act(nets: AgentNets, state: np.ndarray, sigma: float = 0.0,
         rng: np.random.Generator | None = None,
-        noise: OuNoise | None = None) -> MdpAction:
-    """Deterministic policy plus optional exploration noise, clamped to [-1, 1]."""
+        noise: OuNoise | None = None) -> np.ndarray:
+    """Zone coefficients of the policy plus optional exploration noise, in [-1, 1]."""
     if state.shape[0] != nets.actor.input_dim:
         raise ModelMismatchError(
             f"state has {state.shape[0]} entries, actor expects {nets.actor.input_dim}")
@@ -164,7 +165,7 @@ def act(nets: AgentNets, state: np.ndarray, sigma: float = 0.0,
         if rng is None:
             raise ValueError("sigma > 0 requires an rng")
         a = a + rng.normal(0.0, sigma, size=a.shape)
-    return MdpAction(np.clip(a, -1.0, 1.0))
+    return np.clip(a, -1.0, 1.0)
 
 
 def td_loss(nets: AgentNets, batch: dict, gamma: float) -> tuple[float, np.ndarray]:
@@ -279,7 +280,7 @@ def train(env_cfg: EnvConfig, scenarios, cfg: TrainConfig,
                 action = act(nets, state, sigma=sigma, rng=rng, noise=ou)
                 true_state, r, info = env_step(env_cfg, scenario, action, rng=rng)
                 next_state = observe(env_cfg.estimator, true_state, info)
-                buffer.push(state, action.coefficients, r, next_state, info["terminal"])
+                buffer.push(state, action, r, next_state, info["terminal"])
                 cum_reward += r
                 state = next_state
 
@@ -352,7 +353,7 @@ def load_agent(path) -> tuple[AgentNets, TrainConfig, dict]:
 
     try:
         nets = AgentNets(*(net(name) for name in NET_NAMES))
-        cfg = TrainConfig(**meta["config"])
+        cfg = from_json(TrainConfig, meta["config"], "config")
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed agent checkpoint {path}: {exc!r}") from exc
     s, a = nets.state_dim, nets.action_dim

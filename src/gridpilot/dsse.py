@@ -25,13 +25,8 @@ import numpy as np
 from . import nn
 from .errors import CheckpointError, DatasetError, TrainingError
 from .feeder import PHASE_ANGLES, Feeder
-from .powerflow import (
-    MeasurementVector,
-    PowerFlowDivergedError,
-    feeder_head_measurement,
-    solve_power_flow,
-)
-from .scenario import ScenarioSet
+from .powerflow import PowerFlowDivergedError, feeder_head_measurement, solve_power_flow
+from .scenario import ScenarioSet, to_injections
 
 log = logging.getLogger(__name__)
 
@@ -102,16 +97,14 @@ def _wrap_deg(angles: np.ndarray) -> np.ndarray:
 
 def build_training_pairs(scenarios: ScenarioSet, feeder: Feeder, noise_pct: float,
                          slack_voltage: float = 1.0, seed: int = 0,
-                         ) -> list[tuple[MeasurementVector, np.ndarray]]:
-    """Solve each scenario and pair its noisy head measurement with the state.
+                         ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Solve each scenario and pair its noisy head features with the state.
 
     Targets stack v_mag (p.u.) then per-phase-relative angles (degrees).
     Solves on ``feeder.admittance``, which every call on the same feeder
     shares. Diverging scenarios are dropped and counted; more than 10%
     dropped means the fixture or config is broken and raises DatasetError.
     """
-    from .scenario import to_injections  # local import; scenario->dsse stays one-way
-
     admittance = feeder.admittance
     if not noise_pct >= 0.0:
         raise DatasetError(f"noise_pct must be >= 0, got {noise_pct}")
@@ -129,10 +122,10 @@ def build_training_pairs(scenarios: ScenarioSet, feeder: Feeder, noise_pct: floa
         except PowerFlowDivergedError:
             dropped += 1
             continue
-        meas = feeder_head_measurement(admittance, sol, noise_sigma=sigma,
-                                       rng=rng if sigma > 0 else None)
+        features = feeder_head_measurement(admittance, sol, noise_sigma=sigma,
+                                           rng=rng if sigma > 0 else None)
         angle_rel = _wrap_deg(sol.v_ang_deg - refs)
-        pairs.append((meas, np.concatenate([sol.v_mag, angle_rel])))
+        pairs.append((features, np.concatenate([sol.v_mag, angle_rel])))
 
     if dropped:
         log.warning("dropped %d/%d diverging scenarios", dropped, len(scenarios))
@@ -158,7 +151,7 @@ def train_dsse(pairs, hyperparams: DsseHyperparams, feeder: Feeder
     """
     if len(pairs) < 100:
         raise DatasetError(f"need at least 100 training pairs, got {len(pairs)}")
-    inputs = np.stack([m.as_features() for m, _ in pairs])
+    inputs = np.stack([f for f, _ in pairs])
     targets = np.stack([t for _, t in pairs])
     n_out = targets.shape[1]
 
@@ -208,13 +201,13 @@ def train_dsse(pairs, hyperparams: DsseHyperparams, feeder: Feeder
     return model, losses
 
 
-def estimate_states(model: DsseModel, measurement: MeasurementVector) -> StateEstimate:
-    """Denormalized estimate for one measurement.
+def estimate_states(model: DsseModel, features: np.ndarray) -> StateEstimate:
+    """Denormalized estimate for one 12-float head measurement.
 
     The model is not checked against a feeder here; ``env.EnvConfig`` does
     that once when an estimator joins a control system.
     """
-    x = (measurement.as_features() - model.input_mean) / model.input_std
+    x = (features - model.input_mean) / model.input_std
     model.net.eval()
     out, _ = nn.forward(model.net, x[None, :])
     raw = out[0] * model.output_std + model.output_mean
@@ -237,8 +230,8 @@ def evaluate_dsse(model: DsseModel, pairs) -> DsseMetrics:
 
     abs_rel = np.zeros(n)
     abs_ang = np.zeros(n)
-    for meas, target in pairs:
-        est = estimate_states(model, meas)
+    for features, target in pairs:
+        est = estimate_states(model, features)
         true_mag = target[:n]
         true_rel = target[n:]
         est_rel = _wrap_deg(est.v_angle - model.angle_refs_deg)

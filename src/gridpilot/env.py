@@ -43,14 +43,6 @@ DIVERGENCE_PENALTY_PER_NODE = -10.0
 
 
 @dataclass
-class MdpAction:
-    coefficients: np.ndarray  # one per zone, in [-1, 1]
-
-    def __post_init__(self):
-        self.coefficients = np.atleast_1d(np.asarray(self.coefficients, dtype=float))
-
-
-@dataclass
 class RewardConfig:
     lambda_weight: float = 1.0
     eta_weight: float = 0.5
@@ -132,15 +124,14 @@ def q_max_vector(s_rated: np.ndarray, p_pv: np.ndarray) -> np.ndarray:
     return np.sqrt(s_rated * s_rated - p_pv * p_pv)
 
 
-def map_action(action: MdpAction, q_rated: np.ndarray, zone_map) -> np.ndarray:
-    """Reactive setpoints q[k] = a[zone(k)] * q_rated[k], bounded by ratings.
+def map_action(coeff: np.ndarray, q_rated: np.ndarray, zone_map) -> np.ndarray:
+    """Reactive setpoints q[k] = coeff[zone(k)] * q_rated[k], bounded by ratings.
 
     ``q_rated`` is the per-unit reactive rating (``EnvConfig.q_rated``).
     Out-of-range coefficients are clamped to [-1, 1] (and logged); the final
     hard clamp to +-q_rated keeps the rating bound even if a caller bypasses
     the coefficient clamp.
     """
-    coeff = action.coefficients
     clamped = np.clip(coeff, -1.0, 1.0)
     if not np.array_equal(coeff, clamped):
         log.debug("action coefficients clamped: %s", coeff)
@@ -168,13 +159,13 @@ def curtailment_barrier(q: float, q_max: float) -> float:
     return max(abs(q) - q_max, 0.0)
 
 
-def reward(v_mags: np.ndarray, q_setpoints: np.ndarray, q_max_values: np.ndarray,
+def reward(v_mags: np.ndarray, q_set: np.ndarray, q_max_values: np.ndarray,
            cfg: RewardConfig) -> float:
     """r = -(lambda * sum voltage barriers + eta * sum curtailment barriers)."""
-    if q_setpoints.shape != q_max_values.shape:
-        raise ValueError("q_setpoints and q_max_values must align")
+    if q_set.shape != q_max_values.shape:
+        raise ValueError("q_set and q_max_values must align")
     lam = _voltage_barrier_vec(np.asarray(v_mags, dtype=float), cfg).sum()
-    gam = np.maximum(np.abs(q_setpoints) - q_max_values, 0.0).sum()
+    gam = np.maximum(np.abs(q_set) - q_max_values, 0.0).sum()
     return float(-(cfg.lambda_weight * lam + cfg.eta_weight * gam))
 
 
@@ -183,17 +174,17 @@ def objective_deviation(v_mags: np.ndarray, v_nominal: float = 1.0) -> float:
     return float(np.abs(np.asarray(v_mags, dtype=float) - v_nominal).sum())
 
 
-def env_step(cfg: EnvConfig, scenario: Scenario, action: MdpAction,
+def env_step(cfg: EnvConfig, scenario: Scenario, action: np.ndarray,
              rng: np.random.Generator | None = None) -> tuple[np.ndarray, float, dict]:
     """Apply an action to a scenario and measure the resulting system.
 
-    Returns (true_state, reward, info). info carries the true voltages, the
-    feeder-head measurement and P/Q, the realized setpoints, and a terminal
-    flag; ``observe`` turns the step into the agent's state. Power-flow
-    divergence under the action yields a large negative reward scaled by the
-    node-phase count and terminal=True; the placeholder next state is a flat
-    nominal profile (never bootstrapped from, since the transition is
-    terminal).
+    ``action`` holds one coefficient per zone. Returns (true_state, reward,
+    info). info carries the true voltages, the 12 feeder-head features, the
+    head P/Q and a terminal flag; ``observe`` turns the step into the agent's
+    state. Power-flow divergence under the action yields a large negative
+    reward scaled by the node-phase count and terminal=True; the placeholder
+    next state is a flat nominal profile (never bootstrapped from, since the
+    transition is terminal).
     """
     q_set = map_action(action, cfg.q_rated, cfg.zone_map)
     injections = to_injections(cfg.admittance, scenario, q_pv=q_set)
@@ -203,10 +194,10 @@ def env_step(cfg: EnvConfig, scenario: Scenario, action: MdpAction,
         sol = solve_power_flow(cfg.feeder, cfg.admittance, injections,
                                slack_voltage=cfg.slack_voltage)
     except PowerFlowDivergedError as exc:
-        log.warning("power flow diverged under action %s: %s", action.coefficients, exc)
+        log.warning("power flow diverged under action %s: %s", action, exc)
         n = cfg.state_dim
         placeholder = np.full(n, cfg.reward.v_nominal)
-        info = {"terminal": True, "diverged": True, "q_setpoints": q_set,
+        info = {"terminal": True, "diverged": True,
                 "residual": exc.residual, "iterations": exc.iterations}
         return placeholder, DIVERGENCE_PENALTY_PER_NODE * n, info
 
@@ -226,8 +217,6 @@ def env_step(cfg: EnvConfig, scenario: Scenario, action: MdpAction,
         "terminal": False,
         "diverged": False,
         "v_mag_true": sol.v_mag,
-        "q_setpoints": q_set,
-        "q_max": q_max_vals,
         "p_head": float(s_head.real.sum()),
         "q_head": float(s_head.imag.sum()),
         "measurement": meas,
@@ -257,7 +246,7 @@ def idle_step(cfg: EnvConfig, scenario: Scenario,
     Raises InfeasibleScenarioError when the power flow diverges, since no
     episode or control cycle can start from such a scenario.
     """
-    state, r, info = env_step(cfg, scenario, MdpAction(np.zeros(cfg.n_zones)), rng=rng)
+    state, r, info = env_step(cfg, scenario, np.zeros(cfg.n_zones), rng=rng)
     if info["terminal"]:
         raise InfeasibleScenarioError(f"scenario {scenario.id} infeasible at zero action")
     return state, r, info

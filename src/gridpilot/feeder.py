@@ -30,6 +30,7 @@ from .errors import (
     FeederTopologyError,
     NumericalError,
 )
+from .fileio import from_json
 
 PHASES = ("A", "B", "C")
 # slack phase angles, radians
@@ -180,21 +181,38 @@ def _parse_phases(raw, where: str) -> tuple[str, ...]:
     return phases
 
 
-def _parse_complex(raw, where: str) -> complex:
-    if not isinstance(raw, dict) or "re" not in raw or "im" not in raw:
-        raise FeederSchemaError("impedance entries must be {re, im} pairs", field=where)
-    return complex(float(raw["re"]), float(raw["im"]))
+def _real(entry, key: str, where: str = "", scale: float = 1.0) -> float:
+    """``entry[key] / scale``; FeederSchemaError naming the field unless the
+    value and the quotient are finite reals (``fileio.from_json``'s float)."""
+    try:
+        return from_json(float, float(from_json(float, entry[key], "value")) / scale, "value")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FeederSchemaError(f"needs a finite real number, in the file and per-unit: {exc}",
+                                field=f"{where}.{key}" if where else key) from None
+
+
+def _entries(raw: dict, key: str, required: tuple):
+    """(field path, entry) for each entry of the list ``raw[key]``, each of
+    which must be an object holding the ``required`` keys."""
+    if not isinstance(raw[key], list):
+        raise FeederSchemaError("must be a list", field=key)
+    for i, entry in enumerate(raw[key]):
+        if not isinstance(entry, dict) or any(k not in entry for k in required):
+            raise FeederSchemaError(f"entry must be an object holding {list(required)}, "
+                                    f"got {entry!r}", field=f"{key}[{i}]")
+        yield f"{key}[{i}]", entry
 
 
 def load_feeder(path) -> Feeder:
     """Load a feeder file, convert to per-unit, and validate its invariants.
 
-    Raises FeederSchemaError on parse/shape problems, DanglingReferenceError
-    on references to unknown buses or absent phases, and FeederTopologyError
-    when the graph is not a radial tree rooted at the source bus. When
-    ``validate_feeder`` reports several kinds, the first class in that
-    order (dangling reference, topology, schema) is raised with all of its
-    diagnostics.
+    Raises FeederSchemaError on parse/shape problems (among them an entry
+    that is not an object, or a number not finite in the file or per-unit),
+    DanglingReferenceError on references to unknown buses or absent phases,
+    and FeederTopologyError when the graph is not a radial tree rooted at
+    the source bus. When ``validate_feeder`` reports several kinds, the
+    first class in that order (dangling reference, topology, schema) is
+    raised with all of its diagnostics.
     """
     try:
         with open(path) as fh:
@@ -204,71 +222,60 @@ def load_feeder(path) -> Feeder:
     except OSError as exc:
         raise FeederSchemaError(f"cannot read {path}: {exc}") from exc
 
+    if not isinstance(raw, dict):
+        raise FeederSchemaError(f"{path} must hold a JSON object")
     for key in ("buses", "lines", "loads", "pv_units", "source_bus_id",
                 "base_voltage_kv", "base_power_kva"):
         if key not in raw:
             raise FeederSchemaError("missing top-level key", field=key)
 
-    base_kv = float(raw["base_voltage_kv"])
-    base_kva = float(raw["base_power_kva"])
-    if base_kv <= 0 or base_kva <= 0:
-        raise FeederSchemaError("base quantities must be strictly positive",
+    base_kv = _real(raw, "base_voltage_kv")
+    base_kva = _real(raw, "base_power_kva")
+    try:  # validate_feeder rejects a nonpositive base
+        z_base = base_kv**2 * 1000.0 / base_kva  # ohm
+    except (OverflowError, ZeroDivisionError):
+        z_base = math.nan
+    if not 0.0 < z_base < math.inf:
+        raise FeederSchemaError("base quantities must give a positive, finite impedance base",
                                 field="base_voltage_kv/base_power_kva")
-    z_base = base_kv**2 * 1000.0 / base_kva  # ohm
 
-    buses = []
-    for i, entry in enumerate(raw["buses"]):
-        try:
-            buses.append(Bus(id=str(entry["id"]),
-                             phases=_parse_phases(entry["phases"], f"buses[{i}].phases")))
-        except (KeyError, TypeError) as exc:
-            raise FeederSchemaError(f"malformed bus entry: {exc}", field=f"buses[{i}]") from exc
-    by_id = {b.id: b for b in buses}
-    if len(by_id) != len(buses):
-        raise FeederSchemaError("duplicate bus ids", field="buses")
+    buses = [Bus(id=str(entry["id"]), phases=_parse_phases(entry["phases"], f"{where}.phases"))
+             for where, entry in _entries(raw, "buses", ("id", "phases"))]
+    by_id = {b.id: b for b in buses}  # validate_feeder rejects duplicate ids
 
     lines = []
-    for i, entry in enumerate(raw["lines"]):
-        where = f"lines[{i}]"
-        try:
-            from_bus, to_bus = str(entry["from"]), str(entry["to"])
-            z_rows = entry["z_ohm"]
-        except (KeyError, TypeError) as exc:
-            raise FeederSchemaError(f"malformed line entry: {exc}", field=where) from exc
+    for where, entry in _entries(raw, "lines", ("from", "to", "z_ohm")):
+        from_bus, to_bus, z_rows = str(entry["from"]), str(entry["to"]), entry["z_ohm"]
         if from_bus not in by_id or to_bus not in by_id:
             raise DanglingReferenceError(f"{where}: references unknown bus "
                                          f"{from_bus if from_bus not in by_id else to_bus!r}")
         n_ph = len(by_id[to_bus].phases)
-        z = np.array([[_parse_complex(c, f"{where}.z_ohm") for c in row] for row in z_rows],
-                     dtype=complex)
-        if z.shape != (n_ph, n_ph):
-            raise FeederSchemaError(
-                f"impedance matrix is {z.shape}, expected {(n_ph, n_ph)} for "
-                f"the {n_ph} phases of bus {to_bus}", field=f"{where}.z_ohm")
-        lines.append(Line(from_bus=from_bus, to_bus=to_bus, phase_impedance=z / z_base))
+        if not (isinstance(z_rows, list) and len(z_rows) == n_ph
+                and all(isinstance(row, list) and len(row) == n_ph for row in z_rows)):
+            raise FeederSchemaError(f"impedance matrix must be {n_ph} x {n_ph} for the "
+                                    f"{n_ph} phases of bus {to_bus}", field=f"{where}.z_ohm")
+        z = np.array([[complex(_real(c, "re", f"{where}.z_ohm"), _real(c, "im", f"{where}.z_ohm"))
+                       for c in row] for row in z_rows], dtype=complex) / z_base
+        if not np.isfinite(z).all():
+            raise FeederSchemaError("impedance overflows in per-unit", field=f"{where}.z_ohm")
+        lines.append(Line(from_bus=from_bus, to_bus=to_bus, phase_impedance=z))
 
-    loads = []
-    for i, entry in enumerate(raw["loads"]):
-        where = f"loads[{i}]"
-        try:
-            loads.append(LoadPoint(bus_id=str(entry["bus"]), phase=str(entry["phase"]),
-                                   p_nominal=float(entry["p_kw"]) / base_kva,
-                                   q_nominal=float(entry["q_kvar"]) / base_kva))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FeederSchemaError(f"malformed load entry: {exc}", field=where) from exc
+    loads = [LoadPoint(bus_id=str(entry["bus"]), phase=str(entry["phase"]),
+                       p_nominal=_real(entry, "p_kw", where, base_kva),
+                       q_nominal=_real(entry, "q_kvar", where, base_kva))
+             for where, entry in _entries(raw, "loads", ("bus", "phase", "p_kw", "q_kvar"))]
 
     pv_units = []
-    for i, entry in enumerate(raw["pv_units"]):
-        where = f"pv_units[{i}]"
+    for where, entry in _entries(raw, "pv_units", ("bus", "phase", "s_rated_kva", "p_rated_kw")):
+        q_rated = entry.get("q_rated_kvar")
         try:
-            q_rated = entry.get("q_rated_kvar")
             pv_units.append(PvUnit(
                 bus_id=str(entry["bus"]), phase=str(entry["phase"]),
-                s_rated=float(entry["s_rated_kva"]) / base_kva,
-                p_rated=float(entry["p_rated_kw"]) / base_kva,
-                q_rated=None if q_rated is None else float(q_rated) / base_kva))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FeederSchemaError(f"malformed pv entry: {exc}", field=where) from exc
+                s_rated=_real(entry, "s_rated_kva", where, base_kva),
+                p_rated=_real(entry, "p_rated_kw", where, base_kva),
+                q_rated=None if q_rated is None else _real(entry, "q_rated_kvar", where, base_kva)))
+        except OverflowError as exc:  # the default q_rated squares the ratings
+            raise FeederSchemaError("ratings overflow when squared", field=where) from exc
 
     feeder = Feeder(buses=buses, lines=lines, loads=loads, pv_units=pv_units,
                     source_bus_id=str(raw["source_bus_id"]), base_voltage_kv=base_kv,

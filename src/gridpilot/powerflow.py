@@ -81,36 +81,9 @@ class PowerFlowSolution:
         return np.degrees(np.arctan2(self.v_im, self.v_re))
 
 
-@dataclass
-class MeasurementVector:
-    """Feeder-head voltage and current phasors, one slot per phase letter.
-
-    Slots for phases absent at the source bus stay zero. ``as_features``
-    flattens to the fixed 12-float layout (v_re, v_im, i_re, i_im) x (A,B,C)
-    used as the state-estimator input.
-    """
-
-    v_re: np.ndarray  # shape (3,)
-    v_im: np.ndarray
-    i_re: np.ndarray
-    i_im: np.ndarray
-
-    def as_features(self) -> np.ndarray:
-        return np.concatenate([self.v_re, self.v_im, self.i_re, self.i_im])
-
-
-def flat_start(admittance: AdmittanceMatrix, slack_voltage: float) -> np.ndarray:
-    """Initial complex voltage: every node-phase at the slack phasor of its phase."""
-    return slack_voltage * admittance.unit
-
-
-def _mismatch(admittance: AdmittanceMatrix, v: np.ndarray, s: np.ndarray) -> np.ndarray:
-    return v * np.conj(admittance.y @ v) + s
-
-
 def _residual(admittance: AdmittanceMatrix, v: np.ndarray, s: np.ndarray) -> float:
     """Largest absolute P or Q mismatch over the non-slack node-phases."""
-    f = _mismatch(admittance, v, s)[admittance.free]
+    f = (v * np.conj(admittance.y @ v) + s)[admittance.free]
     return float(max(np.max(np.abs(f.real), initial=0.0),
                      np.max(np.abs(f.imag), initial=0.0)))
 
@@ -132,7 +105,7 @@ def solve_power_flow(feeder: Feeder, admittance: AdmittanceMatrix, injections: I
     free = admittance.free
     s = injections.p + 1j * injections.q
     s_free = s[free]
-    v = flat_start(admittance, slack_voltage)
+    v = slack_voltage * admittance.unit  # flat start: each row at its slack phasor
     w = -(admittance.z_slack @ v[admittance.slack])
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -154,10 +127,12 @@ def solve_power_flow(feeder: Feeder, admittance: AdmittanceMatrix, injections: I
 
 def feeder_head_measurement(admittance: AdmittanceMatrix, solution: PowerFlowSolution,
                             noise_sigma: float = 0.0,
-                            rng: np.random.Generator | None = None) -> MeasurementVector:
-    """Voltage and line-current phasors at the source bus.
+                            rng: np.random.Generator | None = None) -> np.ndarray:
+    """Voltage and line-current phasors at the source bus as 12 features.
 
-    The current slot is the total current leaving the source bus into the
+    The layout is (v_re, v_im, i_re, i_im) x (A, B, C), with zeros in the
+    slots of phases absent at the source bus; it is the state estimator's
+    input. The current is the total current leaving the source bus into the
     feeder per phase, computed as the slack rows of Y @ V. Optional Gaussian
     noise is added per rectangular component with standard deviation
     ``noise_sigma`` times the phasor magnitude.
@@ -166,19 +141,13 @@ def feeder_head_measurement(admittance: AdmittanceMatrix, solution: PowerFlowSol
     v_head = v[admittance.slack]
     i_head = admittance.y[admittance.slack] @ v
 
-    out = {name: np.zeros(3) for name in ("v_re", "v_im", "i_re", "i_im")}
-    slots = admittance.slack_slots
-    out["v_re"][slots], out["v_im"][slots] = v_head.real, v_head.imag
-    out["i_re"][slots], out["i_im"][slots] = i_head.real, i_head.imag
+    features = np.zeros((4, 3))
+    features[:, admittance.slack_slots] = v_head.real, v_head.imag, i_head.real, i_head.imag
 
     if noise_sigma > 0.0:
         if rng is None:
             raise ValueError("noise_sigma > 0 requires an rng")
-        v_scale = np.hypot(out["v_re"], out["v_im"])
-        i_scale = np.hypot(out["i_re"], out["i_im"])
-        out["v_re"] += noise_sigma * v_scale * rng.standard_normal(3)
-        out["v_im"] += noise_sigma * v_scale * rng.standard_normal(3)
-        out["i_re"] += noise_sigma * i_scale * rng.standard_normal(3)
-        out["i_im"] += noise_sigma * i_scale * rng.standard_normal(3)
+        scale = np.hypot(features[0::2], features[1::2]).repeat(2, axis=0)
+        features += noise_sigma * scale * rng.standard_normal((4, 3))
 
-    return MeasurementVector(**out)
+    return features.ravel()

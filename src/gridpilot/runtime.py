@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import ddpg
-from .env import EnvConfig, MdpAction, env_step, idle_step, observe
+from .env import EnvConfig, env_step, idle_step, observe
 from .errors import InfeasibleScenarioError, ModelMismatchError, TrainingError
 from .scenario import Scenario
 
@@ -164,7 +164,7 @@ def run_online(nets: ddpg.AgentNets, cfg: EnvConfig, scenarios, apr: AprConfig,
 
         decision = apr_check(rewards, apr)
         run.records.append(StepRecord(
-            step=step, scenario_id=scenario.id, action=action.coefficients,
+            step=step, scenario_id=scenario.id, action=action,
             reward=r, max_v=float(info["v_mag_true"].max()),
             min_v=float(info["v_mag_true"].min()), p_head=info["p_head"],
             q_head=info["q_head"], violations=info["violations"],
@@ -224,7 +224,7 @@ def oracle_best_action(cfg: EnvConfig, scenario: Scenario, n_grid: int = 201
     best_a = None
     best_r = -np.inf
     for a in np.linspace(-1.0, 1.0, n_grid):
-        _, r, info = env_step(cfg, scenario, MdpAction(np.array([a])))
+        _, r, info = env_step(cfg, scenario, np.array([a]))
         if info["terminal"]:
             continue
         if r > best_r or (r == best_r and abs(a) < abs(best_a)):

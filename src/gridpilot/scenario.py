@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DatasetError
 from .feeder import AdmittanceMatrix, Feeder
-from .fileio import write_atomic
+from .fileio import from_json, write_atomic
 from .powerflow import InjectionSet
 
 CSV_HEADER = "scenario_id, element_type, element_id, p_pu, q_pu"
@@ -252,14 +252,11 @@ def _read_sidecar(csv_path) -> tuple[int, GenConfig, str]:
     except (OSError, json.JSONDecodeError) as exc:
         raise DatasetError(f"missing or unreadable sidecar for {csv_path}: {exc}") from exc
     try:
-        cfg_raw = dict(meta["generator_config"])
-        for key in ("pv_to_load_ratio_range", "load_scale_range", "power_factor_range"):
-            cfg_raw[key] = tuple(cfg_raw[key])
-        fingerprint = meta.get("feeder_fingerprint", "")
-        if not isinstance(fingerprint, str):
-            raise TypeError("feeder_fingerprint must be a string")
-        seed, config, digest = int(meta["seed"]), GenConfig(**cfg_raw), meta["csv_sha256"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        seed = from_json(int, meta["seed"], "seed")
+        config = from_json(GenConfig, meta["generator_config"], "generator_config")
+        fingerprint = from_json(str, meta.get("feeder_fingerprint", ""), "feeder_fingerprint")
+        digest = meta["csv_sha256"]
+    except (KeyError, TypeError, ValueError) as exc:
         raise DatasetError(f"malformed sidecar {path}: {exc!r}") from exc
     sha = hashlib.sha256()
     try:

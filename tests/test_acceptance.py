@@ -28,7 +28,6 @@ from gridpilot.dsse import (
 )
 from gridpilot.env import (
     EnvConfig,
-    MdpAction,
     RewardConfig,
     curtailment_barrier,
     env_step,
@@ -244,7 +243,7 @@ def test_criterion_7_oracle_closeness(feeder4, capsys):
                          slack_voltage=FOURBUS_SLACK, reward=reward_cfg)
     r_base, r_agent, r_oracle = [], [], []
     for sc in test_scen:
-        state, rb, _ = env_step(step_cfg, sc, MdpAction(np.zeros(1)))
+        state, rb, _ = env_step(step_cfg, sc, np.zeros(1))
         _, ra, _ = env_step(step_cfg, sc, ddpg.act(nets, state))
         _, rstar = oracle_best_action(step_cfg, sc, n_grid=201)
         r_base.append(rb)

@@ -219,6 +219,11 @@ def test_error_exit_codes(tmp_path, workspace):
     assert main(["eval-dsse", "--config", mismatched,
                  "--out", str(tmp_path / "o5")]) == 2
 
+    # an --out that names a file: was a raw FileExistsError
+    (tmp_path / "a_file").write_text("")
+    gen_cfg = write_config(tmp_path / "gen.json", **BASE, scenario={**SCEN, "count": 5})
+    assert main(["gen-scenarios", "--config", gen_cfg, "--out", str(tmp_path / "a_file")]) == 2
+
     no_apr = write_config(tmp_path / "noapr.json", **BASE,
                           scenario_file=str(workspace / "gen" / "scenarios.csv"),
                           agent_checkpoint=str(workspace / "agent" / "agent.ckpt"))
@@ -305,6 +310,11 @@ def test_error_exit_codes(tmp_path, workspace):
                  for name, row in bad_rows.items()}
     bad_files["empty"] = ("", meta)
     bad_files["empty_sidecar"] = (open(scen_csv).read(), "{}")
+    # sidecar generator counts that are not integers: each loaded
+    for count in (1.5, True):
+        sidecar = json.loads(meta)
+        sidecar["generator_config"]["count"] = count
+        bad_files[f"count_{count}"] = (open(scen_csv).read(), json.dumps(sidecar))
     for name, (text, sidecar) in bad_files.items():
         path = tmp_path / f"{name}.csv"
         (tmp_path / f"{name}.csv.meta.json").write_text(sidecar)
@@ -326,11 +336,29 @@ def test_error_exit_codes(tmp_path, workspace):
     bad_ckpts["arch_no_in"] = with_metadata(
         blob, lambda m: m["nets"]["critic"]["arch"][1].pop("in"))
     bad_ckpts["no_layers"] = with_metadata(blob, lambda m: m["nets"]["actor"].update(arch=[]))
+    # loaded, then a raw TypeError in run-online's fine-tune burst
+    bad_ckpts["horizon_2.5"] = with_metadata(blob, lambda m: m["config"].update(horizon=2.5))
     for name, data in bad_ckpts.items():
         path = tmp_path / f"{name}.ckpt"
         path.write_bytes(data)
         bad_sections.append(("evaluate", dict(scenario_file=scen_csv,
                                               agent_checkpoint=str(path))))
+    bad_sections.append(("run-online", dict(scenario_file=scen_csv,
+                                            agent_checkpoint=str(tmp_path / "horizon_2.5.ckpt"),
+                                            apr={"reference_reward": -1e-3, "window": 2})))
+    # feeder files with an entry that is not an object, a number that is not
+    # one, or a NaN: a raw AttributeError, a raw ValueError, and a run that
+    # exited 0
+    feeder_doc = json.loads(feeder_mod.builtin_feeder_path("4bus").read_text())
+    feeder_edits = {"pv_string": lambda d: d["pv_units"].__setitem__(0, "pv"),
+                    "z_text": lambda d: d["lines"][0]["z_ohm"][0][0].__setitem__("re", "a"),
+                    "q_nan": lambda d: d["loads"][0].__setitem__("q_kvar", float("nan"))}
+    for name, edit in feeder_edits.items():
+        doc = json.loads(json.dumps(feeder_doc))
+        edit(doc)
+        path = tmp_path / f"feeder_{name}.json"
+        path.write_text(json.dumps(doc))
+        bad_sections.append(("gen-scenarios", dict(scenario=SCEN, feeder=str(path))))
     no_net = tmp_path / "no_net.ckpt"
     no_net.write_bytes(with_metadata(open(dsse_ckpt, "rb").read(), lambda m: m.pop("net")))
     bad_sections.append(("evaluate", dict(scenario_file=scen_csv, agent_checkpoint=agent_ckpt,

@@ -246,7 +246,7 @@ def test_act_clamps_and_validates():
     rng = np.random.default_rng(6)
     for _ in range(20):
         a = act(nets, state, sigma=5.0, rng=rng)
-        assert np.all(np.abs(a.coefficients) <= 1.0)
+        assert np.all(np.abs(a) <= 1.0)
     with pytest.raises(ValueError, match="requires an rng"):
         act(nets, state, sigma=0.5)
     with pytest.raises(ModelMismatchError):
@@ -254,7 +254,7 @@ def test_act_clamps_and_validates():
     # deterministic without noise
     a1 = act(nets, state)
     a2 = act(nets, state)
-    assert np.array_equal(a1.coefficients, a2.coefficients)
+    assert np.array_equal(a1, a2)
 
 
 def test_ou_noise_mean_reversion():

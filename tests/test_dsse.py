@@ -51,8 +51,8 @@ def test_wrap_deg_range():
 def test_training_pairs_shapes_and_targets(feeder4, pairs4, sset4):
     assert len(pairs4) == len(sset4)
     n = feeder4.n_node_phases
-    meas, target = pairs4[0]
-    assert meas.as_features().shape == (12,)
+    features, target = pairs4[0]
+    assert features.shape == (12,)
     assert target.shape == (2 * n,)
     # magnitudes near nominal, relative angles near zero on a healthy feeder
     assert np.all(target[:n] > 0.8) and np.all(target[:n] < 1.2)
@@ -63,14 +63,14 @@ def test_training_pairs_deterministic(feeder4, sset4):
     a = build_training_pairs(sset4, feeder4, 1.0, slack_voltage=FOURBUS_SLACK, seed=5)
     b = build_training_pairs(sset4, feeder4, 1.0, slack_voltage=FOURBUS_SLACK, seed=5)
     for (ma, ta), (mb, tb) in zip(a, b):
-        assert np.array_equal(ma.as_features(), mb.as_features())
+        assert np.array_equal(ma, mb)
         assert np.array_equal(ta, tb)
 
 
 def test_training_pairs_noise_seed_matters(feeder4, sset4):
     a = build_training_pairs(sset4, feeder4, 1.0, slack_voltage=FOURBUS_SLACK, seed=5)
     b = build_training_pairs(sset4, feeder4, 1.0, slack_voltage=FOURBUS_SLACK, seed=6)
-    assert not np.array_equal(a[0][0].as_features(), b[0][0].as_features())
+    assert not np.array_equal(a[0][0], b[0][0])
     # targets come from the noise-free solve and must agree
     assert np.array_equal(a[0][1], b[0][1])
 

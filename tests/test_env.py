@@ -7,7 +7,6 @@ from conftest import FOURBUS_SLACK, fourbus_gen
 from gridpilot.env import (
     DIVERGENCE_PENALTY_PER_NODE,
     EnvConfig,
-    MdpAction,
     RewardConfig,
     curtailment_barrier,
     env_step,
@@ -132,7 +131,7 @@ def test_objective_deviation():
 def test_map_action_clamps_coefficients(feeder4, c):
     zone_map = np.zeros(len(feeder4.pv_units), dtype=int)
     q_rated = np.array([pv.q_rated for pv in feeder4.pv_units])
-    q = map_action(MdpAction(np.array([c])), q_rated, zone_map)
+    q = map_action(np.array([c]), q_rated, zone_map)
     assert np.all(np.abs(q) <= q_rated + 1e-15)
     expected = np.clip(c, -1.0, 1.0) * q_rated
     assert np.allclose(q, expected)
@@ -143,12 +142,12 @@ def test_map_action_zone_routing(feeder34):
     zone_map = np.arange(n_pv) % 3
     coeffs = np.array([0.5, -0.25, 1.0])
     q_rated = np.array([pv.q_rated for pv in feeder34.pv_units])
-    q = map_action(MdpAction(coeffs), q_rated, zone_map)
+    q = map_action(coeffs, q_rated, zone_map)
     assert np.allclose(q, coeffs[zone_map] * q_rated)
 
 
 def test_map_action_no_pv():
-    q = map_action(MdpAction(np.array([1.0])), np.zeros(0), np.zeros(0, dtype=int))
+    q = map_action(np.array([1.0]), np.zeros(0), np.zeros(0, dtype=int))
     assert q.shape == (0,)
 
 
@@ -166,24 +165,25 @@ def env4_setup():
 def test_env_step_info_consistency(env4_setup):
     feeder, cfg, sset = env4_setup
     sc = sset.scenarios[0]
-    state, r, info = env_step(cfg, sc, MdpAction(np.array([-0.4])))
+    state, r, info = env_step(cfg, sc, np.array([-0.4]))
     assert not info["terminal"]
     assert state.shape == (feeder.n_node_phases,)
     assert np.array_equal(state, info["v_mag_true"])  # perfect-state mode
 
-    # reward recomputable from the reported true voltages and setpoints
-    expected = reward(info["v_mag_true"], info["q_setpoints"], info["q_max"], cfg.reward)
+    # reward recomputable from the reported true voltages and the setpoints
+    q_set = map_action(np.array([-0.4]), cfg.q_rated, cfg.zone_map)
+    expected = reward(info["v_mag_true"], q_set, q_max_vector(cfg.s_rated, sc.p_pv),
+                      cfg.reward)
     assert r == pytest.approx(expected, abs=1e-15)
     assert info["deviation"] == pytest.approx(
         objective_deviation(info["v_mag_true"]))
     assert info["violations"] == int(np.sum((info["v_mag_true"] < 0.95)
                                             | (info["v_mag_true"] > 1.05)))
-    assert np.array_equal(info["q_max"], q_max_vector(cfg.s_rated, sc.p_pv))
 
 
 def test_env_step_head_power_sign(env4_setup):
     _, cfg, sset = env4_setup
-    _, _, info = env_step(cfg, sset.scenarios[0], MdpAction(np.array([0.0])))
+    _, _, info = env_step(cfg, sset.scenarios[0], np.array([0.0]))
     # loads dominate PV on this fixture; the head supplies real power
     assert info["p_head"] > 0.0
 
@@ -192,7 +192,7 @@ def test_absorption_lowers_peak_voltage(env4_setup):
     _, cfg, sset = env4_setup
     peaks = []
     for a in (0.4, 0.0, -0.5, -1.0):
-        _, _, info = env_step(cfg, sset.scenarios[1], MdpAction(np.array([a])))
+        _, _, info = env_step(cfg, sset.scenarios[1], np.array([a]))
         peaks.append(info["v_mag_true"].max())
     assert peaks[0] > peaks[1] > peaks[2] > peaks[3]
 
@@ -203,10 +203,21 @@ def test_divergence_penalty_and_placeholder(feeder2):
     # 40 p.u. behind a j0.1 p.u. line is far beyond loadability
     sc = Scenario(id=0, p_load=np.array([40.0]), q_load=np.array([10.0]),
                   p_pv=np.zeros(0))
-    state, r, info = env_step(cfg, sc, MdpAction(np.zeros(1)))
+    state, r, info = env_step(cfg, sc, np.zeros(1))
     assert info["terminal"] and info["diverged"]
     assert r == DIVERGENCE_PENALTY_PER_NODE * feeder2.n_node_phases
     assert np.allclose(state, 1.0)  # flat nominal placeholder
+
+
+def test_out_of_range_pv_raises_on_a_diverging_step(env4_setup):
+    _, cfg, sset = env4_setup
+    from gridpilot.scenario import Scenario
+    sc = sset.scenarios[0]
+    heavy = Scenario(id=0, p_load=sc.p_load * 1e3, q_load=sc.q_load, p_pv=sc.p_pv)
+    assert env_step(cfg, heavy, np.zeros(1))[2]["terminal"]
+    heavy.p_pv = cfg.s_rated * 2.0
+    with pytest.raises(ValueError, match="outside"):
+        env_step(cfg, heavy, np.zeros(1))
 
 
 def test_env_config_validation(feeder4):
@@ -222,19 +233,19 @@ def test_measurement_noise_flows_through_env(env4_setup):
     cfg = EnvConfig(feeder=feeder, estimator=None, measurement_noise_pct=1.0,
                     slack_voltage=FOURBUS_SLACK)
     sc = sset.scenarios[0]
-    m1 = env_step(cfg, sc, MdpAction(np.zeros(1)),
+    m1 = env_step(cfg, sc, np.zeros(1),
                   rng=np.random.default_rng(1))[2]["measurement"]
-    m2 = env_step(cfg, sc, MdpAction(np.zeros(1)),
+    m2 = env_step(cfg, sc, np.zeros(1),
                   rng=np.random.default_rng(2))[2]["measurement"]
     clean_cfg = EnvConfig(feeder=feeder, estimator=None,
                           slack_voltage=FOURBUS_SLACK)
-    m0 = env_step(clean_cfg, sc, MdpAction(np.zeros(1)))[2]["measurement"]
-    assert not np.array_equal(m1.as_features(), m2.as_features())
+    m0 = env_step(clean_cfg, sc, np.zeros(1))[2]["measurement"]
+    assert m1.shape == (12,) and not np.array_equal(m1, m2)
     # 1% noise: perturbations are small relative to the clean phasors
-    rel = np.abs(m1.as_features() - m0.as_features())
+    rel = np.abs(m1 - m0)
     assert rel.max() < 0.1
     # true voltages are untouched by measurement noise
-    v1 = env_step(cfg, sc, MdpAction(np.zeros(1)),
+    v1 = env_step(cfg, sc, np.zeros(1),
                   rng=np.random.default_rng(3))[2]["v_mag_true"]
     assert np.array_equal(v1, env_step(clean_cfg, sc,
-                                       MdpAction(np.zeros(1)))[2]["v_mag_true"])
+                                       np.zeros(1))[2]["v_mag_true"])

@@ -1,9 +1,10 @@
-"""Fuzzed inputs at the boundaries: a damaged checkpoint or scenario file
-either loads or raises the package's typed error, never a raw KeyError,
-TypeError or ValueError, and a mutated config ends every command in exit
-code 0 or 2."""
+"""Fuzzed inputs at the boundaries: a damaged checkpoint, scenario file or
+feeder file either loads or raises the package's typed error, never a raw
+KeyError, TypeError or ValueError, and a mutated config, or a checkpoint
+whose training config was edited, ends a command in exit code 0 or 2."""
 
 import copy
+import dataclasses
 import hashlib
 import json
 import operator
@@ -12,13 +13,14 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import FOURBUS_SLACK, fourbus_gen
 from gridpilot import ddpg, dsse, nn
 from gridpilot.cli import main
 from gridpilot.errors import CheckpointError, DatasetError, GridPilotError
+from gridpilot.feeder import builtin_feeder_path, load_feeder
 from gridpilot.scenario import generate_scenario_set, read_scenario_set, write_scenario_set
 
 _PREFIX = 4 + struct.calcsize("<HQ")  # magic, version, header length
@@ -178,6 +180,23 @@ def test_mutated_sidecar_loads_or_raises(scenario_file, fuzz_dir, feeder4, data)
     loads_or_raises(lambda p: read_scenario_set(p, feeder4), path, DatasetError)
 
 
+@settings(max_examples=400)
+@given(data=st.data())
+def test_mutated_feeder_loads_or_raises(fuzz_dir, data):
+    doc = json.loads(builtin_feeder_path("4bus").read_text())
+    path = fuzz_dir / "feeder.json"
+    path.write_text(json.dumps(mutate_json(doc, data)))
+    try:
+        feeder = load_feeder(path)
+    except GridPilotError:
+        return
+    values = [feeder.base_voltage_kv, feeder.base_power_kva]
+    values += [x for ld in feeder.loads for x in (ld.p_nominal, ld.q_nominal)]
+    values += [x for pv in feeder.pv_units for x in (pv.s_rated, pv.p_rated, pv.q_rated)]
+    assert all(np.isfinite(values)), values
+    assert all(np.isfinite(line.phase_impedance).all() for line in feeder.lines)
+
+
 # config values: like JSON_VALUES, but with integers small enough that a run
 # stays short when they land on a size
 CONFIG_VALUES = (st.none() | st.booleans() | st.integers(-2, 4) | st.floats()
@@ -236,4 +255,25 @@ def configs(fuzz_dir, feeder4, checkpoints):
 def test_mutated_config_exits_0_or_2(configs, fuzz_dir, command, data):
     path = fuzz_dir / f"{command}.json"
     path.write_text(json.dumps(mutate_json(configs[command], data, CONFIG_VALUES, SIZED)))
+    assert main([command, "--config", str(path), "--out", str(fuzz_dir / command)]) in (0, 2)
+
+
+@settings(max_examples=100)
+@given(command=st.sampled_from(["run-online", "evaluate"]),
+       key=st.sampled_from(sorted(dataclasses.asdict(ddpg.TrainConfig()))),
+       value=CONFIG_VALUES | st.floats(-1.0, 5.0))
+@example(command="run-online", key="horizon", value=2.5)
+def test_edited_agent_config_runs_or_exits_2(checkpoints, configs, fuzz_dir, command, key,
+                                              value):
+    """The training config a checkpoint carries reaches run-online's
+    fine-tune bursts, so a loaded config must be one they can run."""
+    _, blob = checkpoints["agent"]
+    header_end = _PREFIX + struct.unpack("<Q", blob[6:_PREFIX])[0]
+    header = json.loads(blob[_PREFIX:header_end])
+    header["metadata"]["config"][key] = value
+    raw = json.dumps(header, sort_keys=True).encode()
+    ckpt = fuzz_dir / "edited.ckpt"
+    ckpt.write_bytes(blob[:6] + struct.pack("<Q", len(raw)) + raw + blob[header_end:])
+    path = fuzz_dir / f"{command}-edited.json"
+    path.write_text(json.dumps({**configs[command], "agent_checkpoint": str(ckpt)}))
     assert main([command, "--config", str(path), "--out", str(fuzz_dir / command)]) in (0, 2)

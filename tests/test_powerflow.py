@@ -6,15 +6,10 @@ import pytest
 
 import bfs_oracle
 from conftest import SYNTH34_SLACK, synth34_gen
-from gridpilot.env import MdpAction, map_action
+from gridpilot.env import map_action
 from gridpilot.errors import PowerFlowDivergedError
-from gridpilot.feeder import build_admittance, load_feeder
-from gridpilot.powerflow import (
-    InjectionSet,
-    feeder_head_measurement,
-    flat_start,
-    solve_power_flow,
-)
+from gridpilot.feeder import build_admittance, builtin_feeder_path, load_feeder
+from gridpilot.powerflow import InjectionSet, feeder_head_measurement, solve_power_flow
 from gridpilot.scenario import generate_scenario_set, to_injections
 
 
@@ -71,7 +66,7 @@ def test_zero_injections_give_flat_profile(feeder4, admittance4):
     inj = InjectionSet(p=np.zeros(admittance4.size), q=np.zeros(admittance4.size))
     sol = solve_power_flow(feeder4, admittance4, inj)
     assert sol.iterations == 0
-    assert np.allclose(sol.v_complex, flat_start(admittance4, 1.0), atol=1e-12)
+    assert np.allclose(sol.v_complex, admittance4.unit, atol=1e-12)  # the flat start
 
 
 def test_converged_solution_satisfies_mismatch(feeder4, admittance4):
@@ -105,7 +100,7 @@ def synth34_injections(feeder, adm, scale, coefficient):
     reactive coefficient (the single-zone action)."""
     gen = replace(synth34_gen(1), load_scale_range=(scale, scale))
     scenario = generate_scenario_set(feeder, gen, seed=7).scenarios[0]
-    q_pv = map_action(MdpAction(np.array([coefficient])),
+    q_pv = map_action(np.array([coefficient]),
                       np.array([pv.q_rated for pv in feeder.pv_units]),
                       np.zeros(len(feeder.pv_units), dtype=int))
     return to_injections(adm, scenario, q_pv=q_pv)
@@ -168,13 +163,13 @@ def test_impossible_load_raises_diverged(feeder2):
 def test_head_measurement_matches_solution(feeder4, admittance4):
     inj = nominal_injections(feeder4, admittance4)
     sol = solve_power_flow(feeder4, admittance4, inj)
-    meas = feeder_head_measurement(admittance4, sol)
+    v_re, _, i_re, i_im = feeder_head_measurement(admittance4, sol).reshape(4, 3)
 
     idx = admittance4.slack
-    assert np.allclose(meas.v_re, sol.v_re[idx])  # source carries all three phases
+    assert np.allclose(v_re, sol.v_re[idx])  # source carries all three phases
     y = admittance4.g + 1j * admittance4.b
     i_head = (y @ sol.v_complex)[idx]
-    assert np.allclose(meas.i_re + 1j * meas.i_im, i_head)
+    assert np.allclose(i_re + 1j * i_im, i_head)
 
     # head power equals total consumption plus losses; with loads only it
     # must exceed the summed load and stay the same order of magnitude
@@ -200,10 +195,10 @@ def test_head_measurement_absent_phase_slots_zero(tmp_path):
     adm = build_admittance(feeder)
     inj = nominal_injections(feeder, adm)
     sol = solve_power_flow(feeder, adm, inj)
-    meas = feeder_head_measurement(adm, sol)
-    assert meas.v_re[1] == 0.0 and meas.v_im[1] == 0.0  # phase B slot empty
-    assert meas.i_re[1] == 0.0 and meas.i_im[1] == 0.0
-    assert meas.v_re[0] != 0.0 and abs(meas.i_re[2]) > 0.0
+    v_re, v_im, i_re, i_im = feeder_head_measurement(adm, sol).reshape(4, 3)
+    assert v_re[1] == 0.0 and v_im[1] == 0.0  # phase B slot empty
+    assert i_re[1] == 0.0 and i_im[1] == 0.0
+    assert v_re[0] != 0.0 and abs(i_re[2]) > 0.0
 
 
 def test_measurement_noise_scales_with_magnitude(feeder4, admittance4):
@@ -213,20 +208,48 @@ def test_measurement_noise_scales_with_magnitude(feeder4, admittance4):
 
     rng = np.random.default_rng(7)
     samples = np.stack([
-        feeder_head_measurement(admittance4, sol, noise_sigma=0.01,
-                                rng=rng).as_features()
+        feeder_head_measurement(admittance4, sol, noise_sigma=0.01, rng=rng)
         for _ in range(4000)
     ])
-    err = samples - clean.as_features()
-    scale = np.concatenate([
-        np.repeat(np.hypot(clean.v_re, clean.v_im), 1),
-        np.repeat(np.hypot(clean.v_re, clean.v_im), 1),
-        np.repeat(np.hypot(clean.i_re, clean.i_im), 1),
-        np.repeat(np.hypot(clean.i_re, clean.i_im), 1),
-    ])
+    err = samples - clean
+    v_re, v_im, i_re, i_im = clean.reshape(4, 3)
+    v_scale, i_scale = np.hypot(v_re, v_im), np.hypot(i_re, i_im)
+    scale = np.concatenate([v_scale, v_scale, i_scale, i_scale])
     observed = err.std(axis=0)
     assert np.allclose(observed, 0.01 * scale, rtol=0.12)
     assert np.allclose(err.mean(axis=0), 0.0, atol=0.01 * scale.max())
+
+
+@pytest.mark.parametrize("name", ["4bus", "2bus"])
+def test_head_features_layout_and_noise_stream(name):
+    """The 12 features are (v_re, v_im, i_re, i_im) x (A, B, C), zero where the
+    source bus lacks a phase (2bus has only A), and the noise is four
+    standard_normal(3) draws in that order, each scaled by its phasor's
+    magnitude."""
+    feeder = load_feeder(builtin_feeder_path(name))
+    adm = build_admittance(feeder)
+    sol = solve_power_flow(feeder, adm, nominal_injections(feeder, adm))
+    v_head = sol.v_complex[adm.slack]
+    i_head = adm.y[adm.slack] @ sol.v_complex
+    v_re, v_im, i_re, i_im = (np.zeros(3) for _ in range(4))
+    for k, ph in enumerate(feeder.bus(feeder.source_bus_id).phases):
+        j = "ABC".index(ph)
+        v_re[j], v_im[j], i_re[j], i_im[j] = (v_head[k].real, v_head[k].imag,
+                                              i_head[k].real, i_head[k].imag)
+    clean = np.concatenate([v_re, v_im, i_re, i_im])
+    assert np.array_equal(feeder_head_measurement(adm, sol), clean)
+    if name == "2bus":
+        assert not clean.reshape(4, 3)[:, 1:].any()
+
+    rng = np.random.default_rng(11)
+    v_scale, i_scale = np.hypot(v_re, v_im), np.hypot(i_re, i_im)
+    noisy = np.concatenate([v_re + 0.01 * v_scale * rng.standard_normal(3),
+                            v_im + 0.01 * v_scale * rng.standard_normal(3),
+                            i_re + 0.01 * i_scale * rng.standard_normal(3),
+                            i_im + 0.01 * i_scale * rng.standard_normal(3)])
+    got = feeder_head_measurement(adm, sol, noise_sigma=0.01, rng=np.random.default_rng(11))
+    assert np.array_equal(got, noisy)
+    assert not np.array_equal(got, clean)
 
 
 def test_measurement_noise_requires_rng(feeder4, admittance4):

@@ -6,7 +6,7 @@ import pytest
 from conftest import FOURBUS_SLACK, fourbus_gen, synth34_gen
 from gridpilot import ddpg, env, nn, runtime
 from gridpilot.dsse import DsseModel, estimate_states
-from gridpilot.env import EnvConfig, MdpAction, env_step
+from gridpilot.env import EnvConfig, env_step
 from gridpilot.errors import (
     InfeasibleScenarioError,
     ModelMismatchError,
@@ -60,7 +60,7 @@ def estimated_actions(feeder, nets, dsse, scenarios):
     """The action the deployed agent should apply to each scenario: act on
     the estimate from the noiseless zero-action head measurement."""
     cfg = system(feeder)
-    zero = MdpAction(np.zeros(1))
+    zero = np.zeros(1)
     actions = []
     for sc in scenarios:
         meas = env_step(cfg, sc, zero)[2]["measurement"]
@@ -98,7 +98,7 @@ def test_oracle_absorbs_on_overvoltage_fixture(feeder4, scenarios4):
     assert -1.0 <= a < 0.0
     for probe in (0.0, -1.0, 1.0):
         cfg = system(feeder4)
-        _, r_probe, _ = env_step(cfg, scenarios4[0], MdpAction(np.array([probe])))
+        _, r_probe, _ = env_step(cfg, scenarios4[0], np.array([probe]))
         assert r >= r_probe
 
 
@@ -136,10 +136,10 @@ def test_oracle_beats_any_snapped_policy_action(feeder4, scenarios4, nets4):
     cfg = system(feeder4)
     grid = np.linspace(-1.0, 1.0, 201)
     for sc in scenarios4[:5]:
-        state, _, _ = env_step(cfg, sc, MdpAction(np.zeros(1)))
-        agent_a = ddpg.act(nets4, state).coefficients[0]
+        state, _, _ = env_step(cfg, sc, np.zeros(1))
+        agent_a = ddpg.act(nets4, state)[0]
         snapped = grid[np.argmin(np.abs(grid - agent_a))]
-        _, r_snap, _ = env_step(cfg, sc, MdpAction(np.array([snapped])))
+        _, r_snap, _ = env_step(cfg, sc, np.array([snapped]))
         _, r_star = oracle_best_action(cfg, sc)
         assert r_star >= r_snap
 
@@ -310,7 +310,7 @@ def test_run_online_estimator_path(feeder4, nets4, scenarios4):
     assert len(run.records) == 3
     _, expected = estimated_actions(feeder4, nets4, dsse, scenarios4[:3])
     for rec, action in zip(run.records, expected):
-        assert np.array_equal(rec.action, action.coefficients)
+        assert np.array_equal(rec.action, action)
 
 
 def test_run_online_fine_tunes_on_estimates(feeder4, nets4, scenarios4, monkeypatch):
@@ -449,8 +449,8 @@ def test_evaluate_applies_zone_map(feeder34):
     # the controlled profile is the one the per-zone actions produce
     v = []
     for sc in sset:
-        state, _, _ = env_step(cfg, sc, MdpAction(np.zeros(3)))
+        state, _, _ = env_step(cfg, sc, np.zeros(3))
         action = ddpg.act(nets, state)
-        assert len(set(action.coefficients)) == 3
+        assert len(set(action)) == 3
         v.append(env_step(cfg, sc, action)[2]["v_mag_true"])
     assert np.array_equal(report.v_mean_controlled, np.stack(v).mean(axis=0))

@@ -191,6 +191,14 @@ def _real(entry, key: str, where: str = "", scale: float = 1.0) -> float:
                                 field=f"{where}.{key}" if where else key) from None
 
 
+def _text(entry, key: str, where: str = "") -> str:
+    """``entry[key]``; FeederSchemaError naming the field unless it is a JSON string."""
+    try:
+        return from_json(str, entry[key], "value")
+    except ValueError as exc:
+        raise FeederSchemaError(str(exc), field=f"{where}.{key}" if where else key) from None
+
+
 def _entries(raw: dict, key: str, required: tuple):
     """(field path, entry) for each entry of the list ``raw[key]``, each of
     which must be an object holding the ``required`` keys."""
@@ -239,13 +247,15 @@ def load_feeder(path) -> Feeder:
         raise FeederSchemaError("base quantities must give a positive, finite impedance base",
                                 field="base_voltage_kv/base_power_kva")
 
-    buses = [Bus(id=str(entry["id"]), phases=_parse_phases(entry["phases"], f"{where}.phases"))
+    buses = [Bus(id=_text(entry, "id", where),
+                 phases=_parse_phases(entry["phases"], f"{where}.phases"))
              for where, entry in _entries(raw, "buses", ("id", "phases"))]
     by_id = {b.id: b for b in buses}  # validate_feeder rejects duplicate ids
 
     lines = []
     for where, entry in _entries(raw, "lines", ("from", "to", "z_ohm")):
-        from_bus, to_bus, z_rows = str(entry["from"]), str(entry["to"]), entry["z_ohm"]
+        from_bus, to_bus = _text(entry, "from", where), _text(entry, "to", where)
+        z_rows = entry["z_ohm"]
         if from_bus not in by_id or to_bus not in by_id:
             raise DanglingReferenceError(f"{where}: references unknown bus "
                                          f"{from_bus if from_bus not in by_id else to_bus!r}")
@@ -260,7 +270,7 @@ def load_feeder(path) -> Feeder:
             raise FeederSchemaError("impedance overflows in per-unit", field=f"{where}.z_ohm")
         lines.append(Line(from_bus=from_bus, to_bus=to_bus, phase_impedance=z))
 
-    loads = [LoadPoint(bus_id=str(entry["bus"]), phase=str(entry["phase"]),
+    loads = [LoadPoint(bus_id=_text(entry, "bus", where), phase=_text(entry, "phase", where),
                        p_nominal=_real(entry, "p_kw", where, base_kva),
                        q_nominal=_real(entry, "q_kvar", where, base_kva))
              for where, entry in _entries(raw, "loads", ("bus", "phase", "p_kw", "q_kvar"))]
@@ -270,7 +280,7 @@ def load_feeder(path) -> Feeder:
         q_rated = entry.get("q_rated_kvar")
         try:
             pv_units.append(PvUnit(
-                bus_id=str(entry["bus"]), phase=str(entry["phase"]),
+                bus_id=_text(entry, "bus", where), phase=_text(entry, "phase", where),
                 s_rated=_real(entry, "s_rated_kva", where, base_kva),
                 p_rated=_real(entry, "p_rated_kw", where, base_kva),
                 q_rated=None if q_rated is None else _real(entry, "q_rated_kvar", where, base_kva)))
@@ -278,7 +288,7 @@ def load_feeder(path) -> Feeder:
             raise FeederSchemaError("ratings overflow when squared", field=where) from exc
 
     feeder = Feeder(buses=buses, lines=lines, loads=loads, pv_units=pv_units,
-                    source_bus_id=str(raw["source_bus_id"]), base_voltage_kv=base_kv,
+                    source_bus_id=_text(raw, "source_bus_id"), base_voltage_kv=base_kv,
                     base_power_kva=base_kva)
     problems = validate_feeder(feeder)
     for error in (DanglingReferenceError, FeederTopologyError, FeederSchemaError):

@@ -19,7 +19,6 @@ Conventions:
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 import struct
@@ -172,13 +171,9 @@ def _bind(model: MlpModel, flat: np.ndarray) -> None:
 
 
 def clone_model(model: MlpModel) -> MlpModel:
-    """Deep copy with an independent parameter vector (target-network init)."""
-    flat = model.params.copy()
-    # deepcopy the rest, taking each parameter view from the copied vector
-    memo = {id(model.params): flat}
-    memo.update((id(old), new) for old, new in
-                zip(model_parameters(model).values(), _views(model, flat).values()))
-    return copy.deepcopy(model, memo)
+    """Independent copy of ``model``, arrays and mode (target-network init)."""
+    arrays, descriptor = model_to_arrays(model)
+    return model_from_arrays({k: v.copy() for k, v in arrays.items()}, descriptor)
 
 
 def copy_into(target: MlpModel, source: MlpModel) -> None:

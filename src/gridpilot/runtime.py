@@ -258,10 +258,10 @@ class EvalReport:
     def profile_csv(self) -> str:
         lines = ["node_phase, phase, v_mean_baseline, v_std_baseline, "
                  "v_mean_controlled, v_std_controlled"]
+        columns = (self.v_mean_baseline, self.v_std_baseline,
+                   self.v_mean_controlled, self.v_std_controlled)
         for i, (bus, ph) in enumerate(self.node_phases):
-            lines.append(f"{bus}.{ph},{ph},{self.v_mean_baseline[i]!r},"
-                         f"{self.v_std_baseline[i]!r},{self.v_mean_controlled[i]!r},"
-                         f"{self.v_std_controlled[i]!r}")
+            lines.append(f"{bus}.{ph},{ph}," + ",".join(repr(float(c[i])) for c in columns))
         return "\n".join(lines) + "\n"
 
     def summary(self) -> dict:

@@ -54,6 +54,16 @@ def rewrite_csv(path, text: str) -> None:
     sidecar.write_text(json.dumps(meta))
 
 
+def replaced(node, old, new):
+    """A copy of the parsed JSON ``node`` with every value equal to ``old``
+    replaced by ``new``: renaming a bus id renames every reference to it."""
+    if isinstance(node, dict):
+        return {key: replaced(value, old, new) for key, value in node.items()}
+    if isinstance(node, list):
+        return [replaced(value, old, new) for value in node]
+    return new if node == old else node
+
+
 @pytest.fixture(scope="session")
 def feeder2():
     return load_feeder(builtin_feeder_path("2bus"))

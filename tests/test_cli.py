@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import FOURBUS_SLACK, rewrite_csv
+from conftest import FOURBUS_SLACK, replaced, rewrite_csv
 from gridpilot import ddpg
 from gridpilot import feeder as feeder_mod
 from gridpilot.cli import main
@@ -352,10 +352,18 @@ def test_error_exit_codes(tmp_path, workspace):
     feeder_doc = json.loads(feeder_mod.builtin_feeder_path("4bus").read_text())
     feeder_edits = {"pv_string": lambda d: d["pv_units"].__setitem__(0, "pv"),
                     "z_text": lambda d: d["lines"][0]["z_ohm"][0][0].__setitem__("re", "a"),
-                    "q_nan": lambda d: d["loads"][0].__setitem__("q_kvar", float("nan"))}
+                    "q_nan": lambda d: d["loads"][0].__setitem__("q_kvar", float("nan")),
+                    "phase_int": lambda d: d["loads"][0].__setitem__("phase", 2)}
+    feeder_docs = {}
     for name, edit in feeder_edits.items():
-        doc = json.loads(json.dumps(feeder_doc))
+        feeder_docs[name] = doc = json.loads(json.dumps(feeder_doc))
         edit(doc)
+    # ids that are not strings, renamed in every place that names the bus:
+    # the null and integer ones loaded as buses "None" and "1"
+    for name, old, new in (("id_null", "b4", None), ("id_int", "src", 1),
+                           ("id_list", "b4", ["b4"])):
+        feeder_docs[name] = replaced(feeder_doc, old, new)
+    for name, doc in feeder_docs.items():
         path = tmp_path / f"feeder_{name}.json"
         path.write_text(json.dumps(doc))
         bad_sections.append(("gen-scenarios", dict(scenario=SCEN, feeder=str(path))))
@@ -367,6 +375,20 @@ def test_error_exit_codes(tmp_path, workspace):
         cfg = write_config(tmp_path / f"section{i}.json", **{**BASE, **entries})
         assert main([command, "--config", cfg,
                      "--out", str(tmp_path / f"s{i}")]) == 2, (command, entries)
+
+
+def test_unwritable_artifact_exits_2(tmp_path, workspace, capsys):
+    """A directory squats on an artifact path. ``os.replace`` onto it fails
+    even for root, so the command ends in exit code 2 and leaves no temp file."""
+    cfg = write_config(tmp_path / "oracle.json", **BASE,
+                       scenario_file=str(workspace / "gen" / "scenarios.csv"),
+                       oracle={"n_grid": 3})
+    for name in ("oracle.csv", "summary.json"):
+        out = tmp_path / f"out_{name}"
+        (out / name).mkdir(parents=True)
+        assert main(["oracle", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not list(out.glob("*.tmp"))
 
 
 def test_oracle_builds_admittance_once(tmp_path, workspace, monkeypatch):

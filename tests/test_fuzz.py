@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import FOURBUS_SLACK, fourbus_gen
+from conftest import FOURBUS_SLACK, fourbus_gen, replaced
 from gridpilot import ddpg, dsse, nn
 from gridpilot.cli import main
 from gridpilot.errors import CheckpointError, DatasetError, GridPilotError
@@ -184,8 +184,12 @@ def test_mutated_sidecar_loads_or_raises(scenario_file, fuzz_dir, feeder4, data)
 @given(data=st.data())
 def test_mutated_feeder_loads_or_raises(fuzz_dir, data):
     doc = json.loads(builtin_feeder_path("4bus").read_text())
+    ids = [bus["id"] for bus in doc["buses"]]
+    doc = mutate_json(doc, data)
+    if data.draw(st.booleans()):  # rename one bus in every place that names it
+        doc = replaced(doc, data.draw(st.sampled_from(ids)), data.draw(JSON_VALUES))
     path = fuzz_dir / "feeder.json"
-    path.write_text(json.dumps(mutate_json(doc, data)))
+    path.write_text(json.dumps(doc))
     try:
         feeder = load_feeder(path)
     except GridPilotError:
@@ -195,6 +199,13 @@ def test_mutated_feeder_loads_or_raises(fuzz_dir, data):
     values += [x for pv in feeder.pv_units for x in (pv.s_rated, pv.p_rated, pv.q_rated)]
     assert all(np.isfinite(values)), values
     assert all(np.isfinite(line.phase_impedance).all() for line in feeder.lines)
+    # every id and phase is the very JSON string in the file
+    assert feeder.source_bus_id == doc["source_bus_id"]
+    assert [bus.id for bus in feeder.buses] == [entry["id"] for entry in doc["buses"]]
+    assert ([(line.from_bus, line.to_bus) for line in feeder.lines]
+            == [(entry["from"], entry["to"]) for entry in doc["lines"]])
+    assert ([(unit.bus_id, unit.phase) for unit in feeder.loads + feeder.pv_units]
+            == [(entry["bus"], entry["phase"]) for entry in doc["loads"] + doc["pv_units"]])
 
 
 # config values: like JSON_VALUES, but with integers small enough that a run

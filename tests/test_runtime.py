@@ -383,6 +383,11 @@ def test_evaluate_report_contents(feeder4, nets4, scenarios4):
     lines = report.profile_csv().splitlines()
     assert len(lines) == 1 + n
     assert lines[1].split(",")[0] == "src.A"
+    # every value cell is a plain number, not a numpy scalar's repr
+    cells = np.array([[float(c) for c in line.split(",")[2:]] for line in lines[1:]])
+    columns = (report.v_mean_baseline, report.v_std_baseline,
+               report.v_mean_controlled, report.v_std_controlled)
+    assert np.array_equal(cells, np.column_stack(columns))
 
     # latency is reported separately and never enters the summary, which
     # must stay bit-stable across machines

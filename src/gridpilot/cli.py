@@ -278,7 +278,8 @@ def main(argv=None) -> int:
         summary = _COMMANDS[args.command](cfg, feeder, seed, args.out)
         _write_json(os.path.join(args.out, "summary.json"),
                     {"command": args.command, "seed": seed, **summary})
-    except (GridPilotError, OSError) as exc:  # OSError: --out or an artifact unwritable
+    # OSError: --out or an artifact unwritable; MemoryError: a size numpy cannot allocate
+    except (GridPilotError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -51,18 +51,12 @@ class AgentNets:
         return self.actor.output_dim
 
 
-def build_agent(state_dim: int, action_dim: int,
-                rng: np.random.Generator | None = None) -> AgentNets:
+def build_agent(state_dim: int, action_dim: int, rng: np.random.Generator) -> AgentNets:
     """Fresh actor/critic with target copies equal to the learned nets."""
-    rng = rng if rng is not None else np.random.default_rng()
-    actor = nn.build_mlp([state_dim, *ACTOR_HIDDEN, action_dim],
-                         activations=["relu", "tanh", "tanh"],
-                         rng=rng, final_init_scale=FINAL_INIT)
+    actor = nn.build_mlp([state_dim, *ACTOR_HIDDEN, action_dim], ["relu", "tanh", "tanh"],
+                         rng, final_init_scale=FINAL_INIT)
     critic = nn.build_mlp([state_dim + action_dim, *CRITIC_HIDDEN, 1],
-                          activations=["relu", "relu", "identity"],
-                          rng=rng, final_init_scale=FINAL_INIT)
-    actor.eval()
-    critic.eval()
+                          ["relu", "relu", "identity"], rng, final_init_scale=FINAL_INIT)
     return AgentNets(actor=actor, critic=critic,
                      actor_target=nn.clone_model(actor),
                      critic_target=nn.clone_model(critic))
@@ -156,7 +150,6 @@ def act(nets: AgentNets, state: np.ndarray, sigma: float = 0.0,
     if state.shape[0] != nets.actor.input_dim:
         raise ModelMismatchError(
             f"state has {state.shape[0]} entries, actor expects {nets.actor.input_dim}")
-    nets.actor.eval()
     out, _ = nn.forward(nets.actor, state[None, :])
     a = out[0]
     if noise is not None:

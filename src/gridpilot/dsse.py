@@ -162,14 +162,13 @@ def train_dsse(pairs, hyperparams: DsseHyperparams, feeder: Feeder
 
     rng = np.random.default_rng(hyperparams.seed)
     net = nn.build_mlp([12, *hyperparams.hidden_layers, n_out],
-                       hidden_activation="relu", output_activation="identity",
+                       ["relu"] * len(hyperparams.hidden_layers) + ["identity"], rng,
                        dropout_rate=hyperparams.dropout_rate,
-                       batch_norm=hyperparams.batch_norm, rng=rng)
+                       batch_norm=hyperparams.batch_norm)
     adam = nn.AdamState(learning_rate=hyperparams.learning_rate)
 
     losses = []
     n = x.shape[0]
-    net.train()
     for epoch in range(hyperparams.epochs):
         order = rng.permutation(n)
         epoch_loss = 0.0
@@ -178,7 +177,7 @@ def train_dsse(pairs, hyperparams: DsseHyperparams, feeder: Feeder
             idx = order[start:start + hyperparams.batch_size]
             if idx.shape[0] < 2 and hyperparams.batch_norm:
                 continue  # batch stats undefined on a single sample
-            out, cache = nn.forward(net, x[idx], rng_seed=rng)
+            out, cache = nn.forward(net, x[idx], rng)
             loss, dloss = nn.mse_loss(out, y[idx])
             if not math.isfinite(loss):
                 raise TrainingError(f"loss diverged to {loss}", epoch=epoch)
@@ -193,7 +192,6 @@ def train_dsse(pairs, hyperparams: DsseHyperparams, feeder: Feeder
     if losses and losses[-1] >= losses[0]:
         log.warning("dsse training did not improve: first %.4g last %.4g",
                     losses[0], losses[-1])
-    net.eval()
     model = DsseModel(net=net, input_mean=in_mean, input_std=in_std,
                       output_mean=out_mean, output_std=out_std,
                       feeder_fingerprint=feeder.fingerprint,
@@ -208,7 +206,6 @@ def estimate_states(model: DsseModel, features: np.ndarray) -> StateEstimate:
     that once when an estimator joins a control system.
     """
     x = (features - model.input_mean) / model.input_std
-    model.net.eval()
     out, _ = nn.forward(model.net, x[None, :])
     raw = out[0] * model.output_std + model.output_mean
     n = model.n_node_phases
@@ -280,7 +277,6 @@ def load_dsse(path) -> DsseModel:
         raise CheckpointError(f"{path} is not a state-estimator checkpoint")
     try:
         net = nn.model_from_arrays(arrays, meta["net"])
-        net.eval()
         model = DsseModel(net=net,
                           input_mean=arrays["norm.input_mean"],
                           input_std=arrays["norm.input_std"],

@@ -33,7 +33,7 @@ import numpy as np
 
 from .dsse import DsseModel, estimate_states
 from .errors import InfeasibleScenarioError, ModelMismatchError, PowerFlowDivergedError
-from .feeder import AdmittanceMatrix, Feeder
+from .feeder import Feeder
 from .powerflow import feeder_head_measurement, solve_power_flow
 from .scenario import Scenario, to_injections
 
@@ -90,10 +90,6 @@ class EnvConfig:
         self.s_rated = np.array([pv.s_rated for pv in self.feeder.pv_units], dtype=float)
         self.q_rated = np.array([pv.q_rated for pv in self.feeder.pv_units], dtype=float)
         self.s_rated.flags.writeable = self.q_rated.flags.writeable = False
-
-    @property
-    def admittance(self) -> AdmittanceMatrix:
-        return self.feeder.admittance
 
     @property
     def n_zones(self) -> int:
@@ -186,12 +182,13 @@ def env_step(cfg: EnvConfig, scenario: Scenario, action: np.ndarray,
     next state is a flat nominal profile (never bootstrapped from, since the
     transition is terminal).
     """
+    admittance = cfg.feeder.admittance
     q_set = map_action(action, cfg.q_rated, cfg.zone_map)
-    injections = to_injections(cfg.admittance, scenario, q_pv=q_set)
+    injections = to_injections(admittance, scenario, q_pv=q_set)
     q_max_vals = q_max_vector(cfg.s_rated, scenario.p_pv)
 
     try:
-        sol = solve_power_flow(cfg.feeder, cfg.admittance, injections,
+        sol = solve_power_flow(cfg.feeder, admittance, injections,
                                slack_voltage=cfg.slack_voltage)
     except PowerFlowDivergedError as exc:
         log.warning("power flow diverged under action %s: %s", action, exc)
@@ -204,13 +201,13 @@ def env_step(cfg: EnvConfig, scenario: Scenario, action: np.ndarray,
     r = reward(sol.v_mag, q_set, q_max_vals, cfg.reward)
 
     sigma = cfg.measurement_noise_pct / 100.0
-    meas = feeder_head_measurement(cfg.admittance, sol, noise_sigma=sigma,
+    meas = feeder_head_measurement(admittance, sol, noise_sigma=sigma,
                                    rng=rng if sigma > 0 else None)
     state = sol.v_mag.copy()
 
-    slack = cfg.admittance.slack
+    slack = admittance.slack
     v = sol.v_complex
-    s_head = v[slack] * np.conj(cfg.admittance.y[slack] @ v)
+    s_head = v[slack] * np.conj(admittance.y[slack] @ v)
 
     band = cfg.reward
     info = {

@@ -8,9 +8,10 @@ so any change here must keep the backward pass in lockstep with forward().
 
 Conventions:
   - batches are (n_samples, n_features), weights are (in_dim, out_dim)
-  - train mode samples dropout masks and uses batch statistics for batch
-    norm (updating running statistics as a side effect); eval mode is
-    deterministic and uses running statistics
+  - a pass given an rng is a training pass: it samples dropout masks from
+    that rng and uses batch statistics for batch norm (updating running
+    statistics as a side effect); a pass without one is an inference pass,
+    deterministic and on running statistics. Nets carry no mode
   - a model's trainable arrays are views into one vector, ``MlpModel.params``,
     keyed "L{i}.{W,b,gamma,beta}" in layer order; ``backward`` returns
     d(loss)/d(params) in that layout (never the input gradient, which
@@ -74,7 +75,6 @@ class DenseLayer:
 @dataclass
 class MlpModel:
     layers: list[DenseLayer]
-    mode: str = "train"
     # every trainable array of ``layers`` is a view into this vector
     params: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -94,48 +94,32 @@ class MlpModel:
     def output_dim(self) -> int:
         return self.layers[-1].out_dim
 
-    def train(self):
-        self.mode = "train"
-        return self
 
-    def eval(self):
-        self.mode = "eval"
-        return self
-
-
-def build_mlp(dims: list[int], hidden_activation: str = "relu",
-              output_activation: str = "identity", dropout_rate: float = 0.0,
-              batch_norm: bool = False, rng: np.random.Generator | None = None,
-              final_init_scale: float | None = None,
-              activations: list[str] | None = None) -> MlpModel:
-    """Stack dense layers for the given dimension chain.
+def build_mlp(dims: list[int], activations: list[str], rng: np.random.Generator,
+              dropout_rate: float = 0.0, batch_norm: bool = False,
+              final_init_scale: float | None = None) -> MlpModel:
+    """Stack dense layers for the given dimension chain, one activation each.
 
     Hidden layers get the dropout/batch-norm treatment; the output layer is
-    a plain affine + activation. ``activations`` overrides the per-layer
-    activation list entirely (one entry per layer). Weights and biases start
-    uniform in +-1/sqrt(fan_in); ``final_init_scale`` overrides the output
-    layer bound (the DDPG nets want +-3e-3 there).
+    a plain affine + activation. Weights and biases start uniform in
+    +-1/sqrt(fan_in); ``final_init_scale`` overrides the output layer bound
+    (the DDPG nets want +-3e-3 there).
     """
     if len(dims) < 2:
         raise ModelMismatchError("need at least input and output dims")
     n_layers = len(dims) - 1
-    if activations is not None and len(activations) != n_layers:
+    if len(activations) != n_layers:
         raise ModelMismatchError(f"need {n_layers} activations, got {len(activations)}")
-    rng = rng if rng is not None else np.random.default_rng()
     layers = []
     last = n_layers - 1
     for i, (d_in, d_out) in enumerate(zip(dims, dims[1:])):
         bound = 1.0 / np.sqrt(d_in)
         if i == last and final_init_scale is not None:
             bound = final_init_scale
-        if activations is not None:
-            act = activations[i]
-        else:
-            act = output_activation if i == last else hidden_activation
         layers.append(DenseLayer(
             weights=rng.uniform(-bound, bound, size=(d_in, d_out)),
             biases=rng.uniform(-bound, bound, size=d_out),
-            activation=act,
+            activation=activations[i],
             dropout_rate=0.0 if i == last else dropout_rate,
             batch_norm=BatchNormState.identity(d_out) if (batch_norm and i != last) else None,
         ))
@@ -171,7 +155,7 @@ def _bind(model: MlpModel, flat: np.ndarray) -> None:
 
 
 def clone_model(model: MlpModel) -> MlpModel:
-    """Independent copy of ``model``, arrays and mode (target-network init)."""
+    """Independent copy of ``model``'s arrays (target-network init)."""
     arrays, descriptor = model_to_arrays(model)
     return model_from_arrays({k: v.copy() for k, v in arrays.items()}, descriptor)
 
@@ -205,24 +189,18 @@ def _activation_backward(name: str, y: np.ndarray, a: np.ndarray,
     return da
 
 
-def forward(model: MlpModel, batch: np.ndarray, rng_seed=None) -> tuple[np.ndarray, list]:
+def forward(model: MlpModel, batch: np.ndarray,
+            rng: np.random.Generator | None = None) -> tuple[np.ndarray, list]:
     """Run the network, returning outputs and the per-layer backward cache.
 
-    ``rng_seed`` (int seed or Generator) is required in train mode when any
-    layer has dropout; the same seed reproduces the same masks, which the
-    finite-difference tests rely on.
+    Given ``rng``, this is a training pass (dropout masks from ``rng``, batch
+    statistics, running statistics updated); without one, an inference pass.
     """
     x = np.atleast_2d(np.asarray(batch, dtype=float))
     if x.shape[1] != model.input_dim:
         raise ModelMismatchError(
             f"batch has {x.shape[1]} features, model expects {model.input_dim}")
-    train = model.mode == "train"
-    rng = None
-    if train and any(layer.dropout_rate > 0.0 for layer in model.layers):
-        if rng_seed is None:
-            raise ModelMismatchError("train-mode forward with dropout needs rng_seed")
-        rng = rng_seed if isinstance(rng_seed, np.random.Generator) \
-            else np.random.default_rng(rng_seed)
+    train = rng is not None
 
     cache = []
     for layer in model.layers:
@@ -266,8 +244,8 @@ def forward(model: MlpModel, batch: np.ndarray, rng_seed=None) -> tuple[np.ndarr
 def _backprop(model: MlpModel, cache: list, output_gradient: np.ndarray):
     """Yield (i, d(loss)/d(batch-norm output), d(loss)/d(affine output)) from
     the last layer to layer 0, whose input gradient is never formed. Batch
-    norm is differentiated through the batch statistics in train mode and
-    through the running statistics in eval mode."""
+    norm is differentiated through the batch statistics after a training
+    pass and through the running statistics after an inference pass."""
     if len(cache) != len(model.layers):
         raise ModelMismatchError("cache does not match model (stale or truncated)")
     # contiguous: an identity layer passes it on as dz, and a strided dz could
@@ -478,7 +456,8 @@ def model_to_arrays(model: MlpModel) -> tuple[dict[str, np.ndarray], dict]:
         if layer.batch_norm is not None:
             arrays[f"L{i}.running_mean"] = layer.batch_norm.running_mean
             arrays[f"L{i}.running_var"] = layer.batch_norm.running_var
-    return arrays, {"arch": arch, "mode": model.mode}
+    # format 1 records a mode; every saved net is used for inference
+    return arrays, {"arch": arch, "mode": "eval"}
 
 
 _BN_KEYS = ("gamma", "beta", "running_mean", "running_var")  # BatchNormState field order
@@ -501,11 +480,10 @@ def model_from_arrays(arrays: dict[str, np.ndarray], descriptor: dict) -> MlpMod
             layers.append(DenseLayer(weights=arr["W"], biases=arr["b"],
                                      activation=spec["activation"],
                                      dropout_rate=spec["dropout_rate"], batch_norm=bn))
-        mode = descriptor.get("mode", "eval")
         if not layers:
             raise CheckpointError("checkpoint describes a model without layers")
     except KeyError as exc:
         raise CheckpointError(f"checkpoint is missing {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed architecture descriptor: {exc!r}") from exc
-    return MlpModel(layers=layers, mode=mode)
+    return MlpModel(layers=layers)

@@ -17,7 +17,7 @@ into free (f) and slack (s) rows, f = 0 at the free rows reads
 systems via the bus admittance matrix", IEEE TPWRS 2018). ``Z_ff`` and
 ``Z_ff Y_fs`` are built once per feeder by ``build_admittance``, so each
 iteration is two matrix-vector products: one applying the update, one
-checking the mismatch against ``tol`` in absolute terms. A solve either
+checking the mismatch against ``TOL`` in absolute terms. A solve either
 returns a converged ``PowerFlowSolution`` or raises PowerFlowDivergedError.
 The feeder-head measurement reads the source bus's slack rows of the same
 admittance, so neither it nor the solve needs anything else of the feeder.
@@ -34,8 +34,8 @@ import numpy as np
 from .errors import PowerFlowDivergedError
 from .feeder import AdmittanceMatrix, Feeder
 
-DEFAULT_TOL = 1e-8
-DEFAULT_MAX_ITER = 50
+TOL = 1e-8  # largest absolute P or Q mismatch of a converged solve, p.u.
+MAX_ITER = 50
 
 
 @dataclass
@@ -89,14 +89,13 @@ def _residual(admittance: AdmittanceMatrix, v: np.ndarray, s: np.ndarray) -> flo
 
 
 def solve_power_flow(feeder: Feeder, admittance: AdmittanceMatrix, injections: InjectionSet,
-                     slack_voltage: float = 1.0, tol: float = DEFAULT_TOL,
-                     max_iter: int = DEFAULT_MAX_ITER) -> PowerFlowSolution:
-    """Z-bus fixed point from a flat start until the mismatch drops below tol.
+                     slack_voltage: float = 1.0) -> PowerFlowSolution:
+    """Z-bus fixed point from a flat start until the mismatch drops below TOL.
 
     Reads only ``admittance``, which was built from ``feeder``.
     ``iterations`` counts the fixed-point updates. Raises
     PowerFlowDivergedError when the mismatch turns non-finite or is still
-    above tol after ``max_iter`` updates; the exception carries the last
+    above TOL after MAX_ITER updates; the exception carries the last
     residual so the caller can report how far off the solve ended.
     """
     n = admittance.size
@@ -109,20 +108,20 @@ def solve_power_flow(feeder: Feeder, admittance: AdmittanceMatrix, injections: I
     w = -(admittance.z_slack @ v[admittance.slack])
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for iteration in range(max_iter + 1):
+        for iteration in range(MAX_ITER + 1):
             residual = _residual(admittance, v, s)
             if not math.isfinite(residual):
                 raise PowerFlowDivergedError("mismatch turned non-finite",
                                              residual=residual, iterations=iteration)
-            if residual < tol:
+            if residual < TOL:
                 return PowerFlowSolution(v_re=v.real.copy(), v_im=v.imag.copy(),
                                          iterations=iteration, residual=residual)
-            if iteration < max_iter:
+            if iteration < MAX_ITER:
                 v[free] = w - admittance.z_ff @ np.conj(s_free / v[free])
 
     raise PowerFlowDivergedError(
-        f"no convergence after {max_iter} iterations (residual {residual:.3e})",
-        residual=residual, iterations=max_iter)
+        f"no convergence after {MAX_ITER} iterations (residual {residual:.3e})",
+        residual=residual, iterations=MAX_ITER)
 
 
 def feeder_head_measurement(admittance: AdmittanceMatrix, solution: PowerFlowSolution,

@@ -6,14 +6,23 @@ bracket makes the numeric quotient measure the kink, not the derivative.
 Such coordinates are detected by comparing relu sign patterns at the two
 evaluation points and skipped; the caller asserts that only a small
 fraction get skipped so the check keeps its teeth.
+
+With ``rng_seed`` None the passes differentiated are inference passes.
+With a seed they are training passes, each given a fresh
+``default_rng(rng_seed)``, so every pass draws the same dropout masks.
 """
 import numpy as np
 
 from gridpilot import nn
 
 
+def _forward(model, batch, rng_seed):
+    rng = None if rng_seed is None else np.random.default_rng(rng_seed)
+    return nn.forward(model, batch, rng)
+
+
 def _loss_and_pattern(model, batch, target, rng_seed):
-    out, cache = nn.forward(model, batch, rng_seed=rng_seed)
+    out, cache = _forward(model, batch, rng_seed)
     loss, _ = nn.mse_loss(out, target)
     pattern = [entry["y"] > 0.0
                for layer, entry in zip(model.layers, cache)
@@ -57,7 +66,7 @@ def _worst_relative_error(model, batch, target, rng_seed, h, tensors,
     return worst, checked, skipped
 
 
-def max_relative_gradient_error(model, batch, target, rng_seed=0, h=1e-5,
+def max_relative_gradient_error(model, batch, target, rng_seed=None, h=1e-5,
                                 samples_per_tensor=12, rng=None):
     """Worst relative error between backward() and central differences.
 
@@ -65,7 +74,7 @@ def max_relative_gradient_error(model, batch, target, rng_seed=0, h=1e-5,
     rejected for relu sign flips between the two evaluation points.
     """
     rng = rng or np.random.default_rng(0)
-    out, cache = nn.forward(model, batch, rng_seed=rng_seed)
+    out, cache = _forward(model, batch, rng_seed)
     _, dloss = nn.mse_loss(out, target)
     grads = nn._views(model, nn.backward(model, cache, dloss))
     params = nn.model_parameters(model)
@@ -74,13 +83,13 @@ def max_relative_gradient_error(model, batch, target, rng_seed=0, h=1e-5,
                                  samples_per_tensor, rng)
 
 
-def max_relative_input_gradient_error(model, batch, target, rng_seed=0, h=1e-5,
+def max_relative_input_gradient_error(model, batch, target, rng_seed=None, h=1e-5,
                                       samples=24, rng=None):
     """Worst relative error between input_gradient() and central differences
     of the loss in the batch entries; returns (max_rel_err, checked, skipped)."""
     rng = rng or np.random.default_rng(0)
     batch = np.array(batch, dtype=float)  # perturbed in place below
-    out, cache = nn.forward(model, batch, rng_seed=rng_seed)
+    out, cache = _forward(model, batch, rng_seed)
     _, dloss = nn.mse_loss(out, target)
     dx = nn.input_gradient(model, cache, dloss)
     assert dx.shape == batch.shape
@@ -97,7 +106,7 @@ def _assert_small(result, tol, min_valid_fraction):
     return worst
 
 
-def assert_gradients_match(model, batch, target, rng_seed=0, tol=1e-4,
+def assert_gradients_match(model, batch, target, rng_seed=None, tol=1e-4,
                            samples_per_tensor=12, rng=None,
                            min_valid_fraction=0.8):
     return _assert_small(max_relative_gradient_error(
@@ -105,7 +114,7 @@ def assert_gradients_match(model, batch, target, rng_seed=0, tol=1e-4,
         samples_per_tensor=samples_per_tensor, rng=rng), tol, min_valid_fraction)
 
 
-def assert_input_gradient_matches(model, batch, target, rng_seed=0, tol=1e-4,
+def assert_input_gradient_matches(model, batch, target, rng_seed=None, tol=1e-4,
                                   rng=None, min_valid_fraction=0.8):
     return _assert_small(max_relative_input_gradient_error(
         model, batch, target, rng_seed=rng_seed, rng=rng), tol, min_valid_fraction)

@@ -114,22 +114,19 @@ def test_criterion_3_gradient_integrity(feeder34, capsys):
     rng = np.random.default_rng(5)
     nets = ddpg.build_agent(n, 1, rng)
     estimator = nn.build_mlp([12, 200, 200, 200, 200, 200, 2 * n],
-                             hidden_activation="relu",
-                             output_activation="identity",
-                             dropout_rate=0.5, batch_norm=True, rng=rng)
+                             ["relu"] * 5 + ["identity"], rng,
+                             dropout_rate=0.5, batch_norm=True)
 
     results = {}
     for name, model, in_dim, out_dim, per_tensor in (
             ("actor", nets.actor, n, 1, 2),
             ("critic", nets.critic, n + 1, 1, 2),
             ("estimator", estimator, 12, 2 * n, 1)):
-        model.train()
         batch = rng.normal(size=(16, in_dim))
         targets = rng.normal(size=(16, out_dim))
         worst, checked, skipped = max_relative_gradient_error(
             model, batch, targets, rng_seed=11, samples_per_tensor=per_tensor,
             rng=np.random.default_rng(7))
-        model.eval()
         results[name] = (worst, checked, skipped)
 
     dt = time.perf_counter() - t0

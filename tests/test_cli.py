@@ -295,6 +295,13 @@ def test_error_exit_codes(tmp_path, workspace):
         ("train-agent", dict(scenario_file=scen_csv, env={"measurement_noise_pct": -3})),
         ("train-agent", dict(scenario_file=scen_csv,
                              env={"measurement_noise_pct": float("nan")})),
+        # sizes of tens of TiB or more, which numpy fails to allocate without
+        # touching memory: each was a raw numpy MemoryError traceback
+        ("train-agent", dict(scenario_file=scen_csv, train={"buffer_capacity": 10**12})),
+        ("train-dsse", dict(scenario_file=scen_csv, dsse={"hidden_layers": [10**12]})),
+        ("oracle", dict(scenario_file=scen_csv, oracle={"n_grid": 10**15})),
+        ("gen-scenarios", dict(scenario={**SCEN, "household_pool_size": 10**15})),
+        ("gen-scenarios", dict(scenario={**SCEN, "households_per_node": 10**15})),
     ]
     # malformed scenario files and checkpoints: each was a raw ValueError,
     # IndexError, StopIteration, KeyError or struct.error, or (nan) a run

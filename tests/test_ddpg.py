@@ -40,12 +40,9 @@ def small_nets(rng=None, state_dim=4, action_dim=2):
     exact; the production sizes are exercised by build_agent and training.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
-    actor = nn.build_mlp([state_dim, 10, 10, action_dim],
-                         activations=["tanh", "tanh", "tanh"], rng=rng)
+    actor = nn.build_mlp([state_dim, 10, 10, action_dim], ["tanh", "tanh", "tanh"], rng)
     critic = nn.build_mlp([state_dim + action_dim, 12, 12, 1],
-                          activations=["tanh", "tanh", "identity"], rng=rng)
-    actor.eval()
-    critic.eval()
+                          ["tanh", "tanh", "identity"], rng)
     return AgentNets(actor=actor, critic=critic,
                      actor_target=nn.clone_model(actor),
                      critic_target=nn.clone_model(critic))
@@ -255,6 +252,19 @@ def test_act_clamps_and_validates():
     a1 = act(nets, state)
     a2 = act(nets, state)
     assert np.array_equal(a1, a2)
+
+
+def test_act_leaves_nets_untouched():
+    nets = build_agent(5, 2, np.random.default_rng(3))
+    before = [{k: v.copy() for k, v in nn.model_to_arrays(getattr(nets, name))[0].items()}
+              for name in ddpg.NET_NAMES]
+    first = act(nets, np.linspace(0.9, 1.1, 5))
+    act(nets, np.ones(5), sigma=0.3, rng=np.random.default_rng(4))
+    assert np.array_equal(act(nets, np.linspace(0.9, 1.1, 5)), first)
+    for name, arrays in zip(ddpg.NET_NAMES, before):
+        after, _ = nn.model_to_arrays(getattr(nets, name))
+        assert after.keys() == arrays.keys()
+        assert all(np.array_equal(after[k], arrays[k]) for k in arrays), name
 
 
 def test_ou_noise_mean_reversion():

@@ -125,6 +125,23 @@ def test_estimate_shapes_and_fingerprint_guard(feeder2, feeder4, model4, pairs4)
         EnvConfig(feeder=feeder2, estimator=model)
 
 
+def test_estimate_states_leaves_net_untouched(model4, pairs4):
+    """Estimates are inference passes: weights and batch-norm running
+    statistics stay bit-identical, so the estimate repeats exactly."""
+    model, _ = model4
+    before = {k: v.copy() for k, v in nn.model_to_arrays(model.net)[0].items()}
+    assert any(k.endswith("running_mean") for k in before)
+    first = estimate_states(model, pairs4[0][0])
+    for features, _ in pairs4[:20]:
+        estimate_states(model, features)
+    again = estimate_states(model, pairs4[0][0])
+    assert np.array_equal(first.v_mag, again.v_mag)
+    assert np.array_equal(first.v_angle, again.v_angle)
+    after, _ = nn.model_to_arrays(model.net)
+    assert after.keys() == before.keys()
+    assert all(np.array_equal(after[k], before[k]) for k in before)
+
+
 def test_estimates_are_absolute_angles(model4, pairs4):
     model, _ = model4
     est = estimate_states(model, pairs4[0][0])

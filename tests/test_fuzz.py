@@ -71,13 +71,12 @@ def checkpoints(fuzz_dir, feeder4):
     checkpoint for 4bus."""
     rng = np.random.default_rng(0)
     n = feeder4.n_node_phases
-    actor = nn.build_mlp([n, 6, 1], rng=rng)
-    critic = nn.build_mlp([n + 1, 6, 1], rng=rng)
+    actor = nn.build_mlp([n, 6, 1], ["relu", "identity"], rng)
+    critic = nn.build_mlp([n + 1, 6, 1], ["relu", "identity"], rng)
     nets = ddpg.AgentNets(actor, critic, nn.clone_model(actor), nn.clone_model(critic))
     ddpg.save_agent(fuzz_dir / "agent.ckpt", nets, ddpg.TrainConfig(),
                     feeder_fingerprint=feeder4.fingerprint)
-    net = nn.build_mlp([12, 6, 2 * n], batch_norm=True, rng=rng)
-    net.eval()
+    net = nn.build_mlp([12, 6, 2 * n], ["relu", "identity"], rng, batch_norm=True)
     model = dsse.DsseModel(net=net, input_mean=np.zeros(12), input_std=np.ones(12),
                            output_mean=np.zeros(2 * n), output_std=np.ones(2 * n),
                            feeder_fingerprint=feeder4.fingerprint,

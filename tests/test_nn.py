@@ -11,56 +11,57 @@ from gridpilot.errors import CheckpointError, ModelMismatchError, NumericalError
 
 
 def test_gradients_plain_relu_net(rng):
-    model = nn.build_mlp([4, 8, 3], rng=rng)
+    model = nn.build_mlp([4, 8, 3], ["relu", "identity"], rng)
     batch = rng.standard_normal((6, 4))
     target = rng.standard_normal((6, 3))
     assert_gradients_match(model, batch, target, rng=rng)
 
 
 def test_gradients_tanh_with_final_scale(rng):
-    model = nn.build_mlp([5, 16, 8, 2], hidden_activation="tanh",
-                         output_activation="tanh", final_init_scale=3e-3, rng=rng)
+    model = nn.build_mlp([5, 16, 8, 2], ["tanh", "tanh", "tanh"], rng,
+                         final_init_scale=3e-3)
     batch = rng.standard_normal((7, 5))
     target = rng.uniform(-1, 1, size=(7, 2))
     assert_gradients_match(model, batch, target, rng=rng)
 
 
 def test_gradients_batchnorm_dropout_net(rng):
-    model = nn.build_mlp([4, 12, 12, 3], dropout_rate=0.5, batch_norm=True, rng=rng)
+    model = nn.build_mlp([4, 12, 12, 3], ["relu", "relu", "identity"], rng,
+                         dropout_rate=0.5, batch_norm=True)
     batch = rng.standard_normal((10, 4))
     target = rng.standard_normal((10, 3))
-    # running stats drift on every forward, but batch statistics (what the
-    # train-mode backward differentiates through) depend only on the batch
+    # running stats drift on every training pass, but batch statistics (what
+    # its backward differentiates through) depend only on the batch
     assert_gradients_match(model, batch, target, rng_seed=17, rng=rng)
 
 
 def test_gradients_eval_mode_batchnorm(rng):
-    model = nn.build_mlp([3, 9, 2], batch_norm=True, rng=rng)
-    nn.forward(model, rng.standard_normal((32, 3)))  # populate running stats
-    model.eval()
+    model = nn.build_mlp([3, 9, 2], ["relu", "identity"], rng, batch_norm=True)
+    nn.forward(model, rng.standard_normal((32, 3)), rng)  # populate running stats
     batch = rng.standard_normal((5, 3))
     target = rng.standard_normal((5, 2))
     assert_gradients_match(model, batch, target, rng=rng)
 
 
 def test_input_gradient_matches_finite_differences(rng):
-    plain = nn.build_mlp([4, 10, 2], rng=rng).eval()
+    plain = nn.build_mlp([4, 10, 2], ["relu", "identity"], rng)
     assert_input_gradient_matches(plain, rng.standard_normal((3, 4)),
                                   rng.standard_normal((3, 2)), rng=rng)
-    # train-mode batch norm: each input also moves the batch statistics
-    bn = nn.build_mlp([4, 12, 12, 3], batch_norm=True, rng=rng)
+    # training-pass batch norm: each input also moves the batch statistics
+    bn = nn.build_mlp([4, 12, 12, 3], ["relu", "relu", "identity"], rng, batch_norm=True)
     assert_input_gradient_matches(bn, rng.standard_normal((10, 4)),
-                                  rng.standard_normal((10, 3)), rng=rng)
-    nn.forward(bn, rng.standard_normal((32, 4)))  # populate running stats
-    assert_input_gradient_matches(bn.eval(), rng.standard_normal((5, 4)),
+                                  rng.standard_normal((10, 3)), rng_seed=0, rng=rng)
+    nn.forward(bn, rng.standard_normal((32, 4)), rng)  # populate running stats
+    assert_input_gradient_matches(bn, rng.standard_normal((5, 4)),
                                   rng.standard_normal((5, 3)), rng=rng)
-    dropout = nn.build_mlp([4, 12, 12, 3], dropout_rate=0.5, batch_norm=True, rng=rng)
+    dropout = nn.build_mlp([4, 12, 12, 3], ["relu", "relu", "identity"], rng,
+                           dropout_rate=0.5, batch_norm=True)
     assert_input_gradient_matches(dropout, rng.standard_normal((10, 4)),
                                   rng.standard_normal((10, 3)), rng_seed=17, rng=rng)
 
 
 def test_forward_shapes_and_activation_bounds(rng):
-    model = nn.build_mlp([3, 7, 2], output_activation="tanh", rng=rng).eval()
+    model = nn.build_mlp([3, 7, 2], ["relu", "tanh"], rng)
     out, cache = nn.forward(model, rng.standard_normal((11, 3)))
     assert out.shape == (11, 2)
     assert np.all(np.abs(out) <= 1.0)
@@ -68,55 +69,71 @@ def test_forward_shapes_and_activation_bounds(rng):
 
 
 def test_forward_rejects_wrong_width(rng):
-    model = nn.build_mlp([3, 4, 2], rng=rng)
+    model = nn.build_mlp([3, 4, 2], ["relu", "identity"], rng)
     with pytest.raises(ModelMismatchError):
         nn.forward(model, np.zeros((2, 5)))
 
 
-def test_forward_dropout_needs_seed_in_train_mode(rng):
-    model = nn.build_mlp([3, 4, 2], dropout_rate=0.5, rng=rng)
-    with pytest.raises(ModelMismatchError):
-        nn.forward(model, np.zeros((2, 3)))
-    nn.forward(model.eval(), np.zeros((2, 3)))  # eval mode never needs one
-
-
 def test_dropout_reproducible_and_unbiased(rng):
-    model = nn.build_mlp([6, 64, 4], dropout_rate=0.5, rng=rng)
+    model = nn.build_mlp([6, 64, 4], ["relu", "identity"], rng, dropout_rate=0.5)
     x = rng.standard_normal((5, 6))
-    a, _ = nn.forward(model, x, rng_seed=123)
-    b, _ = nn.forward(model, x, rng_seed=123)
-    c, _ = nn.forward(model, x, rng_seed=124)
+    a, _ = nn.forward(model, x, np.random.default_rng(123))
+    b, _ = nn.forward(model, x, np.random.default_rng(123))
+    c, _ = nn.forward(model, x, np.random.default_rng(124))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
-    # inverted dropout: train-mode expectation approximates the eval output
-    mean = np.mean([nn.forward(model, x, rng_seed=s)[0] for s in range(400)], axis=0)
-    expected, _ = nn.forward(model.eval(), x)
+    # inverted dropout: the training-pass expectation approximates inference
+    mean = np.mean([nn.forward(model, x, np.random.default_rng(s))[0] for s in range(400)],
+                   axis=0)
+    expected, _ = nn.forward(model, x)
     assert np.allclose(mean, expected, atol=0.12 * np.abs(expected).max() + 0.02)
 
 
 def test_batchnorm_running_stats_ema(rng):
-    model = nn.build_mlp([2, 3, 1], batch_norm=True, rng=rng)
+    model = nn.build_mlp([2, 3, 1], ["relu", "identity"], rng, batch_norm=True)
     bn = model.layers[0].batch_norm
     x = rng.standard_normal((50, 2))
     z = x @ model.layers[0].weights + model.layers[0].biases
-    nn.forward(model, x)
+    nn.forward(model, x, rng)
     assert np.allclose(bn.running_mean, 0.1 * z.mean(axis=0))
     assert np.allclose(bn.running_var, 0.9 * 1.0 + 0.1 * z.var(axis=0))
     # second pass compounds the same EMA
     rm = bn.running_mean.copy()
-    nn.forward(model, x)
+    nn.forward(model, x, rng)
     assert np.allclose(bn.running_mean, 0.9 * rm + 0.1 * z.mean(axis=0))
 
 
+def test_pass_kind_follows_the_rng_alone(rng):
+    """Without an rng a pass is an inference pass, also right after a training
+    pass; with one it trains, also right after an inference pass."""
+    model = nn.build_mlp([3, 6, 2], ["relu", "identity"], rng,
+                         dropout_rate=0.5, batch_norm=True)
+    layer, bn = model.layers[0], model.layers[0].batch_norm
+    x = rng.standard_normal((8, 3))
+    z = x @ layer.weights + layer.biases
+    nn.forward(model, x, np.random.default_rng(1))
+    mean, var = bn.running_mean.copy(), bn.running_var.copy()
+    out, cache = nn.forward(model, x)
+    hidden = np.maximum(bn.scale * (z - mean) / np.sqrt(var + nn.BN_EPS) + bn.shift, 0.0)
+    assert np.allclose(out, hidden @ model.layers[1].weights + model.layers[1].biases)
+    assert not cache[0]["train"] and "mask" not in cache[0]
+    assert np.array_equal(bn.running_mean, mean) and np.array_equal(bn.running_var, var)
+
+    _, cache = nn.forward(model, x, np.random.default_rng(2))
+    assert cache[0]["train"] and "mask" in cache[0]
+    assert np.array_equal(cache[0]["mu"], z.mean(axis=0))
+    momentum = nn.BN_MOMENTUM
+    assert np.array_equal(bn.running_mean, momentum * mean + (1 - momentum) * z.mean(axis=0))
+
+
 def test_batchnorm_eval_uses_running_stats(rng):
-    model = nn.build_mlp([2, 4, 1], batch_norm=True, rng=rng)
+    model = nn.build_mlp([2, 4, 1], ["relu", "identity"], rng, batch_norm=True)
     bn = model.layers[0].batch_norm
     bn.running_mean = np.array([1.0, -1.0, 0.5, 0.0])
     bn.running_var = np.array([4.0, 1.0, 0.25, 9.0])
     bn.scale = np.array([2.0, 1.0, 1.0, 3.0])
     bn.shift = np.array([0.0, 1.0, 0.0, -2.0])
-    model.eval()
     x = rng.standard_normal((3, 2))
     z = x @ model.layers[0].weights + model.layers[0].biases
     expected = bn.scale * (z - bn.running_mean) / np.sqrt(bn.running_var + nn.BN_EPS) \
@@ -127,7 +144,7 @@ def test_batchnorm_eval_uses_running_stats(rng):
 
 
 def test_build_mlp_init_bounds(rng):
-    model = nn.build_mlp([100, 50, 4], final_init_scale=3e-3, rng=rng)
+    model = nn.build_mlp([100, 50, 4], ["relu", "identity"], rng, final_init_scale=3e-3)
     w0, b0 = model.layers[0].weights, model.layers[0].biases
     assert np.max(np.abs(w0)) <= 1.0 / np.sqrt(100)
     assert np.max(np.abs(b0)) <= 1.0 / np.sqrt(100)
@@ -137,11 +154,10 @@ def test_build_mlp_init_bounds(rng):
 
 
 def test_build_mlp_per_layer_activation_override(rng):
-    model = nn.build_mlp([3, 5, 5, 1], activations=["relu", "tanh", "identity"],
-                         rng=rng)
+    model = nn.build_mlp([3, 5, 5, 1], ["relu", "tanh", "identity"], rng)
     assert [l.activation for l in model.layers] == ["relu", "tanh", "identity"]
     with pytest.raises(ModelMismatchError):
-        nn.build_mlp([3, 5, 1], activations=["relu"], rng=rng)
+        nn.build_mlp([3, 5, 1], ["relu"], rng)
 
 
 def test_mse_loss_value_and_gradient():
@@ -155,7 +171,7 @@ def test_mse_loss_value_and_gradient():
 
 
 def test_adam_first_step_and_asymptotic_step_size():
-    model = nn.build_mlp([1, 1], rng=np.random.default_rng(0))  # W and b
+    model = nn.build_mlp([1, 1], ["identity"], np.random.default_rng(0))  # W and b
     model.params[:] = 10.0
     state = nn.AdamState(learning_rate=0.01)
     nn.adam_step(state, model, np.full(2, 0.37))
@@ -169,7 +185,7 @@ def test_adam_first_step_and_asymptotic_step_size():
 
 
 def test_adam_updates_in_place_and_validates(rng):
-    model = nn.build_mlp([3, 4, 2], rng=rng)
+    model = nn.build_mlp([3, 4, 2], ["relu", "identity"], rng)
     params, weights = model.params, model.layers[0].weights
     before = params.copy()
     state = nn.AdamState(learning_rate=0.1)
@@ -181,7 +197,7 @@ def test_adam_updates_in_place_and_validates(rng):
 
 
 def test_adam_names_non_finite_parameter(rng):
-    model = nn.build_mlp([3, 4, 2], batch_norm=True, rng=rng)
+    model = nn.build_mlp([3, 4, 2], ["relu", "identity"], rng, batch_norm=True)
     state = nn.AdamState(learning_rate=0.1)
     nn.adam_step(state, model, np.ones_like(model.params))
     before = model.params.copy()
@@ -226,7 +242,8 @@ def _reference_adam_step(state, params, grads):
 ])
 def test_adam_bit_equal_to_per_key_loop(dims, batch_norm, lr):
     rng = np.random.default_rng(11)
-    model = nn.build_mlp(dims, batch_norm=batch_norm, rng=rng)
+    model = nn.build_mlp(dims, ["relu"] * (len(dims) - 2) + ["identity"], rng,
+                         batch_norm=batch_norm)
     reference = nn.clone_model(model)
     state = nn.AdamState(learning_rate=lr)
     ref_state = SimpleNamespace(learning_rate=lr, beta1=0.9, beta2=0.999, epsilon=1e-8,
@@ -242,7 +259,7 @@ def test_adam_bit_equal_to_per_key_loop(dims, batch_norm, lr):
 
 
 def test_flat_vector_aliases_every_layer_array(rng):
-    built = nn.build_mlp([3, 5, 4, 2], batch_norm=True, rng=rng)
+    built = nn.build_mlp([3, 5, 4, 2], ["relu", "relu", "identity"], rng, batch_norm=True)
     arrays, descriptor = nn.model_to_arrays(built)
     rebuilt = nn.model_from_arrays({k: v.copy() for k, v in arrays.items()}, descriptor)
     for model in (built, nn.clone_model(built), rebuilt):
@@ -259,7 +276,7 @@ def test_flat_vector_aliases_every_layer_array(rng):
 
 
 def test_model_parameters_are_live_references(rng):
-    model = nn.build_mlp([2, 3, 1], batch_norm=True, rng=rng)
+    model = nn.build_mlp([2, 3, 1], ["relu", "identity"], rng, batch_norm=True)
     params = nn.model_parameters(model)
     assert set(params) == {"L0.W", "L0.b", "L0.gamma", "L0.beta", "L1.W", "L1.b"}
     params["L0.W"][0, 0] = 123.0
@@ -267,11 +284,10 @@ def test_model_parameters_are_live_references(rng):
 
 
 def test_clone_model_is_independent(rng):
-    model = nn.build_mlp([2, 4, 1], batch_norm=True, rng=rng)
-    nn.forward(model, rng.standard_normal((8, 2)))  # move running stats
+    model = nn.build_mlp([2, 4, 1], ["relu", "identity"], rng, batch_norm=True)
+    nn.forward(model, rng.standard_normal((8, 2)), rng)  # move running stats
     twin = nn.clone_model(model)
     x = rng.standard_normal((3, 2))
-    model.eval(), twin.eval()
     assert np.array_equal(nn.forward(model, x)[0], nn.forward(twin, x)[0])
     twin.layers[0].weights += 1.0
     assert not np.array_equal(model.layers[0].weights, twin.layers[0].weights)
@@ -286,18 +302,18 @@ def test_clone_model_is_independent(rng):
 
 
 def test_copy_into_overwrites_in_place(rng):
-    model = nn.build_mlp([2, 4, 1], batch_norm=True, rng=rng)
+    model = nn.build_mlp([2, 4, 1], ["relu", "identity"], rng, batch_norm=True)
     snapshot = nn.clone_model(model)
     params, weights = snapshot.params, snapshot.layers[0].weights
-    nn.forward(model, rng.standard_normal((8, 2)))  # move running stats
+    nn.forward(model, rng.standard_normal((8, 2)), rng)  # move running stats
     model.params += 1.0
     nn.copy_into(snapshot, model)
     assert snapshot.params is params and snapshot.layers[0].weights is weights
     assert np.array_equal(snapshot.params, model.params)
     x = rng.standard_normal((3, 2))
-    assert np.array_equal(nn.forward(model.eval(), x)[0], nn.forward(snapshot.eval(), x)[0])
+    assert np.array_equal(nn.forward(model, x)[0], nn.forward(snapshot, x)[0])
     model.params += 1.0
-    nn.forward(model.train(), rng.standard_normal((8, 2)))
+    nn.forward(model, rng.standard_normal((8, 2)), rng)
     assert not np.array_equal(snapshot.params, model.params)
     assert not np.array_equal(snapshot.layers[0].batch_norm.running_mean,
                               model.layers[0].batch_norm.running_mean)
@@ -370,21 +386,36 @@ def test_checkpoint_malformed_header_is_typed(tmp_path, rng):
 
 
 def test_model_arrays_round_trip_exact(tmp_path, rng):
-    model = nn.build_mlp([4, 6, 6, 2], dropout_rate=0.3, batch_norm=True, rng=rng)
-    nn.forward(model, rng.standard_normal((16, 4)), rng_seed=5)
-    model.eval()
+    model = nn.build_mlp([4, 6, 6, 2], ["relu", "relu", "identity"], rng,
+                         dropout_rate=0.3, batch_norm=True)
+    nn.forward(model, rng.standard_normal((16, 4)), np.random.default_rng(5))
     arrays, descriptor = nn.model_to_arrays(model)
     path = tmp_path / "m.ckpt"
     nn.save_checkpoint(path, arrays, {"descriptor": descriptor})
     loaded_arrays, meta = nn.load_checkpoint(path)
     rebuilt = nn.model_from_arrays(loaded_arrays, meta["descriptor"])
-    assert rebuilt.mode == "eval"
     x = rng.standard_normal((5, 4))
     assert np.array_equal(nn.forward(model, x)[0], nn.forward(rebuilt, x)[0])
 
 
+def test_model_descriptor_mode_is_written_and_ignored(rng):
+    """Format 1 records a mode: "eval" is always written, and a descriptor
+    with "train" or no mode loads the same net."""
+    model = nn.build_mlp([2, 3, 1], ["relu", "identity"], rng, dropout_rate=0.5,
+                         batch_norm=True)
+    nn.forward(model, rng.standard_normal((8, 2)), rng)  # a training pass
+    arrays, descriptor = nn.model_to_arrays(model)
+    assert descriptor == {"arch": descriptor["arch"], "mode": "eval"}
+    x = rng.standard_normal((4, 2))
+    expected, _ = nn.forward(model, x)
+    for desc in ({**descriptor, "mode": "train"}, {"arch": descriptor["arch"]}):
+        rebuilt = nn.model_from_arrays(arrays, desc)
+        assert np.array_equal(nn.forward(rebuilt, x)[0], expected)
+        assert nn.model_to_arrays(rebuilt)[1] == descriptor
+
+
 def test_model_from_arrays_rejects_missing(rng):
-    model = nn.build_mlp([2, 3, 1], batch_norm=True, rng=rng)
+    model = nn.build_mlp([2, 3, 1], ["relu", "identity"], rng, batch_norm=True)
     arrays, descriptor = nn.model_to_arrays(model)
     no_w1 = {k: v for k, v in arrays.items() if k != "L1.W"}
     with pytest.raises(CheckpointError):

@@ -46,8 +46,7 @@ def identity_dsse(feeder, fingerprint=None):
     """Estimator shell with pass-through normalizers; accuracy is irrelevant
     to the wiring and compatibility checks exercised here."""
     n = feeder.n_node_phases
-    net = nn.build_mlp([12, 8, 2 * n], rng=np.random.default_rng(0))
-    net.eval()
+    net = nn.build_mlp([12, 8, 2 * n], ["relu", "identity"], np.random.default_rng(0))
     return DsseModel(net=net,
                      input_mean=np.zeros(12), input_std=np.ones(12),
                      output_mean=np.concatenate([np.ones(n), np.zeros(n)]),

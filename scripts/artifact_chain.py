@@ -1,4 +1,4 @@
-"""Run all seven CLI commands at fixed seeds on the 4bus fixture.
+"""Run all seven CLI commands at fixed seeds, mostly on the 4bus fixture.
 
 Run from anywhere:  python3 scripts/artifact_chain.py OUT
 
@@ -7,10 +7,14 @@ acceptance criterion 9 runs (scenarios, estimator, agent, then evaluate,
 run-online and oracle on them), plus four runs that observe through the
 trained estimator at 1% measurement noise: train-agent, evaluate, run-online
 without fine-tuning, and run-online with a monitor that fine-tunes every ten
-steps. The configs go to a temporary directory, so OUT holds nothing but
-artifacts: to compare two checkouts, run each one's copy of this script into
-its own OUT and ``diff -r`` the two trees. Every file except latency.json is
-byte-stable under these seeds on a given machine.
+steps. Two more gen-scenarios runs write 300 synth34 scenarios each, with
+the benchmark's scenario ranges at two and three households per node: a
+third of synth34's PV units share no node-phase with a load point and draw
+their own households, which 4bus exercises for one unit only. The configs
+go to a temporary directory, so OUT holds nothing but artifacts: to compare
+two checkouts, run each one's copy of this script into its own OUT and
+``diff -r`` the two trees. Every file except latency.json is byte-stable
+under these seeds on a given machine.
 """
 
 import json
@@ -26,6 +30,9 @@ BASE = {"feeder": "4bus", "slack_voltage": 1.04, "seed": 3}
 SCENARIOS = {"count": 140, "load_scale_range": [0.1, 0.5],
              "power_factor_range": [0.95, 1.0], "households_per_node": 2}
 DEPLOYED = {"env": {"measurement_noise_pct": 1.0}}
+SYNTH34 = {"feeder": "synth34", "slack_voltage": 1.045}
+SYNTH34_SCENARIOS = {"count": 300, "load_scale_range": [0.008, 0.045],
+                     "power_factor_range": [0.97, 1.0]}
 
 
 def run_chain(out: str, config_dir: str) -> None:
@@ -61,6 +68,10 @@ def run_chain(out: str, config_dir: str) -> None:
     # a reference reward no window reaches: a fine-tune every `window` steps
     run("run-online", "run-online-fine-tune", **deployed,
         apr={"reference_reward": 0.0, "degradation_threshold": 1e-9, "window": 10})
+
+    for households in (2, 3):
+        run("gen-scenarios", f"gen-scenarios-synth34-h{households}", **SYNTH34,
+            scenario={**SYNTH34_SCENARIOS, "households_per_node": households})
 
 
 def main() -> None:

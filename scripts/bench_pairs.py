@@ -10,7 +10,10 @@ runs ``perfbench/run.py --workload all --trace 0 --seed S+k`` once from each
 tree, the parent first on odd seeds and the change first on even ones, so
 slow drift of the machine falls on both sides alike. Then each tree makes
 one traced run (``--trace 1 --seed 0``), parent first, for the per-layer
-counts and times.
+counts and times. Last, for each workload, it times 8 alternated set-up
+processes per side (``perfbench/run.py --workload W --seed S --setup-into
+DIR``, S the first seed), around the subprocess as perfbench's own
+``setup_s`` does: a run's ``setup_s`` is the median of only 3 of them.
 
 For every workload and end-to-end metric of the change tree's
 BENCHMARK.json, the output holds each side's runs in seed order, their
@@ -18,7 +21,9 @@ median and inclusive quartiles, ``change_wins`` (pairs in which the
 change's value is strictly better), the median ratio, and
 ``median_diff_beats_parent_iqr``: whether the change's median is better
 than the parent's by more than the parent's interquartile range. The
-script only reads the two trees; it writes nothing but ``--out``.
+``setup_processes`` section holds the same summary of the set-up process
+times. The script only reads the two trees; it writes nothing but ``--out``
+and the set-up processes' inputs, in a temporary directory.
 """
 
 import argparse
@@ -27,6 +32,10 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
+
+SETUP_PROCESSES = 8
 
 
 def run_perfbench(tree: str, seed: int, trace: int) -> tuple[dict, dict]:
@@ -45,6 +54,40 @@ def run_perfbench(tree: str, seed: int, trace: int) -> tuple[dict, dict]:
                 if line.startswith("# environment ")), {})
     result["correct"] = result["correct"] and proc.returncode == 0
     return result, env
+
+
+def time_setup(tree: str, workload: str, seed: int, directory: str) -> float:
+    """Wall time of one set-up process, timed around the subprocess."""
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--setup-into", directory],
+        cwd=tree, capture_output=True, text=True, timeout=300)
+    elapsed = time.perf_counter() - start
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr)
+        sys.exit(f"error: {workload} set-up failed in {tree} at seed {seed}")
+    return elapsed
+
+
+def setup_processes(trees: dict, spec: dict, seed: int) -> dict:
+    """Each workload's set-up process times, SETUP_PROCESSES per side, the
+    parent first in even rounds and the change first in odd ones."""
+    metric = next(m for m in spec["end_to_end"] if m["name"] == "setup_s")
+    section = {"method": (f"{SETUP_PROCESSES} alternated perfbench/run.py --workload W "
+                          f"--seed {seed} --setup-into DIR processes per side, each "
+                          "timed around the subprocess")}
+    with tempfile.TemporaryDirectory() as scratch:
+        for workload in (w["name"] for w in spec["workloads"]):
+            times = {"parent": [], "change": []}
+            for k in range(SETUP_PROCESSES):
+                for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
+                    directory = os.path.join(scratch, side, workload)
+                    times[side].append(time_setup(trees[side], workload, seed, directory))
+            section[workload] = compare(metric, times["parent"], times["change"])
+            print(f"{workload} set-up: {section[workload]['parent']['median']:.3f} s -> "
+                  f"{section[workload]['change']['median']:.3f} s", file=sys.stderr)
+    return section
 
 
 def commit_of(tree: str):
@@ -117,6 +160,7 @@ def main(argv=None) -> int:
                            .get("value") for side in ("parent", "change")}}
             for m in spec["per_layer"]}
 
+    setup = setup_processes(trees, spec, args.first_seed)
     report = {
         "commits": {side: commit_of(tree) for side, tree in trees.items()},
         "machine": machine,
@@ -135,6 +179,7 @@ def main(argv=None) -> int:
             "correct": {side: traced[side]["correct"] for side in traced},
             "metrics": traced_metrics,
         },
+        "setup_processes": setup,
     }
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=2)

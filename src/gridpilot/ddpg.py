@@ -237,8 +237,7 @@ def train(env_cfg: EnvConfig, scenarios, cfg: TrainConfig,
     once the buffer holds enough transitions; exploration sigma anneals
     linearly across episodes. Returns the nets and the
     cumulative-reward-per-episode series. On a non-finite loss the run
-    aborts with TrainingError carrying the last episode-boundary snapshot in
-    ``last_good``.
+    aborts with TrainingError carrying the episode in ``epoch``.
 
     ``nets`` starts from an existing agent (fine-tuning);
     ``critic_freeze_updates`` skips the first N critic updates (fine-tune
@@ -258,7 +257,6 @@ def train(env_cfg: EnvConfig, scenarios, cfg: TrainConfig,
     scenario_list = list(scenarios)
     trajectory: list[float] = []
     updates = 0
-    snapshot = clone_agent(nets)
 
     for episode in range(cfg.episodes):
         sigma = _sigma_schedule(cfg, episode)
@@ -290,12 +288,8 @@ def train(env_cfg: EnvConfig, scenarios, cfg: TrainConfig,
                 if info["terminal"]:
                     break
         except NumericalError as exc:
-            err = TrainingError(f"aborted in episode {episode}: {exc}", epoch=episode)
-            err.last_good = snapshot
-            raise err from exc
+            raise TrainingError(f"aborted in episode {episode}: {exc}", epoch=episode) from exc
         trajectory.append(cum_reward)
-        for name in NET_NAMES:
-            nn.copy_into(getattr(snapshot, name), getattr(nets, name))
     return nets, trajectory
 
 

@@ -160,16 +160,6 @@ def clone_model(model: MlpModel) -> MlpModel:
     return model_from_arrays({k: v.copy() for k, v in arrays.items()}, descriptor)
 
 
-def copy_into(target: MlpModel, source: MlpModel) -> None:
-    """Overwrite ``target``, a clone of ``source``, with ``source``'s parameters
-    and batch-norm statistics, reusing ``target``'s memory."""
-    np.copyto(target.params, source.params)
-    for dst, src in zip(target.layers, source.layers):
-        if src.batch_norm is not None:
-            dst.batch_norm.running_mean = src.batch_norm.running_mean.copy()
-            dst.batch_norm.running_var = src.batch_norm.running_var.copy()
-
-
 def _activate(name: str, z: np.ndarray) -> np.ndarray:
     if name == "relu":
         return np.maximum(z, 0.0)

@@ -129,47 +129,52 @@ def aggregate_profiles(pool: HouseholdPool, feeder: Feeder, config: GenConfig,
     entries; its reactive power follows a power factor sampled per point.
     A PV unit takes the pv aggregated at its own (bus, phase) load point,
     clipped to [0, p_rated]; units without a co-located load point draw
-    their own households.
+    their own households. Draws, in the order that keeps files byte-identical:
+    load point households, power factors, then those PV units' households.
     """
-    if pool.size < 1:
-        raise DatasetError("household pool is empty")
-    rng = _as_rng(seed)
-    n_loads = len(feeder.loads)
+    return _aggregator(feeder, config)(pool, _as_rng(seed), scenario_id)
 
-    choice = rng.integers(0, pool.size, size=(n_loads, config.households_per_node))
-    p_load = pool.load[choice].sum(axis=1)
-    pv_at_load = pool.pv[choice].sum(axis=1)
 
-    pf = rng.uniform(config.power_factor_range[0], config.power_factor_range[1], size=n_loads)
-    q_load = p_load * np.tan(np.arccos(np.clip(pf, 0.0, 1.0)))
-
+def _aggregator(feeder: Feeder, config: GenConfig):
+    """``aggregate_profiles`` for one feeder and config, its PV layout built once."""
+    n_loads, h = len(feeder.loads), config.households_per_node
     load_slot = {(ld.bus_id, ld.phase): i for i, ld in enumerate(feeder.loads)}
-    p_pv = np.zeros(len(feeder.pv_units))
-    for k, pv in enumerate(feeder.pv_units):
-        slot = load_slot.get((pv.bus_id, pv.phase))
-        if slot is None:
-            own = rng.integers(0, pool.size, size=config.households_per_node)
-            raw_pv = pool.pv[own].sum()
-        else:
-            raw_pv = pv_at_load[slot]
-        p_pv[k] = min(max(raw_pv, 0.0), pv.p_rated)
+    # each PV unit's co-located load point (the last one on its node-phase), or -1
+    slot = np.array([load_slot.get((pv.bus_id, pv.phase), -1) for pv in feeder.pv_units], int)
+    shared, own = np.flatnonzero(slot >= 0), np.flatnonzero(slot < 0)
+    at_load = slot[shared]
+    rated = np.array([pv.p_rated for pv in feeder.pv_units])
 
-    return Scenario(id=scenario_id, p_load=p_load, q_load=q_load, p_pv=p_pv)
+    def aggregate(pool: HouseholdPool, rng: np.random.Generator, scenario_id: int) -> Scenario:
+        if pool.size < 1:
+            raise DatasetError("household pool is empty")
+        choice = rng.integers(0, pool.size, size=(n_loads, h))
+        p_load = pool.load[choice].sum(axis=1)
+        pf = rng.uniform(config.power_factor_range[0], config.power_factor_range[1], size=n_loads)
+        q_load = p_load * np.tan(np.arccos(np.clip(pf, 0.0, 1.0)))
+        p_pv = np.zeros(slot.size)
+        p_pv[shared] = pool.pv[choice].sum(axis=1)[at_load]
+        p_pv[own] = pool.pv[rng.integers(0, pool.size, size=(own.size, h))].sum(axis=1)
+        # min(max(raw, 0.0), p_rated) as Python evaluates it, signed zeros included
+        p_pv[p_pv < 0.0] = 0.0
+        np.copyto(p_pv, rated, where=rated < p_pv)
+        return Scenario(id=scenario_id, p_load=p_load, q_load=q_load, p_pv=p_pv)
+
+    return aggregate
 
 
 def generate_scenario_set(feeder: Feeder, config: GenConfig, seed: int) -> ScenarioSet:
     """Generate ``config.count`` scenarios on one deterministic stream.
 
     A fresh household pool is drawn per scenario so feeder-wide conditions
-    (total load, prevailing pv/load ratio) vary between snapshots.
+    (total load, prevailing pv/load ratio) vary between snapshots. Draw
+    order per scenario, which keeps written files byte-identical: the pool's
+    lognormal loads and normal pv/load ratios, then ``aggregate_profiles``' draws.
     """
-    rng = np.random.default_rng(seed)
-    scenarios = []
-    for i in range(config.count):
-        pool = generate_household_pool(config, rng)
-        scenarios.append(aggregate_profiles(pool, feeder, config, rng, scenario_id=i))
-    return ScenarioSet(scenarios=scenarios, seed=seed, generator_config=config,
-                       feeder_fingerprint=feeder.fingerprint)
+    rng, aggregate = np.random.default_rng(seed), _aggregator(feeder, config)
+    return ScenarioSet(scenarios=[aggregate(generate_household_pool(config, rng), rng, i)
+                                  for i in range(config.count)],
+                       seed=seed, generator_config=config, feeder_fingerprint=feeder.fingerprint)
 
 
 def split(scenario_set: ScenarioSet, train_fraction: float, seed: int
@@ -215,21 +220,32 @@ def write_scenario_set(scenario_set: ScenarioSet, feeder: Feeder, csv_path) -> N
     values produce identical bytes; the sidecar records the CSV's sha256. A
     row names its element only by type and ``bus.phase``, so a feeder with
     two loads or two pv units on one node-phase raises DatasetError before
-    either file is written.
+    either file is written; so does a non-finite value the reader refuses.
     """
-    shared = [e for e, n in Counter(_csv_elements(feeder)).items() if n > 1]
+    elements = _csv_elements(feeder)
+    shared = [e for e, n in Counter(elements).items() if n > 1]
     if shared:
         kind, name = shared[0]
         raise DatasetError(f"two {kind} elements share node-phase {name}; "
                            "the scenario CSV could not tell them apart")
+    n_loads = len(feeder.loads)
+    prefixes = [f"{kind},{name}," for kind, name in elements]
     lines = [CSV_HEADER]
     for sc in scenario_set.scenarios:
-        for i, ld in enumerate(feeder.loads):
-            lines.append(f"{sc.id},load,{ld.bus_id}.{ld.phase},"
-                         f"{float(sc.p_load[i])!r},{float(sc.q_load[i])!r}")
-        for k, pv in enumerate(feeder.pv_units):
-            lines.append(f"{sc.id},pv,{pv.bus_id}.{pv.phase},{float(sc.p_pv[k])!r},0.0")
+        p_load, q_load, p_pv = (np.asarray(a, float) for a in (sc.p_load, sc.q_load, sc.p_pv))
+        head = f"{sc.id},"
+        lines.extend(f"{head}{prefix}{p!r},{q!r}" for prefix, p, q in zip(
+            prefixes[:n_loads], p_load.tolist(), q_load.tolist(), strict=True))
+        lines.extend(f"{head}{prefix}{p!r},0.0"
+                     for prefix, p in zip(prefixes[n_loads:], p_pv.tolist(), strict=True))
     data = ("\n".join(lines) + "\n").encode()
+    # checked with the rows dropped: small arrays freed among them fragment the heap
+    del lines
+    for sc in scenario_set.scenarios:
+        ok = np.concatenate((np.isfinite(sc.p_load) & np.isfinite(sc.q_load), np.isfinite(sc.p_pv)))
+        if not ok.all():
+            kind, name = elements[int(np.argmin(ok))]
+            raise DatasetError(f"scenario {sc.id} has a non-finite value for {kind} {name}")
     write_atomic(csv_path, data)
 
     meta = {

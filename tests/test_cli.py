@@ -302,6 +302,8 @@ def test_error_exit_codes(tmp_path, workspace):
         ("oracle", dict(scenario_file=scen_csv, oracle={"n_grid": 10**15})),
         ("gen-scenarios", dict(scenario={**SCEN, "household_pool_size": 10**15})),
         ("gen-scenarios", dict(scenario={**SCEN, "households_per_node": 10**15})),
+        # loads that overflow to inf: exited 0 with a file its own reader refuses
+        ("gen-scenarios", dict(scenario={"count": 5, "load_scale_range": [1e307, 1.5e308]})),
     ]
     # malformed scenario files and checkpoints: each was a raw ValueError,
     # IndexError, StopIteration, KeyError or struct.error, or (nan) a run

@@ -363,25 +363,30 @@ def test_train_critic_freeze(train_setup):
                for k, v in nn.model_parameters(nets.actor).items())
 
 
-def test_train_error_carries_last_good(train_setup, monkeypatch):
+def test_train_error_carries_aborting_episode(train_setup, monkeypatch):
     env_cfg, scenarios = train_setup
-    calls = {"n": 0}
-    real = ddpg.td_loss
+    calls = {"td_loss": 0, "episodes": 0}
+    real_td_loss, real_idle_step = ddpg.td_loss, ddpg.idle_step
 
     def exploding(nets, batch, gamma):
-        calls["n"] += 1
-        if calls["n"] >= 4:
+        calls["td_loss"] += 1
+        if calls["td_loss"] >= 4:
             raise NumericalError("TD loss diverged to nan")
-        return real(nets, batch, gamma)
+        return real_td_loss(nets, batch, gamma)
+
+    def counting(*args, **kwargs):
+        calls["episodes"] += 1  # one idle start per episode
+        return real_idle_step(*args, **kwargs)
 
     monkeypatch.setattr(ddpg, "td_loss", exploding)
+    monkeypatch.setattr(ddpg, "idle_step", counting)
     with pytest.raises(TrainingError, match="aborted in episode") as exc_info:
         train(env_cfg, scenarios, quick_cfg(episodes=6))
-    snap = exc_info.value.last_good
-    assert isinstance(snap, AgentNets)
-    # the snapshot predates the failing update batch
-    out, _ = nn.forward(snap.actor, np.ones((1, env_cfg.state_dim)))
-    assert np.all(np.isfinite(out))
+    aborting = calls["episodes"] - 1
+    assert aborting > 0  # not the first episode, so the index is not a default
+    assert exc_info.value.epoch == aborting
+    assert f"aborted in episode {aborting}:" in str(exc_info.value)
+    assert isinstance(exc_info.value.__cause__, NumericalError)
 
 
 def test_trajectory_csv_round_trip():

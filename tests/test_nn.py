@@ -301,24 +301,6 @@ def test_clone_model_is_independent(rng):
     assert np.array_equal(twin.params, before)
 
 
-def test_copy_into_overwrites_in_place(rng):
-    model = nn.build_mlp([2, 4, 1], ["relu", "identity"], rng, batch_norm=True)
-    snapshot = nn.clone_model(model)
-    params, weights = snapshot.params, snapshot.layers[0].weights
-    nn.forward(model, rng.standard_normal((8, 2)), rng)  # move running stats
-    model.params += 1.0
-    nn.copy_into(snapshot, model)
-    assert snapshot.params is params and snapshot.layers[0].weights is weights
-    assert np.array_equal(snapshot.params, model.params)
-    x = rng.standard_normal((3, 2))
-    assert np.array_equal(nn.forward(model, x)[0], nn.forward(snapshot, x)[0])
-    model.params += 1.0
-    nn.forward(model, rng.standard_normal((8, 2)), rng)
-    assert not np.array_equal(snapshot.params, model.params)
-    assert not np.array_equal(snapshot.layers[0].batch_norm.running_mean,
-                              model.layers[0].batch_norm.running_mean)
-
-
 def test_checkpoint_round_trip_and_reproducibility(tmp_path, rng):
     arrays = {"a": rng.standard_normal((3, 2)), "b": np.arange(4.0)}
     meta = {"kind": "test", "note": "fixed"}

@@ -443,3 +443,145 @@ def test_read_rejects_malformed_input(feeder4, tmp_path, case):
                             "sidecar_infinite_seed": inf_seed}[case])
     with pytest.raises(DatasetError):
         read_scenario_set(path, feeder4)
+
+
+# --- the generator and writer against their per-element reference loops -----
+
+def reference_aggregate_profiles(pool, feeder, config, rng, scenario_id=0):
+    """The per-PV-unit loop ``aggregate_profiles`` replaced: one household
+    draw per unit without a co-located load point, clipped with Python's
+    ``min``/``max``."""
+    n_loads = len(feeder.loads)
+    choice = rng.integers(0, pool.size, size=(n_loads, config.households_per_node))
+    p_load = pool.load[choice].sum(axis=1)
+    pv_at_load = pool.pv[choice].sum(axis=1)
+    pf = rng.uniform(config.power_factor_range[0], config.power_factor_range[1], size=n_loads)
+    q_load = p_load * np.tan(np.arccos(np.clip(pf, 0.0, 1.0)))
+    load_slot = {(ld.bus_id, ld.phase): i for i, ld in enumerate(feeder.loads)}
+    p_pv = np.zeros(len(feeder.pv_units))
+    for k, pv in enumerate(feeder.pv_units):
+        slot = load_slot.get((pv.bus_id, pv.phase))
+        if slot is None:
+            own = rng.integers(0, pool.size, size=config.households_per_node)
+            raw_pv = pool.pv[own].sum()
+        else:
+            raw_pv = pv_at_load[slot]
+        p_pv[k] = min(max(raw_pv, 0.0), pv.p_rated)
+    return Scenario(id=scenario_id, p_load=p_load, q_load=q_load, p_pv=p_pv)
+
+
+def reference_csv(scenario_set, feeder) -> bytes:
+    """The CSV bytes of the per-value writer ``write_scenario_set`` replaced."""
+    lines = [CSV_HEADER]
+    for sc in scenario_set.scenarios:
+        for i, ld in enumerate(feeder.loads):
+            lines.append(f"{sc.id},load,{ld.bus_id}.{ld.phase},"
+                         f"{float(sc.p_load[i])!r},{float(sc.q_load[i])!r}")
+        for k, pv in enumerate(feeder.pv_units):
+            lines.append(f"{sc.id},pv,{pv.bus_id}.{pv.phase},{float(sc.p_pv[k])!r},0.0")
+    return ("\n".join(lines) + "\n").encode()
+
+
+def assert_same_scenario(a, b):
+    assert a.id == b.id
+    for name in ("p_load", "q_load", "p_pv"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name  # signed zeros too
+
+
+@pytest.fixture(scope="module")
+def generator_feeders(feeder2, feeder4, feeder34):
+    pv = feeder4.pv_units[0]
+    return {
+        "synth34": feeder34, "4bus": feeder4, "2bus": feeder2,
+        "pv-no-loads": replace(feeder4, loads=[], fingerprint=""),
+        "no-pv": replace(feeder4, pv_units=[], fingerprint=""),
+        # a pv unit sharing b2.C with two loads takes the last one's households
+        "two-loads-one-pv": replace(
+            feeder4, loads=feeder4.loads + [LoadPoint("b2", "C", 0.1, 0.02)],
+            pv_units=feeder4.pv_units + [PvUnit("b2", "C", 0.3, 0.3)], fingerprint=""),
+        # a rating of -0.0 under zero pv: Python's min keeps the +0.0 it was given
+        "zero-rated": replace(feeder4, pv_units=[PvUnit(pv.bus_id, pv.phase, 0.3, -0.0),
+                                                 PvUnit("b2", "C", 0.3, 0.0)], fingerprint=""),
+    }
+
+
+GENERATOR_CONFIGS = {
+    "h1": dict(households_per_node=1),
+    "h2-synth34": dict(load_scale_range=(0.008, 0.045), power_factor_range=(0.97, 1.0)),
+    "h3": dict(households_per_node=3, load_scale_range=(0.2, 0.6)),  # rating clips engage
+    "h5": dict(households_per_node=5),
+    "h9-pool40": dict(households_per_node=9, household_pool_size=40),
+    "pool1": dict(households_per_node=1, household_pool_size=1),
+    "negative-pv": dict(pv_to_load_ratio_range=(-1.0, 0.5)),
+    "zero-pv": dict(pv_to_load_ratio_range=(0.0, 0.0)),
+}
+
+
+def test_synth34_has_pv_units_without_a_load_point(feeder34):
+    # the batched household draw only runs for these units
+    load_points = {(ld.bus_id, ld.phase) for ld in feeder34.loads}
+    assert sum((pv.bus_id, pv.phase) not in load_points for pv in feeder34.pv_units) == 30
+    assert len(feeder34.pv_units) == 90
+
+
+@pytest.mark.parametrize("config", sorted(GENERATOR_CONFIGS))
+@pytest.mark.parametrize("feeder_name", ["synth34", "4bus", "2bus", "pv-no-loads", "no-pv",
+                                         "two-loads-one-pv", "zero-rated"])
+def test_aggregate_profiles_matches_reference_loop(generator_feeders, feeder_name, config):
+    feeder = generator_feeders[feeder_name]
+    cfg = GenConfig(count=1, **GENERATOR_CONFIGS[config])
+    for seed in (0, 1, 42, 500, 901):
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for sid in range(3):
+            pool = generate_household_pool(cfg, ours)
+            assert_same_scenario(aggregate_profiles(pool, feeder, cfg, ours, scenario_id=sid),
+                                 reference_aggregate_profiles(
+                                     generate_household_pool(cfg, ref), feeder, cfg, ref, sid))
+        assert ours.random() == ref.random()  # both streams end in the same state
+
+
+@pytest.mark.parametrize("config", ["h2-synth34", "h3", "pool1"])
+def test_generate_scenario_set_matches_reference_loop(generator_feeders, config, tmp_path):
+    for feeder_name, feeder in generator_feeders.items():
+        cfg = GenConfig(count=12, **GENERATOR_CONFIGS[config])
+        sset = generate_scenario_set(feeder, cfg, seed=7)
+        ref = np.random.default_rng(7)
+        for i, sc in enumerate(sset):
+            assert_same_scenario(sc, reference_aggregate_profiles(
+                generate_household_pool(cfg, ref), feeder, cfg, ref, i))
+        if feeder_name in ("synth34", "4bus", "2bus"):
+            path = tmp_path / f"{feeder_name}.csv"
+            write_scenario_set(sset, feeder, path)
+            assert path.read_bytes() == reference_csv(sset, feeder)
+
+
+def test_write_matches_reference_writer_for_any_array_type(feeder4, tmp_path):
+    sset = generate_scenario_set(feeder4, fourbus_gen(3), seed=5)
+    n_loads, n_pv = len(feeder4.loads), len(feeder4.pv_units)
+    sset.scenarios += [
+        # integer and float32 arrays from a caller still print as floats
+        Scenario(id=3, p_load=np.arange(n_loads), q_load=np.ones(n_loads, dtype=np.int64),
+                 p_pv=np.zeros(n_pv, dtype=int)),
+        Scenario(id=4, p_load=np.full(n_loads, 0.1, dtype=np.float32),
+                 q_load=np.array([-0.0] * n_loads), p_pv=np.array([1e-300] * n_pv)),
+        Scenario(id=np.int64(5), p_load=[0.5] * n_loads, q_load=[2] * n_loads,
+                 p_pv=[True] * n_pv),
+    ]
+    path = tmp_path / "s.csv"
+    write_scenario_set(sset, feeder4, path)
+    data = path.read_bytes()
+    assert data == reference_csv(sset, feeder4)
+    assert b"\n3,load,b2.B,0.0,1.0\n" in data
+
+
+@pytest.mark.parametrize("field, element", [("p_load", "load b2.C"), ("q_load", "load b2.C"),
+                                            ("p_pv", "pv b4.A")])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_write_refuses_non_finite_values(feeder4, tmp_path, field, element, value):
+    sset = generate_scenario_set(feeder4, fourbus_gen(3), seed=1)
+    bad = getattr(sset.scenarios[1], field)
+    bad[-1 if field == "p_pv" else 1] = value
+    with pytest.raises(DatasetError, match=f"scenario 1 has a non-finite value for {element}"):
+        write_scenario_set(sset, feeder4, tmp_path / "s.csv")
+    assert list(tmp_path.iterdir()) == []

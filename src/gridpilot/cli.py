@@ -25,7 +25,7 @@ from . import ddpg, dsse, runtime, scenario
 from .env import EnvConfig, RewardConfig
 from .errors import GridPilotError
 from .feeder import Feeder, resolve_feeder
-from .fileio import from_json, write_atomic
+from .fileio import from_json, write_atomic, write_csv
 
 # every top-level key some command reads; one config file may serve several
 # commands, so a key only another command reads is not an error
@@ -111,10 +111,11 @@ def _dsse_metrics(model: dsse.DsseModel, pairs, out: str) -> dict:
     """Score ``model`` on ``pairs``, write dsse_metrics.csv, and return the
     summary's two metric entries."""
     metrics = dsse.evaluate_dsse(model, pairs)
-    write_atomic(os.path.join(out, "dsse_metrics.csv"), dsse.metrics_csv(metrics))
-    print(f"estimator mape {metrics.mag_mape_per_phase} mae {metrics.angle_mae_per_phase}")
-    return {"mag_mape_per_phase": metrics.mag_mape_per_phase,
-            "angle_mae_per_phase": metrics.angle_mae_per_phase}
+    mape, mae = metrics["mag_mape_per_phase"], metrics["angle_mae_per_phase"]
+    write_csv(os.path.join(out, "dsse_metrics.csv"), ("phase", "mag_mape_pct", "angle_mae_deg"),
+              ((ph, mape[ph], mae[ph]) for ph in sorted(mape)))
+    print(f"estimator mape {mape} mae {mae}")
+    return metrics
 
 
 def cmd_train_dsse(cfg: dict, feeder: Feeder, seed: int, out: str) -> dict:
@@ -132,8 +133,7 @@ def cmd_train_dsse(cfg: dict, feeder: Feeder, seed: int, out: str) -> dict:
                                            slack_voltage=slack, seed=seed + 1)
     model, losses = dsse.train_dsse(train_pairs, hp, feeder)
     dsse.save_dsse(model, os.path.join(out, "dsse.ckpt"))
-    write_atomic(os.path.join(out, "dsse_loss.csv"),
-                 "epoch, loss\n" + "\n".join(f"{i},{v!r}" for i, v in enumerate(losses)) + "\n")
+    write_csv(os.path.join(out, "dsse_loss.csv"), ("epoch", "loss"), enumerate(losses))
     return {"train_pairs": len(train_pairs), "test_pairs": len(test_pairs),
             "final_loss": losses[-1], **_dsse_metrics(model, test_pairs, out)}
 
@@ -173,8 +173,9 @@ def cmd_train_agent(cfg: dict, feeder: Feeder, seed: int, out: str) -> dict:
     nets, trajectory = ddpg.train(_env_config(cfg, feeder), list(sset), train_cfg)
     ddpg.save_agent(os.path.join(out, "agent.ckpt"), nets, train_cfg,
                     feeder_fingerprint=feeder.fingerprint)
-    write_atomic(os.path.join(out, "reward_trajectory.csv"),
-                 ddpg.trajectory_csv(trajectory, train_cfg))
+    write_csv(os.path.join(out, "reward_trajectory.csv"),
+              ("episode", "cumulative_reward", "sigma"),
+              ((ep, cum, ddpg.sigma_schedule(train_cfg, ep)) for ep, cum in enumerate(trajectory)))
     print(f"trained agent over {train_cfg.episodes} episodes; "
           f"final episode reward {trajectory[-1]:.4g}")
     return {"episodes": train_cfg.episodes,
@@ -195,11 +196,11 @@ def cmd_evaluate(cfg: dict, feeder: Feeder, seed: int, out: str) -> dict:
     nets, _ = _load_agent_for(cfg, feeder)
     env_cfg = _env_config(cfg, feeder)
     sset = scenario.read_scenario_set(_required(cfg, "scenario_file"), feeder)
-    report = runtime.evaluate(nets, env_cfg, list(sset), seed=seed)
-    write_atomic(os.path.join(out, "eval_profile.csv"), report.profile_csv())
-    _write_json(os.path.join(out, "latency.json"),
-                {"p99_ms": report.latency_p99_ms, "mean_ms": report.latency_mean_ms})
-    s = report.summary()
+    s, profile, latencies_s = runtime.evaluate(nets, env_cfg, list(sset), seed=seed)
+    write_csv(os.path.join(out, "eval_profile.csv"),
+              ("node_phase", "phase", "v_mean_baseline", "v_std_baseline",
+               "v_mean_controlled", "v_std_controlled"), profile)
+    _write_json(os.path.join(out, "latency.json"), runtime.latency_stats(latencies_s))
     print(f"baseline violations {s['scenarios_violating_baseline']}/{s['scenario_count']} "
           f"scenarios; controlled in-band fraction {s['in_band_fraction_controlled']:.4f}")
     return s
@@ -212,8 +213,12 @@ def cmd_run_online(cfg: dict, feeder: Feeder, seed: int, out: str) -> dict:
     apr = _section(cfg, "apr", runtime.AprConfig)
     run, _ = runtime.run_online(nets, env_cfg, list(sset), apr, seed=seed,
                                 train_cfg=train_cfg)
-    write_atomic(os.path.join(out, "run_log.csv"), run.to_csv())
-    _write_json(os.path.join(out, "latency.json"), run.latency_stats())
+    write_csv(os.path.join(out, "run_log.csv"),
+              ("episode", "step", "scenario_id", "action...", "reward", "max_v", "min_v",
+               "pf_p", "pf_q", "violation_count"),
+              ((0, step, sid, ";".join(map(repr, action.tolist())), *rest)
+               for step, sid, action, *rest in run.records))
+    _write_json(os.path.join(out, "latency.json"), runtime.latency_stats(run.latencies_s))
     print(f"ran {len(run.records)} online steps, "
           f"{len(run.fine_tune_events)} fine-tune events")
     return {"steps": len(run.records), "fine_tune_events": run.fine_tune_events,
@@ -228,14 +233,11 @@ def cmd_oracle(cfg: dict, feeder: Feeder, seed: int, out: str) -> dict:
     env_cfg = EnvConfig(feeder=feeder, slack_voltage=_number(cfg, "slack_voltage", 1.0),
                         reward=_section(cfg, "reward", RewardConfig))
 
-    lines = ["scenario_id, best_action, best_reward"]
-    for sc in sset:
-        try:
-            best_a, best_r = runtime.oracle_best_action(env_cfg, sc, n_grid)
-        except ValueError as exc:
-            raise GridPilotError(f"oracle: {exc}") from exc
-        lines.append(f"{sc.id},{best_a!r},{best_r!r}")
-    write_atomic(os.path.join(out, "oracle.csv"), "\n".join(lines) + "\n")
+    try:
+        rows = [(sc.id, *runtime.oracle_best_action(env_cfg, sc, n_grid)) for sc in sset]
+    except ValueError as exc:
+        raise GridPilotError(f"oracle: {exc}") from exc
+    write_csv(os.path.join(out, "oracle.csv"), ("scenario_id", "best_action", "best_reward"), rows)
     print(f"oracle evaluated {len(sset)} scenarios at {n_grid} grid points")
     return {"n_grid": n_grid, "scenarios": len(sset)}
 

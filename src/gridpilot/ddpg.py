@@ -218,7 +218,8 @@ def soft_update_nets(nets: AgentNets, tau: float) -> None:
     soft_update(nets.critic.params, nets.critic_target.params, tau)
 
 
-def _sigma_schedule(cfg: TrainConfig, episode: int) -> float:
+def sigma_schedule(cfg: TrainConfig, episode: int) -> float:
+    """Exploration sigma of ``episode``: linear from start to end across the run."""
     if cfg.episodes <= 1:
         return cfg.noise_sigma_start
     frac = episode / (cfg.episodes - 1)
@@ -259,7 +260,7 @@ def train(env_cfg: EnvConfig, scenarios, cfg: TrainConfig,
     updates = 0
 
     for episode in range(cfg.episodes):
-        sigma = _sigma_schedule(cfg, episode)
+        sigma = sigma_schedule(cfg, episode)
         scenario = scenario_list[rng.integers(len(scenario_list))]
         ou = OuNoise(nets.action_dim, cfg.noise_mu, sigma) \
             if cfg.noise_process == "ou" else None
@@ -296,13 +297,6 @@ def train(env_cfg: EnvConfig, scenarios, cfg: TrainConfig,
 def clone_agent(nets: AgentNets) -> AgentNets:
     """Independent deep copy of all four nets."""
     return AgentNets(*(nn.clone_model(getattr(nets, name)) for name in NET_NAMES))
-
-
-def trajectory_csv(trajectory: list[float], cfg: TrainConfig) -> str:
-    lines = ["episode, cumulative_reward, sigma"]
-    for ep, cum in enumerate(trajectory):
-        lines.append(f"{ep},{cum!r},{_sigma_schedule(cfg, ep)!r}")
-    return "\n".join(lines) + "\n"
 
 
 # --- checkpoint bundle ------------------------------------------------------

@@ -81,12 +81,6 @@ class StateEstimate:
     clamp_count: int = 0  # magnitudes pushed back into (0.5, 1.5)
 
 
-@dataclass
-class DsseMetrics:
-    mag_mape_per_phase: dict[str, float]  # percent, keyed by phase letter
-    angle_mae_per_phase: dict[str, float]  # degrees
-
-
 def _angle_refs_deg(node_phases) -> np.ndarray:
     return np.array([math.degrees(PHASE_ANGLES[ph]) for _, ph in node_phases])
 
@@ -218,8 +212,10 @@ def estimate_states(model: DsseModel, features: np.ndarray) -> StateEstimate:
     return StateEstimate(v_mag=v_mag, v_angle=v_angle, clamp_count=clamped)
 
 
-def evaluate_dsse(model: DsseModel, pairs) -> DsseMetrics:
-    """Per-phase-letter magnitude MAPE (%) and angle MAE (degrees)."""
+def evaluate_dsse(model: DsseModel, pairs) -> dict[str, dict[str, float]]:
+    """Per-phase-letter magnitude MAPE (%) and angle MAE (degrees), as
+    ``mag_mape_per_phase`` and ``angle_mae_per_phase``, each keyed by the
+    phase letters the model's node-phases use."""
     if not pairs:
         raise DatasetError("empty test set")
     n = model.n_node_phases
@@ -244,15 +240,7 @@ def evaluate_dsse(model: DsseModel, pairs) -> DsseMetrics:
         if mask.any():
             mape[ph] = float(abs_rel[mask].mean() * 100.0)
             mae[ph] = float(abs_ang[mask].mean())
-    return DsseMetrics(mag_mape_per_phase=mape, angle_mae_per_phase=mae)
-
-
-def metrics_csv(metrics: DsseMetrics) -> str:
-    lines = ["phase, mag_mape_pct, angle_mae_deg"]
-    for ph in sorted(metrics.mag_mape_per_phase):
-        lines.append(f"{ph},{metrics.mag_mape_per_phase[ph]!r},"
-                     f"{metrics.angle_mae_per_phase[ph]!r}")
-    return "\n".join(lines) + "\n"
+    return {"mag_mape_per_phase": mape, "angle_mae_per_phase": mae}
 
 
 def save_dsse(model: DsseModel, path) -> None:

@@ -3,6 +3,7 @@
 ``write_atomic`` writes a temporary file beside the target and renames it
 over the target with ``os.replace``. Nothing is fsync'd: this guards
 against a failing or interrupted process, not against a power loss.
+``write_csv`` is the one encoder of a CSV artifact.
 ``from_json`` is the one type check every JSON reader (config, checkpoint
 metadata, scenario sidecar) puts between a parsed value and a dataclass.
 """
@@ -31,6 +32,17 @@ def write_atomic(path, *chunks: str | bytes) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_csv(path, header, rows) -> None:
+    """Write ``header``'s names joined by ", ", then each of ``rows`` with its
+    cells joined by ",", each line ending in a newline, through ``write_atomic``
+    once ``rows`` is consumed. A float cell (np.float64 is one) is written as
+    ``repr(float(cell))``, the shortest text that reads back to it; others with ``str``."""
+    lines = [", ".join(header)]
+    lines.extend(",".join(repr(float(c)) if isinstance(c, float) else str(c) for c in row)
+                 for row in rows)
+    write_atomic(path, "\n".join(lines), "\n")
 
 
 def from_json(hint, value, where: str, **fixed):

@@ -19,6 +19,7 @@ import logging
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,8 +60,8 @@ def apr_check(trailing_rewards, apr: AprConfig) -> str:
     return "ok"
 
 
-@dataclass
-class StepRecord:
+class StepRecord(NamedTuple):
+    """One online control cycle, its fields in run_log.csv's column order."""
     step: int
     scenario_id: int
     action: np.ndarray
@@ -70,7 +71,6 @@ class StepRecord:
     p_head: float
     q_head: float
     violations: int
-    apr_decision: str = "ok"
 
 
 @dataclass
@@ -79,24 +79,17 @@ class RunLog:
     latencies_s: list[float] = field(default_factory=list)
     fine_tune_events: list[int] = field(default_factory=list)
 
-    def to_csv(self) -> str:
-        lines = ["episode, step, scenario_id, action..., reward, max_v, min_v, "
-                 "pf_p, pf_q, violation_count"]
-        for rec in self.records:
-            action = ";".join(repr(float(a)) for a in rec.action)
-            lines.append(f"0,{rec.step},{rec.scenario_id},{action},{rec.reward!r},"
-                         f"{rec.max_v!r},{rec.min_v!r},{rec.p_head!r},{rec.q_head!r},"
-                         f"{rec.violations}")
-        return "\n".join(lines) + "\n"
 
-    def latency_stats(self) -> dict:
-        if not self.latencies_s:
-            return {"count": 0}
-        arr = np.array(self.latencies_s) * 1000.0
-        return {"count": len(arr), "mean_ms": float(arr.mean()),
-                "p50_ms": float(np.percentile(arr, 50)),
-                "p99_ms": float(np.percentile(arr, 99)),
-                "max_ms": float(arr.max())}
+def latency_stats(latencies_s) -> dict:
+    """latency.json's summary of per-cycle latencies: count, then mean, p50,
+    p99 and max in milliseconds (the count alone when there are none)."""
+    if not latencies_s:
+        return {"count": 0}
+    arr = np.array(latencies_s) * 1000.0
+    return {"count": len(arr), "mean_ms": float(arr.mean()),
+            "p50_ms": float(np.percentile(arr, 50)),
+            "p99_ms": float(np.percentile(arr, 99)),
+            "max_ms": float(arr.max())}
 
 
 def _check_agent(nets: ddpg.AgentNets, cfg: EnvConfig) -> None:
@@ -137,10 +130,10 @@ def run_online(nets: ddpg.AgentNets, cfg: EnvConfig, scenarios, apr: AprConfig,
 
     Each stream element is one control cycle (``_control_cycle``) on the
     system ``cfg`` describes; a scenario whose idle or controlled solve
-    diverges is skipped with a warning. Each cycle's APR decision goes into
-    its ``StepRecord``, and every "fine_tune" decision starts a fine-tuning
-    burst. Bursts run on the same ``cfg``, so they observe through its
-    estimator as the deployed agent does, and run episodes of
+    diverges is skipped with a warning. Each cycle's ``StepRecord`` goes into
+    the log, and each "fine_tune" APR decision's step into ``fine_tune_events``
+    as it starts a fine-tuning burst. Bursts run on the same ``cfg``, so they
+    observe through its estimator as the deployed agent does, and run episodes of
     ``train_cfg.horizon`` (the default ``TrainConfig``'s when None). Only the
     last ``apr.window`` rewards and scenarios are held, so memory stays flat
     however long the stream; the reward window starts afresh after each
@@ -164,11 +157,9 @@ def run_online(nets: ddpg.AgentNets, cfg: EnvConfig, scenarios, apr: AprConfig,
 
         decision = apr_check(rewards, apr)
         run.records.append(StepRecord(
-            step=step, scenario_id=scenario.id, action=action,
-            reward=r, max_v=float(info["v_mag_true"].max()),
-            min_v=float(info["v_mag_true"].min()), p_head=info["p_head"],
-            q_head=info["q_head"], violations=info["violations"],
-            apr_decision=decision))
+            step, scenario.id, action, r, float(info["v_mag_true"].max()),
+            float(info["v_mag_true"].min()), info["p_head"], info["q_head"],
+            info["violations"]))
 
         if decision == "fine_tune":
             run.fine_tune_events.append(step)
@@ -235,57 +226,17 @@ def oracle_best_action(cfg: EnvConfig, scenario: Scenario, n_grid: int = 201
     return best_a, best_r
 
 
-@dataclass
-class EvalReport:
-    node_phases: list[tuple[str, str]]
-    v_mean_baseline: np.ndarray
-    v_std_baseline: np.ndarray
-    v_mean_controlled: np.ndarray
-    v_std_controlled: np.ndarray
-    violations_baseline: int
-    violations_controlled: int
-    scenarios_violating_baseline: int
-    scenarios_violating_controlled: int
-    scenario_count: int
-    mean_deviation_baseline: float
-    mean_deviation_controlled: float
-    mean_reward_baseline: float
-    mean_reward_controlled: float
-    in_band_fraction_controlled: float
-    latency_p99_ms: float
-    latency_mean_ms: float
-
-    def profile_csv(self) -> str:
-        lines = ["node_phase, phase, v_mean_baseline, v_std_baseline, "
-                 "v_mean_controlled, v_std_controlled"]
-        columns = (self.v_mean_baseline, self.v_std_baseline,
-                   self.v_mean_controlled, self.v_std_controlled)
-        for i, (bus, ph) in enumerate(self.node_phases):
-            lines.append(f"{bus}.{ph},{ph}," + ",".join(repr(float(c[i])) for c in columns))
-        return "\n".join(lines) + "\n"
-
-    def summary(self) -> dict:
-        return {
-            "scenario_count": self.scenario_count,
-            "violations_baseline": self.violations_baseline,
-            "violations_controlled": self.violations_controlled,
-            "scenarios_violating_baseline": self.scenarios_violating_baseline,
-            "scenarios_violating_controlled": self.scenarios_violating_controlled,
-            "mean_deviation_baseline": self.mean_deviation_baseline,
-            "mean_deviation_controlled": self.mean_deviation_controlled,
-            "mean_reward_baseline": self.mean_reward_baseline,
-            "mean_reward_controlled": self.mean_reward_controlled,
-            "in_band_fraction_controlled": self.in_band_fraction_controlled,
-        }
-
-
-def evaluate(nets: ddpg.AgentNets, cfg: EnvConfig, scenarios, seed: int = 0) -> EvalReport:
+def evaluate(nets: ddpg.AgentNets, cfg: EnvConfig, scenarios, seed: int = 0
+             ) -> tuple[dict, list[tuple], list[float]]:
     """Baseline (zero action) vs controlled sweep over a scenario set.
 
     Each scenario is one control cycle on the system ``cfg`` describes. The
     agent sees only ``cfg.estimator``'s output (or true magnitudes in
     perfect-state mode) and acts through ``cfg.zone_map``; rewards,
     violations, and deviations always come from true solver voltages.
+    Returns (summary, profile, latencies_s): summary.json's ten metrics;
+    eval_profile.csv's rows, per node-phase its ``bus.phase``, phase, and
+    baseline and controlled voltage means and stds; each cycle's latency.
     """
     if len(scenarios) == 0:
         raise ValueError("empty scenario set")
@@ -312,22 +263,20 @@ def evaluate(nets: ddpg.AgentNets, cfg: EnvConfig, scenarios, seed: int = 0) -> 
     lo, hi = cfg.reward.v_min, cfg.reward.v_max
     out_base = (v_base < lo) | (v_base > hi)
     out_ctrl = (v_ctrl < lo) | (v_ctrl > hi)
-    lat_ms = np.array(latencies) * 1000.0
 
-    return EvalReport(
-        node_phases=cfg.feeder.node_phases(),
-        v_mean_baseline=v_base.mean(axis=0), v_std_baseline=v_base.std(axis=0),
-        v_mean_controlled=v_ctrl.mean(axis=0), v_std_controlled=v_ctrl.std(axis=0),
-        violations_baseline=int(out_base.sum()),
-        violations_controlled=int(out_ctrl.sum()),
-        scenarios_violating_baseline=int(out_base.any(axis=1).sum()),
-        scenarios_violating_controlled=int(out_ctrl.any(axis=1).sum()),
-        scenario_count=v_base.shape[0],
-        mean_deviation_baseline=float(np.mean(dev_base)),
-        mean_deviation_controlled=float(np.mean(dev_ctrl)),
-        mean_reward_baseline=float(np.mean(r_base)),
-        mean_reward_controlled=float(np.mean(r_ctrl)),
-        in_band_fraction_controlled=float(1.0 - out_ctrl.mean()),
-        latency_p99_ms=float(np.percentile(lat_ms, 99)),
-        latency_mean_ms=float(lat_ms.mean()),
-    )
+    summary = {
+        "scenario_count": v_base.shape[0],
+        "violations_baseline": int(out_base.sum()),
+        "violations_controlled": int(out_ctrl.sum()),
+        "scenarios_violating_baseline": int(out_base.any(axis=1).sum()),
+        "scenarios_violating_controlled": int(out_ctrl.any(axis=1).sum()),
+        "mean_deviation_baseline": float(np.mean(dev_base)),
+        "mean_deviation_controlled": float(np.mean(dev_ctrl)),
+        "mean_reward_baseline": float(np.mean(r_base)),
+        "mean_reward_controlled": float(np.mean(r_ctrl)),
+        "in_band_fraction_controlled": float(1.0 - out_ctrl.mean()),
+    }
+    columns = (v_base.mean(axis=0), v_base.std(axis=0), v_ctrl.mean(axis=0), v_ctrl.std(axis=0))
+    profile = [(f"{bus}.{ph}", ph, *values) for (bus, ph), *values
+               in zip(cfg.feeder.node_phases(), *(c.tolist() for c in columns))]
+    return summary, profile, latencies

@@ -34,6 +34,10 @@ CSV_HEADER = "scenario_id, element_type, element_id, p_pu, q_pu"
 # min-max rescaled into load_scale_range afterwards, so only the shape
 # (right skew) of this draw matters
 _LOAD_SIGMA = 0.5
+# numpy's normal draws stay within 14 standard deviations: a lognormal draw of
+# that shape stays below exp(7), about 1100, and a pv/load ratio draw below 4
+# times its range's top, so generation forms no value above a bound times this
+_DRAW_HEADROOM = 1e4
 
 
 @dataclass
@@ -57,6 +61,14 @@ class GenConfig:
         lo, hi = self.power_factor_range
         if lo < 0.85 or hi > 1.0:
             raise DatasetError("power_factor_range must stay within [0.85, 1.0]")
+        (lo, hi), (rlo, rhi) = self.load_scale_range, self.pv_to_load_ratio_range
+        try:  # bounds the ranges' midpoints and draws, a node's summed load and pv
+            peak = _DRAW_HEADROOM * self.households_per_node * (1.0 + lo + hi) * (1.0 + rlo + rhi)
+        except OverflowError:  # households_per_node too large for a float
+            peak = np.inf
+        if not (0.0 <= lo and 0.0 <= rlo and np.isfinite(peak)):
+            raise DatasetError("load_scale_range and pv_to_load_ratio_range need non-negative "
+                               "bounds whose sums over households_per_node cannot overflow")
 
 
 @dataclass
@@ -208,9 +220,16 @@ def _sidecar_path(csv_path) -> str:
 
 
 def _csv_elements(feeder: Feeder) -> list[tuple[str, str]]:
-    """(element type, ``bus.phase``) of each CSV element: loads, then pv units."""
-    return ([("load", f"{ld.bus_id}.{ld.phase}") for ld in feeder.loads]
-            + [("pv", f"{pv.bus_id}.{pv.phase}") for pv in feeder.pv_units])
+    """(element type, ``bus.phase``) of each CSV element: loads, then pv units;
+    DatasetError when two loads or two pv units share a node-phase."""
+    elements = ([("load", f"{ld.bus_id}.{ld.phase}") for ld in feeder.loads]
+                + [("pv", f"{pv.bus_id}.{pv.phase}") for pv in feeder.pv_units])
+    shared = [e for e, n in Counter(elements).items() if n > 1]
+    if shared:
+        kind, name = shared[0]
+        raise DatasetError(f"two {kind} elements share node-phase {name}; "
+                           "the scenario CSV could not tell them apart")
+    return elements
 
 
 def write_scenario_set(scenario_set: ScenarioSet, feeder: Feeder, csv_path) -> None:
@@ -218,16 +237,10 @@ def write_scenario_set(scenario_set: ScenarioSet, feeder: Feeder, csv_path) -> N
 
     Floats are written with repr (shortest round-trip form), so identical
     values produce identical bytes; the sidecar records the CSV's sha256. A
-    row names its element only by type and ``bus.phase``, so a feeder with
-    two loads or two pv units on one node-phase raises DatasetError before
-    either file is written; so does a non-finite value the reader refuses.
+    feeder ``_csv_elements`` refuses or a non-finite value raises DatasetError
+    before either file is written.
     """
     elements = _csv_elements(feeder)
-    shared = [e for e, n in Counter(elements).items() if n > 1]
-    if shared:
-        kind, name = shared[0]
-        raise DatasetError(f"two {kind} elements share node-phase {name}; "
-                           "the scenario CSV could not tell them apart")
     n_loads = len(feeder.loads)
     prefixes = [f"{kind},{name}," for kind, name in elements]
     lines = [CSV_HEADER]
@@ -296,10 +309,11 @@ def read_scenario_set(csv_path, feeder: Feeder) -> ScenarioSet:
 
     The rows are parsed in one numpy pass, each number exactly as ``float()``
     reads it. Raises DatasetError on an unreadable or malformed sidecar, a
-    CSV whose sha256 is not the sidecar's, a wrong header, no rows, a row
-    that is not five fields with an integer scenario id and finite p and q,
-    an element the feeder lacks, or one listed twice in a scenario. An
-    element absent from a scenario reads as zero.
+    CSV whose sha256 is not the sidecar's, a feeder with two loads or two pv
+    units on one node-phase, a wrong header, no rows, a row that is not five
+    fields with an integer scenario id and finite p and q, an element the
+    feeder lacks, or one listed twice in a scenario. An element absent from
+    a scenario reads as zero.
     """
     seed, config, fingerprint = _read_sidecar(csv_path)
     if fingerprint and fingerprint != feeder.fingerprint:

@@ -37,7 +37,7 @@ from gridpilot.env import (
 )
 from gridpilot.feeder import build_admittance, load_feeder
 from gridpilot.powerflow import solve_power_flow
-from gridpilot.runtime import evaluate, oracle_best_action
+from gridpilot.runtime import evaluate, latency_stats, oracle_best_action
 from gridpilot.scenario import generate_scenario_set, split
 
 
@@ -154,8 +154,8 @@ def test_criterion_4_state_estimation_accuracy(feeder34, capsys):
     metrics = evaluate_dsse(model, test_pairs)
     dt = time.perf_counter() - t0
 
-    mape = metrics.mag_mape_per_phase
-    mae = metrics.angle_mae_per_phase
+    mape = metrics["mag_mape_per_phase"]
+    mae = metrics["angle_mae_per_phase"]
     ok = (all(v <= 0.5 for v in mape.values())
           and all(v <= 0.1 for v in mae.values())
           and dt < 900.0)
@@ -206,24 +206,24 @@ def test_criterion_6_control_efficacy(feeder34, capsys):
     nets, _ = ddpg.train(env_cfg, train_scen, ddpg.TrainConfig(seed=0))
 
     held_out = generate_scenario_set(feeder34, synth34_gen(1000), seed=901)
-    rep = evaluate(nets, EnvConfig(feeder=feeder34, estimator=estimator,
-                                   slack_voltage=SYNTH34_SLACK,
-                                   measurement_noise_pct=1.0),
-                   list(held_out), seed=0)
+    rep, _, _ = evaluate(nets, EnvConfig(feeder=feeder34, estimator=estimator,
+                                         slack_voltage=SYNTH34_SLACK,
+                                         measurement_noise_pct=1.0),
+                         list(held_out), seed=0)
     dt = time.perf_counter() - t0
 
-    baseline_frac = rep.scenarios_violating_baseline / rep.scenario_count
-    dev_drop = rep.mean_deviation_baseline - rep.mean_deviation_controlled
+    baseline_frac = rep["scenarios_violating_baseline"] / rep["scenario_count"]
+    dev_drop = rep["mean_deviation_baseline"] - rep["mean_deviation_controlled"]
     ok = (baseline_frac >= 0.30
-          and rep.in_band_fraction_controlled >= 0.99
+          and rep["in_band_fraction_controlled"] >= 0.99
           and dev_drop > 0.0
           and dt < 600.0)
     report(capsys, 6, ok,
            f"baseline violates {baseline_frac:.0%} of 1000 scenarios (>=30%); "
-           f"agent on estimates keeps {rep.in_band_fraction_controlled:.4f} "
+           f"agent on estimates keeps {rep['in_band_fraction_controlled']:.4f} "
            f"in band (>=0.99); mean deviation "
-           f"{rep.mean_deviation_baseline:.3f}->"
-           f"{rep.mean_deviation_controlled:.3f}; {dt:.0f}s (<10min)")
+           f"{rep['mean_deviation_baseline']:.3f}->"
+           f"{rep['mean_deviation_controlled']:.3f}; {dt:.0f}s (<10min)")
     assert ok
 
 
@@ -267,14 +267,15 @@ def test_criterion_8_pipeline_latency(feeder34, capsys):
     nets = ddpg.build_agent(feeder34.n_node_phases, 1, np.random.default_rng(0))
 
     probe = generate_scenario_set(feeder34, synth34_gen(300), seed=77)
-    rep = evaluate(nets, EnvConfig(feeder=feeder34, estimator=estimator,
-                                   slack_voltage=SYNTH34_SLACK,
-                                   measurement_noise_pct=1.0),
-                   list(probe), seed=0)
-    ok = rep.latency_p99_ms < 100.0
+    _, _, latencies_s = evaluate(nets, EnvConfig(feeder=feeder34, estimator=estimator,
+                                                 slack_voltage=SYNTH34_SLACK,
+                                                 measurement_noise_pct=1.0),
+                                 list(probe), seed=0)
+    lat = latency_stats(latencies_s)
+    ok = lat["p99_ms"] < 100.0
     report(capsys, 8, ok,
-           f"measurement->estimate->act p99 {rep.latency_p99_ms:.2f}ms, "
-           f"mean {rep.latency_mean_ms:.2f}ms over 300 steps (<100ms)")
+           f"measurement->estimate->act p99 {lat['p99_ms']:.2f}ms, "
+           f"mean {lat['mean_ms']:.2f}ms over 300 steps (<100ms)")
     assert ok
 
 

@@ -93,13 +93,24 @@ def test_train_dsse_artifacts(workspace):
     s = summary(workspace, "dsse")
     assert s["train_pairs"] == 112 and s["test_pairs"] == 28
     assert set(s["mag_mape_per_phase"]) == {"A", "B", "C"}
+    assert loss_lines[-1] == f"7,{s['final_loss']!r}"
+    assert_dsse_metrics_csv(d, s)
+
+
+def assert_dsse_metrics_csv(out, s):
+    """dsse_metrics.csv holds summary.json's metrics, one row per phase letter."""
+    lines = (out / "dsse_metrics.csv").read_text().splitlines()
+    assert lines[0] == "phase, mag_mape_pct, angle_mae_deg"
+    assert [line.split(",") for line in lines[1:]] == [
+        [ph, repr(s["mag_mape_per_phase"][ph]), repr(s["angle_mae_per_phase"][ph])]
+        for ph in "ABC"]
 
 
 def test_eval_dsse_artifacts(workspace):
     s = summary(workspace, "dsse_eval")
     assert s["command"] == "eval-dsse"
     assert s["pairs"] == 140
-    assert (workspace / "dsse_eval" / "dsse_metrics.csv").exists()
+    assert_dsse_metrics_csv(workspace / "dsse_eval", s)
 
 
 def test_train_agent_artifacts(workspace):
@@ -111,6 +122,11 @@ def test_train_agent_artifacts(workspace):
     s = summary(workspace, "agent")
     assert s["episodes"] == 3
     assert s["final_reward"] <= 0.0
+    _, cfg, _ = ddpg.load_agent(a / "agent.ckpt")
+    for ep, line in enumerate(traj[1:]):
+        episode, _, sigma = line.split(",")
+        assert int(episode) == ep and float(sigma) == ddpg.sigma_schedule(cfg, ep)
+    assert traj[-1].split(",")[1] == repr(s["final_reward"])
 
 
 def test_evaluate_artifacts(workspace):
@@ -121,9 +137,23 @@ def test_evaluate_artifacts(workspace):
     assert not any("latency" in k for k in s)
     with open(e / "latency.json") as fh:
         lat = json.load(fh)
-    assert lat["p99_ms"] > 0.0
+    assert lat["count"] == 140 and lat["p99_ms"] > 0.0
     profile = (e / "eval_profile.csv").read_text().splitlines()
+    assert profile[0] == ("node_phase, phase, v_mean_baseline, v_std_baseline, "
+                          "v_mean_controlled, v_std_controlled")
     assert len(profile) == 1 + 9  # node-phases of the 4-bus fixture
+    assert profile[1].startswith("src.A,A,")
+    # every value cell is a plain number, not a numpy scalar's repr
+    for line in profile[1:]:
+        assert all(repr(float(c)) == c for c in line.split(",")[2:])
+
+
+def test_evaluate_and_run_online_share_one_latency_schema(workspace):
+    keys = []
+    for outdir in ("eval", "online"):
+        with open(workspace / outdir / "latency.json") as fh:
+            keys.append(sorted(json.load(fh)))
+    assert keys[0] == keys[1] == ["count", "max_ms", "mean_ms", "p50_ms", "p99_ms"]
 
 
 def test_run_online_artifacts(workspace):
@@ -131,7 +161,16 @@ def test_run_online_artifacts(workspace):
     assert s["steps"] == 140
     assert s["fine_tune_events"] == []
     log_lines = (workspace / "online" / "run_log.csv").read_text().splitlines()
+    assert log_lines[0] == ("episode, step, scenario_id, action..., reward, max_v, min_v, "
+                            "pf_p, pf_q, violation_count")
     assert len(log_lines) == 1 + 140
+    rows = [line.split(",") for line in log_lines[1:]]
+    assert [row[:2] for row in rows] == [["0", str(step)] for step in range(140)]
+    # action and value cells are plain numbers, not numpy scalar reprs
+    for row in rows:
+        assert all(repr(float(c)) == c for c in row[3].split(";") + row[4:9])
+        assert int(row[9]) >= 0
+    assert float(np.mean([float(row[4]) for row in rows])) == s["mean_reward"]
     with open(workspace / "online" / "latency.json") as fh:
         assert json.load(fh)["count"] == 140
 
@@ -304,6 +343,10 @@ def test_error_exit_codes(tmp_path, workspace):
         ("gen-scenarios", dict(scenario={**SCEN, "households_per_node": 10**15})),
         # loads that overflow to inf: exited 0 with a file its own reader refuses
         ("gen-scenarios", dict(scenario={"count": 5, "load_scale_range": [1e307, 1.5e308]})),
+        # negative loads, which exited 0, and a household count too large for
+        # a float, which was a raw ValueError traceback
+        ("gen-scenarios", dict(scenario={**SCEN, "load_scale_range": [-0.3, 0.2]})),
+        ("gen-scenarios", dict(scenario={**SCEN, "households_per_node": 10**400})),
     ]
     # malformed scenario files and checkpoints: each was a raw ValueError,
     # IndexError, StopIteration, KeyError or struct.error, or (nan) a run

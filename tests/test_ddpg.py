@@ -10,17 +10,16 @@ from gridpilot.ddpg import (
     OuNoise,
     ReplayBuffer,
     TrainConfig,
-    _sigma_schedule,
     act,
     build_agent,
     load_agent,
     policy_gradient,
     save_agent,
+    sigma_schedule,
     soft_update,
     soft_update_nets,
     td_loss,
     train,
-    trajectory_csv,
 )
 from gridpilot.env import EnvConfig
 from gridpilot.errors import (
@@ -230,11 +229,11 @@ def test_policy_gradient_leaves_critic_untouched():
 
 def test_sigma_schedule_endpoints():
     cfg = TrainConfig(episodes=100)
-    assert _sigma_schedule(cfg, 0) == 0.5
-    assert _sigma_schedule(cfg, 99) == pytest.approx(0.005, abs=1e-15)
-    sigmas = [_sigma_schedule(cfg, e) for e in range(100)]
+    assert sigma_schedule(cfg, 0) == 0.5
+    assert sigma_schedule(cfg, 99) == pytest.approx(0.005, abs=1e-15)
+    sigmas = [sigma_schedule(cfg, e) for e in range(100)]
     assert all(a > b for a, b in zip(sigmas, sigmas[1:]))
-    assert _sigma_schedule(TrainConfig(episodes=1), 0) == 0.5
+    assert sigma_schedule(TrainConfig(episodes=1), 0) == 0.5
 
 
 def test_act_clamps_and_validates():
@@ -387,17 +386,6 @@ def test_train_error_carries_aborting_episode(train_setup, monkeypatch):
     assert exc_info.value.epoch == aborting
     assert f"aborted in episode {aborting}:" in str(exc_info.value)
     assert isinstance(exc_info.value.__cause__, NumericalError)
-
-
-def test_trajectory_csv_round_trip():
-    cfg = TrainConfig(episodes=3)
-    text = trajectory_csv([-1.5, -0.75, -0.5], cfg)
-    lines = text.splitlines()
-    assert lines[0] == "episode, cumulative_reward, sigma"
-    ep, cum, sigma = lines[2].split(",")
-    assert int(ep) == 1
-    assert float(cum) == -0.75
-    assert float(sigma) == _sigma_schedule(cfg, 1)
 
 
 # --- checkpointing ------------------------------------------------------------

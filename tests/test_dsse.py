@@ -13,7 +13,6 @@ from gridpilot.dsse import (
     estimate_states,
     evaluate_dsse,
     load_dsse,
-    metrics_csv,
     save_dsse,
     train_dsse,
 )
@@ -157,28 +156,18 @@ def test_evaluate_metrics(feeder4, model4, pairs4):
     model, _ = model4
     metrics = evaluate_dsse(model, pairs4[:60])
     present = {ph for _, ph in feeder4.node_phases()}
-    assert set(metrics.mag_mape_per_phase) == present
-    assert set(metrics.angle_mae_per_phase) == present
+    assert set(metrics) == {"mag_mape_per_phase", "angle_mae_per_phase"}
+    assert set(metrics["mag_mape_per_phase"]) == present
+    assert set(metrics["angle_mae_per_phase"]) == present
     # small net, small set: loose sanity bounds only
-    assert all(v < 5.0 for v in metrics.mag_mape_per_phase.values())
-    assert all(v < 2.0 for v in metrics.angle_mae_per_phase.values())
+    assert all(v < 5.0 for v in metrics["mag_mape_per_phase"].values())
+    assert all(v < 2.0 for v in metrics["angle_mae_per_phase"].values())
 
 
 def test_evaluate_rejects_empty(model4):
     model, _ = model4
     with pytest.raises(DatasetError, match="empty"):
         evaluate_dsse(model, [])
-
-
-def test_metrics_csv_format(model4, pairs4):
-    model, _ = model4
-    metrics = evaluate_dsse(model, pairs4[:10])
-    text = metrics_csv(metrics)
-    lines = text.splitlines()
-    assert lines[0] == "phase, mag_mape_pct, angle_mae_deg"
-    assert len(lines) == 1 + len(metrics.mag_mape_per_phase)
-    ph, mape, mae = lines[1].split(",")
-    assert float(mape) == metrics.mag_mape_per_phase[ph]
 
 
 def test_save_load_round_trip(tmp_path, model4, pairs4):

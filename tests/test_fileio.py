@@ -53,11 +53,12 @@ def test_failed_writes_keep_old_files(tmp_path, feeder4, full_disk):
         lambda: scenario.write_scenario_set(sset, feeder4, csv_path),
         lambda: nn.save_checkpoint(ckpt, {"w": np.arange(6.0)}, {"kind": "test"}),
         lambda: cli._write_json(summary, {"command": "test", "values": list(range(50))}),
+        lambda: fileio.write_csv(tmp_path / "t.csv", ("x", "y"), [(i, 0.5 * i) for i in range(50)]),
     ]
     for write in writers:
         write()
     before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
-    assert sorted(before) == ["m.ckpt", "s.csv", "s.csv.meta.json", "summary.json"]
+    assert sorted(before) == ["m.ckpt", "s.csv", "s.csv.meta.json", "summary.json", "t.csv"]
 
     full_disk()
     for write in writers:
@@ -74,3 +75,29 @@ def test_write_json_never_leaves_a_partial_file(tmp_path):
         cli._write_json(path, {"a": 1, "b": object()})  # fails while serializing
     assert path.read_text() == '{\n  "ok": 1\n}\n'
     assert os.listdir(tmp_path) == ["summary.json"]
+
+
+def test_write_csv_encodes_cells(tmp_path):
+    path = tmp_path / "t.csv"
+    fileio.write_csv(path, ("name", "x", "n"),
+                     [("a", np.float64(0.1), np.int64(7)), ("b", 1e-300, 2), ("c", -0.0, True)])
+    assert path.read_bytes() == b"name, x, n\na,0.1,7\nb,1e-300,2\nc,-0.0,True\n"
+    fileio.write_csv(path, ("only",), [])
+    assert path.read_bytes() == b"only\n"
+    assert os.listdir(tmp_path) == ["t.csv"]
+
+
+def test_write_csv_leaves_nothing_when_rows_raise(tmp_path):
+    def rows():
+        yield (1, 0.5)
+        raise RuntimeError("row source failed")
+
+    path = tmp_path / "t.csv"
+    with pytest.raises(RuntimeError):
+        fileio.write_csv(path, ("a", "b"), rows())
+    assert os.listdir(tmp_path) == []
+    fileio.write_csv(path, ("a", "b"), [(1, 0.5)])
+    with pytest.raises(RuntimeError):
+        fileio.write_csv(path, ("a", "b"), rows())
+    assert os.listdir(tmp_path) == ["t.csv"]
+    assert path.read_text() == "a, b\n1,0.5\n"

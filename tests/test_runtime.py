@@ -15,11 +15,10 @@ from gridpilot.errors import (
 )
 from gridpilot.runtime import (
     AprConfig,
-    EvalReport,
-    RunLog,
     apr_check,
     evaluate,
     fine_tune,
+    latency_stats,
     oracle_best_action,
     run_online,
 )
@@ -201,7 +200,6 @@ def test_run_online_logs_every_feasible_step(feeder4, nets4, scenarios4):
     rec = run.records[0]
     assert rec.scenario_id == scenarios4[0].id
     assert rec.max_v >= rec.min_v > 0.0
-    assert rec.apr_decision == "ok"
 
 
 def test_run_online_skips_infeasible(feeder2):
@@ -255,8 +253,7 @@ def test_run_online_apr_triggers_fine_tune(feeder4, nets4, scenarios4, monkeypat
     assert run.fine_tune_events == [2, 5]
     assert calls["n"] == 2
     assert nets_out is tuned_marker
-    assert run.records[2].apr_decision == "fine_tune"
-    assert run.records[3].apr_decision == "ok"  # fresh window after tuning
+    assert [r.step for r in run.records] == list(range(8))  # triggering steps logged too
 
 
 @pytest.mark.parametrize("degrading", [False, True])
@@ -298,7 +295,6 @@ def test_run_online_windows_stay_bounded(feeder4, nets4, scenarios4, monkeypatch
     else:
         # the reward window fills once and then slides, never cleared
         assert run.fine_tune_events == [] and tuned == []
-        assert all(r.apr_decision == "ok" for r in run.records)
         assert seen[6:] == [(7, 7)] * (len(stream) - 6)
 
 
@@ -350,63 +346,52 @@ def test_run_online_fine_tune_updates_actor(feeder4, nets4, scenarios4):
     assert any(not np.array_equal(before[k], after[k]) for k in before)
 
 
-def test_run_log_csv_and_latency_stats(feeder4, nets4, scenarios4):
+def test_latency_stats(feeder4, nets4, scenarios4):
     apr = AprConfig(reference_reward=-1.0)
     run, _ = run_online(nets4, system(feeder4), scenarios4[:4], apr)
-    lines = run.to_csv().splitlines()
-    assert lines[0].startswith("episode, step, scenario_id, action...")
-    assert len(lines) == 5
-    fields = lines[1].split(",")
-    assert float(fields[4]) == run.records[0].reward
-    # action cells are plain numbers, not numpy scalar reprs
-    for line, rec in zip(lines[1:], run.records):
-        cells = line.split(",")[3].split(";")
-        assert [float(c) for c in cells] == rec.action.tolist()
-    stats = run.latency_stats()
+    stats = latency_stats(run.latencies_s)
     assert stats["count"] == 4
     assert 0 < stats["p50_ms"] <= stats["p99_ms"] <= stats["max_ms"]
-    assert RunLog().latency_stats() == {"count": 0}
+    assert stats["mean_ms"] == pytest.approx(1000.0 * np.mean(run.latencies_s))
+    assert latency_stats([]) == {"count": 0}
 
 
 # --- evaluation ---------------------------------------------------------------
 
 def test_evaluate_report_contents(feeder4, nets4, scenarios4):
-    report = evaluate(nets4, system(feeder4), scenarios4)
-    n = feeder4.n_node_phases
-    assert report.scenario_count == len(scenarios4)
-    assert report.v_mean_baseline.shape == (n,)
-    assert 0.0 <= report.in_band_fraction_controlled <= 1.0
-    assert report.scenarios_violating_baseline <= report.scenario_count
-    assert report.latency_p99_ms > 0.0
-
-    lines = report.profile_csv().splitlines()
-    assert len(lines) == 1 + n
-    assert lines[1].split(",")[0] == "src.A"
-    # every value cell is a plain number, not a numpy scalar's repr
-    cells = np.array([[float(c) for c in line.split(",")[2:]] for line in lines[1:]])
-    columns = (report.v_mean_baseline, report.v_std_baseline,
-               report.v_mean_controlled, report.v_std_controlled)
-    assert np.array_equal(cells, np.column_stack(columns))
-
+    cfg = system(feeder4)
+    summary, profile, latencies_s = evaluate(nets4, cfg, scenarios4)
+    assert summary["scenario_count"] == len(scenarios4)
+    assert 0.0 <= summary["in_band_fraction_controlled"] <= 1.0
+    assert summary["scenarios_violating_baseline"] <= summary["scenario_count"]
+    assert len(latencies_s) == len(scenarios4) and min(latencies_s) > 0.0
     # latency is reported separately and never enters the summary, which
     # must stay bit-stable across machines
-    summary = report.summary()
-    assert not any("latency" in k for k in summary)
-    assert summary["scenario_count"] == len(scenarios4)
+    assert len(summary) == 10 and not any("latency" in k for k in summary)
+
+    # one row per node-phase: its name, phase, and the profile's four
+    # columns as plain floats
+    assert [row[:2] for row in profile] == [(f"{b}.{ph}", ph) for b, ph in feeder4.node_phases()]
+    assert profile[0][0] == "src.A"
+    assert all(type(c) is float for row in profile for c in row[2:])
+    v_idle = np.stack([env_step(cfg, sc, np.zeros(1))[2]["v_mag_true"] for sc in scenarios4])
+    baseline = np.array([row[2:4] for row in profile])
+    assert np.array_equal(baseline, np.column_stack([v_idle.mean(axis=0), v_idle.std(axis=0)]))
 
 
 def test_evaluate_estimator_observed(feeder4, nets4, scenarios4):
     dsse = identity_dsse(feeder4)
-    report = evaluate(nets4, system(feeder4, estimator=dsse), scenarios4[:5])
-    assert report.scenario_count == 5
+    summary, profile, _ = evaluate(nets4, system(feeder4, estimator=dsse), scenarios4[:5])
+    assert summary["scenario_count"] == 5
     # the controlled profile is the one the estimate-driven actions produce,
     # and it differs from the profile under perfect-state actions
     cfg, expected = estimated_actions(feeder4, nets4, dsse, scenarios4[:5])
     v = np.stack([env_step(cfg, sc, a)[2]["v_mag_true"]
                   for sc, a in zip(scenarios4[:5], expected)])
-    assert np.array_equal(report.v_mean_controlled, v.mean(axis=0))
-    perfect = evaluate(nets4, cfg, scenarios4[:5])
-    assert not np.array_equal(perfect.v_mean_controlled, report.v_mean_controlled)
+    v_mean_controlled = np.array([row[4] for row in profile])
+    assert np.array_equal(v_mean_controlled, v.mean(axis=0))
+    _, perfect, _ = evaluate(nets4, cfg, scenarios4[:5])
+    assert not np.array_equal([row[4] for row in perfect], v_mean_controlled)
 
 
 def test_evaluate_empty_raises(feeder4, nets4):
@@ -449,7 +434,7 @@ def test_evaluate_applies_zone_map(feeder34):
     cfg = EnvConfig(feeder=feeder34, slack_voltage=1.045,
                     zone_map=np.arange(n_pv) % 3)
     sset = generate_scenario_set(feeder34, synth34_gen(2), seed=3).scenarios
-    report = evaluate(nets, cfg, sset)
+    _, profile, _ = evaluate(nets, cfg, sset)
     # the controlled profile is the one the per-zone actions produce
     v = []
     for sc in sset:
@@ -457,4 +442,4 @@ def test_evaluate_applies_zone_map(feeder34):
         action = ddpg.act(nets, state)
         assert len(set(action)) == 3
         v.append(env_step(cfg, sc, action)[2]["v_mag_true"])
-    assert np.array_equal(report.v_mean_controlled, np.stack(v).mean(axis=0))
+    assert np.array_equal([row[4] for row in profile], np.stack(v).mean(axis=0))

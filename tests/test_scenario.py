@@ -37,6 +37,37 @@ def test_gen_config_validation():
         GenConfig(count=1, households_per_node=0)
 
 
+@pytest.mark.parametrize("field, bounds", [
+    ("load_scale_range", (-0.3, 0.2)),  # negative loads
+    ("pv_to_load_ratio_range", (-1.0, 0.5)),
+    ("load_scale_range", (0.1, math.inf)),
+    ("load_scale_range", (math.nan, 0.2)),
+    ("pv_to_load_ratio_range", (0.5, math.inf)),
+    ("pv_to_load_ratio_range", (math.nan, math.nan)),
+    # finite bounds whose generated values could overflow to inf
+    ("load_scale_range", (1e307, 1.5e308)),  # lo + hi
+    ("load_scale_range", (0.1, 1e308)),  # a node's summed load
+    ("load_scale_range", (0.1, 1e305)),  # within the margin kept for the lognormal draw
+    ("pv_to_load_ratio_range", (1.0, 1e306)),  # a node's summed pv, with that margin
+    ("pv_to_load_ratio_range", (1e308, 1.5e308)),  # the ratio's midpoint
+])
+def test_gen_config_refuses_ranges_generation_cannot_use(field, bounds):
+    with pytest.raises(DatasetError, match="low <= high|non-negative|overflow"):
+        GenConfig(count=1, **{field: bounds})
+
+
+def test_gen_config_refuses_overflowing_household_counts():
+    GenConfig(count=1, load_scale_range=(0.0, 0.0), households_per_node=10**15)
+    with pytest.raises(DatasetError, match="overflow"):  # the ratio's draw, even under no load
+        GenConfig(count=1, load_scale_range=(0.0, 0.0), pv_to_load_ratio_range=(0.0, 1e306))
+    with pytest.raises(DatasetError, match="overflow"):
+        GenConfig(count=1, households_per_node=10**305)
+    with pytest.raises(DatasetError, match="overflow"):
+        GenConfig(count=1, households_per_node=10**400)  # too large for a float
+    # zero and signed-zero bounds are ranges generation can use
+    GenConfig(count=1, load_scale_range=(-0.0, 0.0), pv_to_load_ratio_range=(-0.0, 0.0))
+
+
 @settings(max_examples=40)
 @given(seed=st.integers(0, 2**31), pool_size=st.integers(2, 40))
 def test_pool_respects_configured_ranges(seed, pool_size):
@@ -269,6 +300,14 @@ def test_write_refuses_elements_sharing_a_node_phase(feeder4, tmp_path, kind):
     with pytest.raises(DatasetError, match=f"{kind} elements share node-phase {shared}"):
         write_scenario_set(sset, feeder, tmp_path / "s.csv")
     assert list(tmp_path.iterdir()) == []
+    # the reader refuses such a feeder too: a row naming the node-phase would
+    # fill only the last of its elements, and the first would read as zero
+    path = tmp_path / "s.csv"
+    write_scenario_set(generate_scenario_set(feeder4, fourbus_gen(2), seed=1), feeder4, path)
+    sidecar = tmp_path / "s.csv.meta.json"
+    sidecar.write_text(sidecar.read_text().replace(feeder4.fingerprint, feeder.fingerprint))
+    with pytest.raises(DatasetError, match=f"{kind} elements share node-phase {shared}"):
+        read_scenario_set(path, feeder)
 
 
 def test_sidecar_metadata_contents(feeder4, tmp_path):
@@ -530,7 +569,11 @@ def test_synth34_has_pv_units_without_a_load_point(feeder34):
                                          "two-loads-one-pv", "zero-rated"])
 def test_aggregate_profiles_matches_reference_loop(generator_feeders, feeder_name, config):
     feeder = generator_feeders[feeder_name]
-    cfg = GenConfig(count=1, **GENERATOR_CONFIGS[config])
+    cfg = GenConfig(count=1)
+    # set after validation: GenConfig refuses "negative-pv"'s range, but
+    # aggregate_profiles takes any pool, and negative pv must clip to +0.0
+    for key, value in GENERATOR_CONFIGS[config].items():
+        setattr(cfg, key, value)
     for seed in (0, 1, 42, 500, 901):
         ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         for sid in range(3):

@@ -116,8 +116,7 @@ def build_training_pairs(scenarios: ScenarioSet, feeder: Feeder, noise_pct: floa
         except PowerFlowDivergedError:
             dropped += 1
             continue
-        features = feeder_head_measurement(admittance, sol, noise_sigma=sigma,
-                                           rng=rng if sigma > 0 else None)
+        features = feeder_head_measurement(admittance, sol, noise_sigma=sigma, rng=rng)
         angle_rel = _wrap_deg(sol.v_ang_deg - refs)
         pairs.append((features, np.concatenate([sol.v_mag, angle_rel])))
 

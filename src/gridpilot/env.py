@@ -201,8 +201,7 @@ def env_step(cfg: EnvConfig, scenario: Scenario, action: np.ndarray,
     r = reward(sol.v_mag, q_set, q_max_vals, cfg.reward)
 
     sigma = cfg.measurement_noise_pct / 100.0
-    meas = feeder_head_measurement(admittance, sol, noise_sigma=sigma,
-                                   rng=rng if sigma > 0 else None)
+    meas = feeder_head_measurement(admittance, sol, noise_sigma=sigma, rng=rng)
     state = sol.v_mag.copy()
 
     slack = admittance.slack

@@ -414,8 +414,8 @@ def validate_feeder(feeder: Feeder) -> list[Diagnostic]:
         name = f"pv {pv.bus_id}.{pv.phase}"
         if not (0 < pv.p_rated <= pv.s_rated):
             out.append(Diagnostic(name, "requires 0 < p_rated <= s_rated"))
-        if pv.q_rated > pv.s_rated + 1e-12:
-            out.append(Diagnostic(name, "pv q_rated exceeds s_rated"))
+        if not (0 <= pv.q_rated <= pv.s_rated + 1e-12):
+            out.append(Diagnostic(name, "requires 0 <= q_rated <= s_rated"))
 
     # radial tree: no line into the source, one incoming line per bus, child
     # phases a subset of the parent's, and every bus reached from the source

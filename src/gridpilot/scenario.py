@@ -1,11 +1,11 @@
 """Synthetic load/PV snapshot generation, persistence, and splitting.
 
 A scenario is one feeder-wide snapshot: active/reactive power per load point
-and active PV output per inverter, all p.u. Scenarios are built by combining
-household-level profiles from a small pool, mimicking aggregation of a few
-metered houses onto each distribution node. PV output is tied to the local
-load through a per-household ratio so realized node-level pv/load ratios stay
-inside the configured range before rating clips.
+and active PV output per inverter, all p.u. ``generate_scenario_set`` builds
+each one by combining household-level profiles from a small pool, mimicking
+aggregation of a few metered houses onto each distribution node. PV output is
+tied to the local load through a per-household ratio so realized node-level
+pv/load ratios stay inside the configured range before rating clips.
 
 Persistence is a CSV of (scenario, element, p, q) rows plus a JSON sidecar
 carrying the generator config, seed, and feeder fingerprint. Repeated
@@ -19,7 +19,7 @@ import json
 import os
 import warnings
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -93,63 +93,25 @@ class ScenarioSet:
         return iter(self.scenarios)
 
 
-@dataclass
-class HouseholdPool:
-    load: np.ndarray  # p.u. active power per household
-    pv: np.ndarray  # p.u. PV output per household, ratio-tied to load
+def generate_scenario_set(feeder: Feeder, config: GenConfig, seed: int) -> ScenarioSet:
+    """Generate ``config.count`` scenarios on one deterministic stream.
 
-    @property
-    def size(self) -> int:
-        return self.load.shape[0]
-
-
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
-def generate_household_pool(config: GenConfig, seed) -> HouseholdPool:
-    """Draw a pool of household (load, pv) pairs.
-
-    Loads take a lognormal shape min-max rescaled into load_scale_range;
-    each household's PV is its load times a clipped-Gaussian ratio spanning
-    pv_to_load_ratio_range. Deterministic for a given seed; passing a
-    Generator continues that stream instead.
+    Each scenario draws a fresh pool of ``household_pool_size`` households,
+    so feeder-wide conditions (total load, prevailing pv/load ratio) vary
+    between snapshots. Pool loads take a lognormal shape min-max rescaled
+    into load_scale_range (its midpoint when every draw is equal); each
+    household's pv is its load times a clipped-Gaussian ratio spanning
+    pv_to_load_ratio_range. Every load point sums ``households_per_node``
+    pool households, its reactive power following a power factor drawn per
+    point. A PV unit takes the pv summed at its own (bus, phase) load point,
+    the last one there, and units without one draw their own households; pv
+    is clipped to p_rated. Draws per scenario, in the order that keeps
+    written files byte-identical: pool loads, pool ratios, load point
+    households, power factors, then those PV units' households.
     """
-    rng = _as_rng(seed)
-    n = config.household_pool_size
-    lo, hi = config.load_scale_range
-
-    raw = rng.lognormal(mean=0.0, sigma=_LOAD_SIGMA, size=n)
-    spread = raw.max() - raw.min()
-    if n == 1 or spread == 0.0:
-        load = np.full(n, 0.5 * (lo + hi))
-    else:
-        load = lo + (hi - lo) * (raw - raw.min()) / spread
-
-    rlo, rhi = config.pv_to_load_ratio_range
-    ratio = np.clip(rng.normal(0.5 * (rlo + rhi), 0.25 * (rhi - rlo), size=n), rlo, rhi)
-    return HouseholdPool(load=load, pv=ratio * load)
-
-
-def aggregate_profiles(pool: HouseholdPool, feeder: Feeder, config: GenConfig,
-                       seed, scenario_id: int = 0) -> Scenario:
-    """Combine pool households into one feeder snapshot.
-
-    Every load point sums ``households_per_node`` randomly chosen pool
-    entries; its reactive power follows a power factor sampled per point.
-    A PV unit takes the pv aggregated at its own (bus, phase) load point,
-    clipped to [0, p_rated]; units without a co-located load point draw
-    their own households. Draws, in the order that keeps files byte-identical:
-    load point households, power factors, then those PV units' households.
-    """
-    return _aggregator(feeder, config)(pool, _as_rng(seed), scenario_id)
-
-
-def _aggregator(feeder: Feeder, config: GenConfig):
-    """``aggregate_profiles`` for one feeder and config, its PV layout built once."""
-    n_loads, h = len(feeder.loads), config.households_per_node
+    n, h, n_loads = config.household_pool_size, config.households_per_node, len(feeder.loads)
+    (lo, hi), (rlo, rhi) = config.load_scale_range, config.pv_to_load_ratio_range
+    pf_lo, pf_hi = config.power_factor_range
     load_slot = {(ld.bus_id, ld.phase): i for i, ld in enumerate(feeder.loads)}
     # each PV unit's co-located load point (the last one on its node-phase), or -1
     slot = np.array([load_slot.get((pv.bus_id, pv.phase), -1) for pv in feeder.pv_units], int)
@@ -157,36 +119,30 @@ def _aggregator(feeder: Feeder, config: GenConfig):
     at_load = slot[shared]
     rated = np.array([pv.p_rated for pv in feeder.pv_units])
 
-    def aggregate(pool: HouseholdPool, rng: np.random.Generator, scenario_id: int) -> Scenario:
-        if pool.size < 1:
-            raise DatasetError("household pool is empty")
-        choice = rng.integers(0, pool.size, size=(n_loads, h))
-        p_load = pool.load[choice].sum(axis=1)
-        pf = rng.uniform(config.power_factor_range[0], config.power_factor_range[1], size=n_loads)
+    rng = np.random.default_rng(seed)
+    scenarios = []
+    for i in range(config.count):
+        raw = rng.lognormal(mean=0.0, sigma=_LOAD_SIGMA, size=n)
+        spread = raw.max() - raw.min()
+        if spread == 0.0:
+            load = np.full(n, 0.5 * (lo + hi))
+        else:
+            load = lo + (hi - lo) * (raw - raw.min()) / spread
+        ratio = np.clip(rng.normal(0.5 * (rlo + rhi), 0.25 * (rhi - rlo), size=n), rlo, rhi)
+        pv = ratio * load
+
+        choice = rng.integers(0, n, size=(n_loads, h))
+        p_load = load[choice].sum(axis=1)
+        pf = rng.uniform(pf_lo, pf_hi, size=n_loads)
         q_load = p_load * np.tan(np.arccos(np.clip(pf, 0.0, 1.0)))
         p_pv = np.zeros(slot.size)
-        p_pv[shared] = pool.pv[choice].sum(axis=1)[at_load]
-        p_pv[own] = pool.pv[rng.integers(0, pool.size, size=(own.size, h))].sum(axis=1)
-        # min(max(raw, 0.0), p_rated) as Python evaluates it, signed zeros included
-        p_pv[p_pv < 0.0] = 0.0
+        p_pv[shared] = pv[choice].sum(axis=1)[at_load]
+        p_pv[own] = pv[rng.integers(0, n, size=(own.size, h))].sum(axis=1)
+        # min(raw, p_rated) as Python evaluates it, signed zeros included
         np.copyto(p_pv, rated, where=rated < p_pv)
-        return Scenario(id=scenario_id, p_load=p_load, q_load=q_load, p_pv=p_pv)
-
-    return aggregate
-
-
-def generate_scenario_set(feeder: Feeder, config: GenConfig, seed: int) -> ScenarioSet:
-    """Generate ``config.count`` scenarios on one deterministic stream.
-
-    A fresh household pool is drawn per scenario so feeder-wide conditions
-    (total load, prevailing pv/load ratio) vary between snapshots. Draw
-    order per scenario, which keeps written files byte-identical: the pool's
-    lognormal loads and normal pv/load ratios, then ``aggregate_profiles``' draws.
-    """
-    rng, aggregate = np.random.default_rng(seed), _aggregator(feeder, config)
-    return ScenarioSet(scenarios=[aggregate(generate_household_pool(config, rng), rng, i)
-                                  for i in range(config.count)],
-                       seed=seed, generator_config=config, feeder_fingerprint=feeder.fingerprint)
+        scenarios.append(Scenario(id=i, p_load=p_load, q_load=q_load, p_pv=p_pv))
+    return ScenarioSet(scenarios=scenarios, seed=seed, generator_config=config,
+                       feeder_fingerprint=feeder.fingerprint)
 
 
 def split(scenario_set: ScenarioSet, train_fraction: float, seed: int
@@ -207,10 +163,7 @@ def split(scenario_set: ScenarioSet, train_fraction: float, seed: int
     test_idx = sorted(order[n_train:])
 
     def subset(idx):
-        return ScenarioSet(scenarios=[scenario_set.scenarios[i] for i in idx],
-                           seed=scenario_set.seed,
-                           generator_config=scenario_set.generator_config,
-                           feeder_fingerprint=scenario_set.feeder_fingerprint)
+        return replace(scenario_set, scenarios=[scenario_set.scenarios[i] for i in idx])
 
     return subset(train_idx), subset(test_idx)
 

@@ -399,13 +399,15 @@ def test_error_exit_codes(tmp_path, workspace):
                                             agent_checkpoint=str(tmp_path / "horizon_2.5.ckpt"),
                                             apr={"reference_reward": -1e-3, "window": 2})))
     # feeder files with an entry that is not an object, a number that is not
-    # one, or a NaN: a raw AttributeError, a raw ValueError, and a run that
-    # exited 0
+    # one, a NaN, or a negative reactive rating: a raw AttributeError, a raw
+    # ValueError, and runs that exited 0 (the last with an inverter that
+    # absorbs at every action, 0 included)
     feeder_doc = json.loads(feeder_mod.builtin_feeder_path("4bus").read_text())
     feeder_edits = {"pv_string": lambda d: d["pv_units"].__setitem__(0, "pv"),
                     "z_text": lambda d: d["lines"][0]["z_ohm"][0][0].__setitem__("re", "a"),
                     "q_nan": lambda d: d["loads"][0].__setitem__("q_kvar", float("nan")),
-                    "phase_int": lambda d: d["loads"][0].__setitem__("phase", 2)}
+                    "phase_int": lambda d: d["loads"][0].__setitem__("phase", 2),
+                    "q_rated_neg": lambda d: d["pv_units"][0].__setitem__("q_rated_kvar", -5.0)}
     feeder_docs = {}
     for name, edit in feeder_edits.items():
         feeder_docs[name] = doc = json.loads(json.dumps(feeder_doc))

@@ -231,6 +231,10 @@ def test_pv_rating_invariants_rejected(tmp_path):
     with pytest.raises(FeederSchemaError, match="q_rated"):
         load_feeder(write(tmp_path, data))
 
+    data["pv_units"][0]["q_rated_kvar"] = -1  # the controller's authority cannot be negative
+    with pytest.raises(FeederSchemaError, match="q_rated"):
+        load_feeder(write(tmp_path, data))
+
 
 def test_asymmetric_impedance_rejected(tmp_path):
     data = minimal_dict()

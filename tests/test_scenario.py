@@ -14,10 +14,8 @@ from gridpilot.feeder import LoadPoint, PvUnit, build_admittance, validate_feede
 from gridpilot.scenario import (
     CSV_HEADER,
     GenConfig,
-    HouseholdPool,
     Scenario,
-    aggregate_profiles,
-    generate_household_pool,
+    ScenarioSet,
     generate_scenario_set,
     read_scenario_set,
     split,
@@ -70,66 +68,69 @@ def test_gen_config_refuses_overflowing_household_counts():
 
 @settings(max_examples=40)
 @given(seed=st.integers(0, 2**31), pool_size=st.integers(2, 40))
-def test_pool_respects_configured_ranges(seed, pool_size):
-    cfg = GenConfig(count=1, household_pool_size=pool_size,
+def test_pool_respects_configured_ranges(feeder34, seed, pool_size):
+    # one household per node: each load point is one pool household
+    cfg = GenConfig(count=3, household_pool_size=pool_size, households_per_node=1,
                     load_scale_range=(0.004, 0.05),
                     pv_to_load_ratio_range=(0.74, 1.05))
-    pool = generate_household_pool(cfg, seed)
-    assert pool.size == pool_size
-    assert np.all(pool.load >= 0.004 - 1e-15)
-    assert np.all(pool.load <= 0.05 + 1e-15)
-    # min-max rescaling hits both endpoints
-    assert math.isclose(pool.load.min(), 0.004, rel_tol=1e-12)
-    assert math.isclose(pool.load.max(), 0.05, rel_tol=1e-12)
-    ratio = pool.pv / pool.load
-    assert np.all(ratio >= 0.74 - 1e-12)
-    assert np.all(ratio <= 1.05 + 1e-12)
+    sset = generate_scenario_set(feeder34, cfg, seed)
+    for sc in sset:
+        assert np.all(sc.p_load >= 0.004 - 1e-15)
+        assert np.all(sc.p_load <= 0.05 + 1e-15)
+    # pv stays below 1.05 * 0.05, under every synth34 rating: no clip moves a ratio
+    ratios = realized_pv_ratios(sset, feeder34)
+    assert np.all(ratios >= 0.74 - 1e-12)
+    assert np.all(ratios <= 1.05 + 1e-12)
+    # min-max rescaling hits both endpoints: a pool of two holds nothing else
+    for sc in generate_scenario_set(feeder34, replace(cfg, household_pool_size=2), seed):
+        assert np.all(np.isclose(sc.p_load, 0.004, rtol=1e-12, atol=0)
+                      | np.isclose(sc.p_load, 0.05, rtol=1e-12, atol=0))
 
 
-def test_pool_single_household_degenerates_to_midpoint():
-    cfg = GenConfig(count=1, household_pool_size=1, load_scale_range=(0.01, 0.03))
-    pool = generate_household_pool(cfg, 5)
-    assert pool.load[0] == pytest.approx(0.02)
+def test_pool_single_household_degenerates_to_midpoint(feeder34):
+    cfg = GenConfig(count=3, household_pool_size=1, households_per_node=1,
+                    load_scale_range=(0.01, 0.03))
+    for sc in generate_scenario_set(feeder34, cfg, seed=5):
+        assert sc.p_load == pytest.approx(np.full(len(feeder34.loads), 0.02))
 
 
-def test_pool_deterministic_per_seed():
-    cfg = GenConfig(count=1)
-    a = generate_household_pool(cfg, 99)
-    b = generate_household_pool(cfg, 99)
-    c = generate_household_pool(cfg, 100)
-    assert np.array_equal(a.load, b.load) and np.array_equal(a.pv, b.pv)
-    assert not np.array_equal(a.load, c.load)
+def test_pool_deterministic_per_seed(feeder34):
+    cfg = synth34_gen(2)
+    a = generate_scenario_set(feeder34, cfg, seed=99)
+    b = generate_scenario_set(feeder34, cfg, seed=99)
+    c = generate_scenario_set(feeder34, cfg, seed=100)
+    for sa, sb, sc in zip(a, b, c, strict=True):
+        assert_same_scenario(sa, sb)
+        assert not np.array_equal(sa.p_load, sc.p_load)
 
 
-def test_aggregate_sums_households(feeder4):
-    # a pool with known values makes the stacking arithmetic visible
-    pool = HouseholdPool(load=np.array([0.01, 0.02, 0.04]),
-                         pv=np.array([0.008, 0.018, 0.03]))
-    cfg = fourbus_gen(1)
-    sc = aggregate_profiles(pool, feeder4, cfg, seed=3)
-    assert sc.p_load.shape == (len(feeder4.loads),)
-    assert sc.p_pv.shape == (len(feeder4.pv_units),)
-    # every load point is a sum of households_per_node pool entries
-    sums = {round(a + b, 12) for a in pool.load for b in pool.load}
-    for p in sc.p_load:
-        assert round(float(p), 12) in sums
+def test_aggregate_sums_households(feeder34):
+    # a pool of one household makes the stacking arithmetic visible: every
+    # load point sums households_per_node copies of the load range's midpoint
+    cfg = GenConfig(count=3, household_pool_size=1, households_per_node=3,
+                    load_scale_range=(0.01, 0.03))
+    mid = 0.5 * (0.01 + 0.03)
+    for sc in generate_scenario_set(feeder34, cfg, seed=3):
+        assert np.all(sc.p_load == mid + mid + mid)
+        # every PV unit, with or without a load point, sums three copies of
+        # the one household's pv, which stays under every synth34 rating
+        assert np.all(sc.p_pv == sc.p_pv[0])
+        assert 0.74 * 3 * mid - 1e-15 <= sc.p_pv[0] <= 1.05 * 3 * mid + 1e-15
 
 
-def test_aggregate_power_factor_range(feeder34, rng):
-    cfg = synth34_gen(1)
-    pool = generate_household_pool(cfg, rng)
-    sc = aggregate_profiles(pool, feeder34, cfg, rng)
-    pf = np.cos(np.arctan2(sc.q_load, sc.p_load))
-    assert np.all(pf >= cfg.power_factor_range[0] - 1e-9)
-    assert np.all(pf <= 1.0 + 1e-12)
-    assert np.all(sc.q_load >= 0.0)
+def test_aggregate_power_factor_range(feeder34):
+    cfg = synth34_gen(5)
+    for sc in generate_scenario_set(feeder34, cfg, seed=11):
+        pf = np.cos(np.arctan2(sc.q_load, sc.p_load))
+        assert np.all(pf >= cfg.power_factor_range[0] - 1e-9)
+        assert np.all(pf <= 1.0 + 1e-12)
+        assert np.all(sc.q_load >= 0.0)
 
 
-def test_aggregate_pv_clipped_to_rating(feeder34, rng):
+def test_aggregate_pv_clipped_to_rating(feeder34):
     cfg = GenConfig(count=1, load_scale_range=(0.2, 0.4),  # heavy: forces clipping
                     power_factor_range=(0.95, 1.0), households_per_node=3)
-    pool = generate_household_pool(cfg, rng)
-    sc = aggregate_profiles(pool, feeder34, cfg, rng)
+    sc = generate_scenario_set(feeder34, cfg, seed=0).scenarios[0]
     ratings = np.array([pv.p_rated for pv in feeder34.pv_units])
     assert np.all(sc.p_pv <= ratings + 1e-15)
     assert np.all(sc.p_pv >= 0.0)
@@ -486,14 +487,32 @@ def test_read_rejects_malformed_input(feeder4, tmp_path, case):
 
 # --- the generator and writer against their per-element reference loops -----
 
-def reference_aggregate_profiles(pool, feeder, config, rng, scenario_id=0):
-    """The per-PV-unit loop ``aggregate_profiles`` replaced: one household
-    draw per unit without a co-located load point, clipped with Python's
+def reference_household_pool(config, rng):
+    """One scenario's pool of (load, pv) households: lognormal loads min-max
+    rescaled into load_scale_range, each pv its load times a clipped-Gaussian
+    ratio spanning pv_to_load_ratio_range."""
+    n = config.household_pool_size
+    lo, hi = config.load_scale_range
+    raw = rng.lognormal(mean=0.0, sigma=0.5, size=n)
+    spread = raw.max() - raw.min()
+    if n == 1 or spread == 0.0:
+        load = np.full(n, 0.5 * (lo + hi))
+    else:
+        load = lo + (hi - lo) * (raw - raw.min()) / spread
+    rlo, rhi = config.pv_to_load_ratio_range
+    ratio = np.clip(rng.normal(0.5 * (rlo + rhi), 0.25 * (rhi - rlo), size=n), rlo, rhi)
+    return load, ratio * load
+
+
+def reference_aggregate_profiles(pool, feeder, config, rng, scenario_id):
+    """One snapshot from a pool, by the per-PV-unit loop: one household draw
+    per unit without a co-located load point, clipped with Python's
     ``min``/``max``."""
+    pool_load, pool_pv = pool
     n_loads = len(feeder.loads)
-    choice = rng.integers(0, pool.size, size=(n_loads, config.households_per_node))
-    p_load = pool.load[choice].sum(axis=1)
-    pv_at_load = pool.pv[choice].sum(axis=1)
+    choice = rng.integers(0, pool_load.size, size=(n_loads, config.households_per_node))
+    p_load = pool_load[choice].sum(axis=1)
+    pv_at_load = pool_pv[choice].sum(axis=1)
     pf = rng.uniform(config.power_factor_range[0], config.power_factor_range[1], size=n_loads)
     q_load = p_load * np.tan(np.arccos(np.clip(pf, 0.0, 1.0)))
     load_slot = {(ld.bus_id, ld.phase): i for i, ld in enumerate(feeder.loads)}
@@ -501,12 +520,23 @@ def reference_aggregate_profiles(pool, feeder, config, rng, scenario_id=0):
     for k, pv in enumerate(feeder.pv_units):
         slot = load_slot.get((pv.bus_id, pv.phase))
         if slot is None:
-            own = rng.integers(0, pool.size, size=config.households_per_node)
-            raw_pv = pool.pv[own].sum()
+            own = rng.integers(0, pool_load.size, size=config.households_per_node)
+            raw_pv = pool_pv[own].sum()
         else:
             raw_pv = pv_at_load[slot]
         p_pv[k] = min(max(raw_pv, 0.0), pv.p_rated)
     return Scenario(id=scenario_id, p_load=p_load, q_load=q_load, p_pv=p_pv)
+
+
+def reference_scenario_set(feeder, config, seed):
+    """``generate_scenario_set`` as a loop: a fresh pool per scenario, then
+    its snapshot, all on one stream."""
+    rng = np.random.default_rng(seed)
+    scenarios = [reference_aggregate_profiles(reference_household_pool(config, rng),
+                                              feeder, config, rng, i)
+                 for i in range(config.count)]
+    return ScenarioSet(scenarios=scenarios, seed=seed, generator_config=config,
+                       feeder_fingerprint=feeder.fingerprint)
 
 
 def reference_csv(scenario_set, feeder) -> bytes:
@@ -552,7 +582,6 @@ GENERATOR_CONFIGS = {
     "h5": dict(households_per_node=5),
     "h9-pool40": dict(households_per_node=9, household_pool_size=40),
     "pool1": dict(households_per_node=1, household_pool_size=1),
-    "negative-pv": dict(pv_to_load_ratio_range=(-1.0, 0.5)),
     "zero-pv": dict(pv_to_load_ratio_range=(0.0, 0.0)),
 }
 
@@ -568,35 +597,25 @@ def test_synth34_has_pv_units_without_a_load_point(feeder34):
 @pytest.mark.parametrize("feeder_name", ["synth34", "4bus", "2bus", "pv-no-loads", "no-pv",
                                          "two-loads-one-pv", "zero-rated"])
 def test_aggregate_profiles_matches_reference_loop(generator_feeders, feeder_name, config):
+    """The profiles ``generate_scenario_set`` aggregates for every scenario
+    are the reference loop's, bit for bit."""
     feeder = generator_feeders[feeder_name]
-    cfg = GenConfig(count=1)
-    # set after validation: GenConfig refuses "negative-pv"'s range, but
-    # aggregate_profiles takes any pool, and negative pv must clip to +0.0
-    for key, value in GENERATOR_CONFIGS[config].items():
-        setattr(cfg, key, value)
+    cfg = GenConfig(count=3, **GENERATOR_CONFIGS[config])
     for seed in (0, 1, 42, 500, 901):
-        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        for sid in range(3):
-            pool = generate_household_pool(cfg, ours)
-            assert_same_scenario(aggregate_profiles(pool, feeder, cfg, ours, scenario_id=sid),
-                                 reference_aggregate_profiles(
-                                     generate_household_pool(cfg, ref), feeder, cfg, ref, sid))
-        assert ours.random() == ref.random()  # both streams end in the same state
+        for ours, ref in zip(generate_scenario_set(feeder, cfg, seed),
+                             reference_scenario_set(feeder, cfg, seed), strict=True):
+            assert_same_scenario(ours, ref)
 
 
 @pytest.mark.parametrize("config", ["h2-synth34", "h3", "pool1"])
 def test_generate_scenario_set_matches_reference_loop(generator_feeders, config, tmp_path):
-    for feeder_name, feeder in generator_feeders.items():
-        cfg = GenConfig(count=12, **GENERATOR_CONFIGS[config])
-        sset = generate_scenario_set(feeder, cfg, seed=7)
-        ref = np.random.default_rng(7)
-        for i, sc in enumerate(sset):
-            assert_same_scenario(sc, reference_aggregate_profiles(
-                generate_household_pool(cfg, ref), feeder, cfg, ref, i))
-        if feeder_name in ("synth34", "4bus", "2bus"):
-            path = tmp_path / f"{feeder_name}.csv"
-            write_scenario_set(sset, feeder, path)
-            assert path.read_bytes() == reference_csv(sset, feeder)
+    """A generated set writes the bytes of the reference loop's set."""
+    cfg = GenConfig(count=12, **GENERATOR_CONFIGS[config])
+    for feeder_name in ("synth34", "4bus", "2bus"):
+        feeder = generator_feeders[feeder_name]
+        path = tmp_path / f"{feeder_name}.csv"
+        write_scenario_set(generate_scenario_set(feeder, cfg, seed=7), feeder, path)
+        assert path.read_bytes() == reference_csv(reference_scenario_set(feeder, cfg, 7), feeder)
 
 
 def test_write_matches_reference_writer_for_any_array_type(feeder4, tmp_path):

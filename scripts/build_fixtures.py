@@ -19,7 +19,7 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from gridpilot.env import EnvConfig, RewardConfig, env_step  # noqa: E402
+from gridpilot.env import EnvConfig, RewardConfig, env_step, objective_deviation  # noqa: E402
 from gridpilot.feeder import load_feeder  # noqa: E402
 from gridpilot.scenario import GenConfig, generate_scenario_set  # noqa: E402
 
@@ -184,18 +184,17 @@ def report(data, slack, gen_cfg, n=300, seed=7, label=""):
         stats = {"max_v": [], "min_v": [], "over": 0, "under": 0,
                  "reward": [], "iters": [], "dev": []}
         for sc in sset:
-            state, r, info = env_step(cfg, sc, np.full(n_zones, a))
+            v, r, info = env_step(cfg, sc, np.full(n_zones, a))
             if info["terminal"]:
                 print(f"  a={a:+.2f}: DIVERGED scenario {sc.id}")
                 continue
-            v = info["v_mag_true"]
             stats["max_v"].append(v.max())
             stats["min_v"].append(v.min())
             stats["over"] += int(v.max() > 1.05)
             stats["under"] += int(v.min() < 0.95)
             stats["reward"].append(r)
             stats["iters"].append(info["iterations"])
-            stats["dev"].append(info["deviation"])
+            stats["dev"].append(objective_deviation(v))
         mx = np.array(stats["max_v"])
         mn = np.array(stats["min_v"])
         print(f"  a={a:+.2f}: maxV mean {mx.mean():.4f} p95 {np.percentile(mx, 95):.4f} "

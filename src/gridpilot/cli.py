@@ -229,11 +229,10 @@ def cmd_run_online(cfg: dict, feeder: Feeder, seed: int, out: str) -> dict:
 def cmd_oracle(cfg: dict, feeder: Feeder, seed: int, out: str) -> dict:
     n_grid = _number(_object(cfg, "oracle", ("n_grid",)), "n_grid", 201, int)
     sset = scenario.read_scenario_set(_required(cfg, "scenario_file"), feeder)
-    # perfect state, one zone: the oracle scores true voltages only
-    env_cfg = EnvConfig(feeder=feeder, slack_voltage=_number(cfg, "slack_voltage", 1.0),
-                        reward=_section(cfg, "reward", RewardConfig))
-
     try:
+        # perfect state, one zone: the oracle scores true voltages only
+        env_cfg = EnvConfig(feeder=feeder, slack_voltage=_number(cfg, "slack_voltage", 1.0),
+                            reward=_section(cfg, "reward", RewardConfig))
         rows = [(sc.id, *runtime.oracle_best_action(env_cfg, sc, n_grid)) for sc in sset]
     except ValueError as exc:
         raise GridPilotError(f"oracle: {exc}") from exc

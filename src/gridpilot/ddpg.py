@@ -90,6 +90,10 @@ class TrainConfig:
             raise ValueError("tau must lie in (0, 1]")
         if not 1 <= self.batch_size <= self.buffer_capacity:
             raise ValueError("need 1 <= batch_size <= buffer_capacity")
+        if not (self.actor_lr > 0.0 and self.critic_lr > 0.0):
+            raise ValueError("actor_lr and critic_lr must be > 0")
+        if not (self.noise_sigma_start >= 0.0 and self.noise_sigma_end >= 0.0):
+            raise ValueError("noise_sigma_start and noise_sigma_end must be >= 0")
         if self.noise_process not in ("gaussian", "ou"):
             raise ValueError("noise_process must be 'gaussian' or 'ou'")
         if self.updates_start not in ("batch", "filled"):
@@ -194,13 +198,6 @@ def policy_gradient(nets: AgentNets, states: np.ndarray) -> tuple[float, np.ndar
     return mean_q, nn.backward(nets.actor, cache_a, dx[:, states.shape[1]:])
 
 
-def policy_update(nets: AgentNets, states: np.ndarray, optimizer: nn.AdamState) -> float:
-    """One actor ascent step on the sampled policy gradient; returns mean Q."""
-    mean_q, grad = policy_gradient(nets, states)
-    nn.adam_step(optimizer, nets.actor, grad)
-    return mean_q
-
-
 def soft_update(learned: np.ndarray, target: np.ndarray, tau: float) -> None:
     """theta' <- tau * theta + (1 - tau) * theta', elementwise in place."""
     if target.shape != learned.shape:
@@ -283,7 +280,8 @@ def train(env_cfg: EnvConfig, scenarios, cfg: TrainConfig,
                         if not math.isfinite(loss):
                             raise NumericalError(f"TD loss diverged to {loss}")
                         nn.adam_step(critic_opt, nets.critic, grad)
-                    policy_update(nets, batch["s"], actor_opt)
+                    mean_q, grad = policy_gradient(nets, batch["s"])
+                    nn.adam_step(actor_opt, nets.actor, grad)
                     soft_update_nets(nets, cfg.tau)
                     updates += 1
                 if info["terminal"]:

@@ -52,6 +52,8 @@ class DsseHyperparams:
             raise ValueError("hidden layer widths must be >= 1")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must lie in [0, 1)")
+        if not self.learning_rate > 0.0:
+            raise ValueError("learning_rate must be > 0")
 
 
 @dataclass
@@ -102,6 +104,8 @@ def build_training_pairs(scenarios: ScenarioSet, feeder: Feeder, noise_pct: floa
     admittance = feeder.admittance
     if not noise_pct >= 0.0:
         raise DatasetError(f"noise_pct must be >= 0, got {noise_pct}")
+    if not slack_voltage > 0.0:
+        raise DatasetError(f"slack_voltage must be > 0, got {slack_voltage}")
     refs = _angle_refs_deg(feeder.node_phases())
     rng = np.random.default_rng(seed)
     sigma = noise_pct / 100.0

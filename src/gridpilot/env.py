@@ -4,13 +4,15 @@ A state is the 1-D vector of node-phase voltage magnitudes (p.u.). One
 environment step is the physical half of the pipeline: map the agent's zone
 coefficients to inverter reactive setpoints, superimpose them on the
 scenario's injections, solve the power flow, and take the feeder-head
-measurement. ``observe`` is the other half: it turns a step into what the
-agent sees, the state estimator's reading of the head measurement or (in
-perfect-state mode, no estimator) the true solver voltages. ``idle_step`` is
-the step under idle inverters that starts both a training episode
-(``ddpg.train``) and a deployed control cycle (``runtime``). The reward is
-always computed from true solver voltages; estimation error only affects
-what the agent observes.
+measurement; its ``info`` holds ``terminal``, ``iterations``, and the
+``solution`` and ``measurement`` (or, diverged, the solver's ``residual``),
+from which each report derives its own numbers. ``observe`` is the other
+half: it turns a step into what the agent sees, the state estimator's
+reading of the head measurement or (in perfect-state mode, no estimator)
+the true solver voltages. ``idle_step`` is the step under idle inverters
+that starts both a training episode (``ddpg.train``) and a deployed control
+cycle (``runtime``). The reward is always computed from true solver
+voltages; estimation error only affects what the agent observes.
 
 ``EnvConfig`` is the one description of the controlled system: feeder,
 estimator, inverter zones, slack voltage, measurement noise and reward band.
@@ -79,6 +81,8 @@ class EnvConfig:
                 raise ValueError(f"zone_map must give all {n_pv} pv units a zone index >= 0")
         if not self.measurement_noise_pct >= 0.0:
             raise ValueError("measurement_noise_pct must be >= 0")
+        if not self.slack_voltage > 0.0:
+            raise ValueError(f"slack_voltage must be > 0, got {self.slack_voltage}")
         est = self.estimator
         if est is not None and est.feeder_fingerprint != self.feeder.fingerprint:
             raise ModelMismatchError(
@@ -165,22 +169,22 @@ def reward(v_mags: np.ndarray, q_set: np.ndarray, q_max_values: np.ndarray,
     return float(-(cfg.lambda_weight * lam + cfg.eta_weight * gam))
 
 
-def objective_deviation(v_mags: np.ndarray, v_nominal: float = 1.0) -> float:
-    """Sum of absolute voltage deviations from nominal (the tracking metric)."""
-    return float(np.abs(np.asarray(v_mags, dtype=float) - v_nominal).sum())
+def objective_deviation(v_mags: np.ndarray, v_nominal: float = 1.0) -> float | np.ndarray:
+    """Sum of absolute deviations from nominal over the last axis (the tracking metric)."""
+    return np.abs(np.asarray(v_mags, dtype=float) - v_nominal).sum(axis=-1)
 
 
 def env_step(cfg: EnvConfig, scenario: Scenario, action: np.ndarray,
              rng: np.random.Generator | None = None) -> tuple[np.ndarray, float, dict]:
     """Apply an action to a scenario and measure the resulting system.
 
-    ``action`` holds one coefficient per zone. Returns (true_state, reward,
-    info). info carries the true voltages, the 12 feeder-head features, the
-    head P/Q and a terminal flag; ``observe`` turns the step into the agent's
-    state. Power-flow divergence under the action yields a large negative
-    reward scaled by the node-phase count and terminal=True; the placeholder
-    next state is a flat nominal profile (never bootstrapped from, since the
-    transition is terminal).
+    ``action`` holds one coefficient per zone. Returns (true magnitudes,
+    reward, info); info holds ``terminal``, ``iterations``, the ``solution``
+    and its 12 feeder-head features (``measurement``), which ``observe``
+    turns into the agent's state. Power-flow divergence under the action
+    yields a large negative reward scaled by the node-phase count, info of
+    ``terminal`` (True), ``iterations`` and ``residual``, and a placeholder
+    flat nominal profile (never bootstrapped from: the step is terminal).
     """
     admittance = cfg.feeder.admittance
     q_set = map_action(action, cfg.q_rated, cfg.zone_map)
@@ -193,34 +197,12 @@ def env_step(cfg: EnvConfig, scenario: Scenario, action: np.ndarray,
     except PowerFlowDivergedError as exc:
         log.warning("power flow diverged under action %s: %s", action, exc)
         n = cfg.state_dim
-        placeholder = np.full(n, cfg.reward.v_nominal)
-        info = {"terminal": True, "diverged": True,
-                "residual": exc.residual, "iterations": exc.iterations}
-        return placeholder, DIVERGENCE_PENALTY_PER_NODE * n, info
+        info = {"terminal": True, "iterations": exc.iterations, "residual": exc.residual}
+        return np.full(n, cfg.reward.v_nominal), DIVERGENCE_PENALTY_PER_NODE * n, info
 
-    r = reward(sol.v_mag, q_set, q_max_vals, cfg.reward)
-
-    sigma = cfg.measurement_noise_pct / 100.0
-    meas = feeder_head_measurement(admittance, sol, noise_sigma=sigma, rng=rng)
-    state = sol.v_mag.copy()
-
-    slack = admittance.slack
-    v = sol.v_complex
-    s_head = v[slack] * np.conj(admittance.y[slack] @ v)
-
-    band = cfg.reward
-    info = {
-        "terminal": False,
-        "diverged": False,
-        "v_mag_true": sol.v_mag,
-        "p_head": float(s_head.real.sum()),
-        "q_head": float(s_head.imag.sum()),
-        "measurement": meas,
-        "violations": int(np.sum((sol.v_mag < band.v_min) | (sol.v_mag > band.v_max))),
-        "deviation": objective_deviation(sol.v_mag, band.v_nominal),
-        "iterations": sol.iterations,
-    }
-    return state, r, info
+    meas = feeder_head_measurement(admittance, sol, cfg.measurement_noise_pct / 100.0, rng=rng)
+    info = {"terminal": False, "iterations": sol.iterations, "solution": sol, "measurement": meas}
+    return sol.v_mag, reward(sol.v_mag, q_set, q_max_vals, cfg.reward), info
 
 
 def observe(estimator: DsseModel | None, state: np.ndarray, info: dict) -> np.ndarray:

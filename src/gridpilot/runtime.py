@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import ddpg
-from .env import EnvConfig, env_step, idle_step, observe
+from .env import EnvConfig, env_step, idle_step, objective_deviation, observe
 from .errors import InfeasibleScenarioError, ModelMismatchError, TrainingError
 from .scenario import Scenario
 
@@ -108,19 +108,19 @@ def _control_cycle(cfg: EnvConfig, nets: ddpg.AgentNets, scenario: Scenario,
 
     Solve under idle inverters, observe the head measurement (through
     ``cfg.estimator`` when set), act without exploration, solve under the
-    action. Returns (baseline reward, baseline info, action, reward, info,
-    latency_s); the latency covers estimation plus action selection. Raises
-    InfeasibleScenarioError when either solve diverges.
+    action. Returns (baseline magnitudes, baseline reward, action, reward,
+    controlled solution, latency_s), the latency of estimation plus action
+    selection. Raises InfeasibleScenarioError when either solve diverges.
     """
-    state, r0, info0 = idle_step(cfg, scenario, rng)
+    v0, r0, info0 = idle_step(cfg, scenario, rng)
     t0 = time.perf_counter()
-    action = ddpg.act(nets, observe(cfg.estimator, state, info0))
+    action = ddpg.act(nets, observe(cfg.estimator, v0, info0))
     latency = time.perf_counter() - t0
     _, r1, info1 = env_step(cfg, scenario, action, rng=rng)
     if info1["terminal"]:
         raise InfeasibleScenarioError(
             f"scenario {scenario.id} diverged under control action")
-    return r0, info0, action, r1, info1, latency
+    return v0, r0, action, r1, info1["solution"], latency
 
 
 def run_online(nets: ddpg.AgentNets, cfg: EnvConfig, scenarios, apr: AprConfig,
@@ -144,10 +144,12 @@ def run_online(nets: ddpg.AgentNets, cfg: EnvConfig, scenarios, apr: AprConfig,
     run = RunLog()
     rewards: deque[float] = deque(maxlen=apr.window)
     recent: deque[Scenario] = deque(maxlen=apr.window)
+    adm, band = cfg.feeder.admittance, cfg.reward
+    slack, y_head = adm.slack, adm.y[adm.slack]
 
     for step, scenario in enumerate(scenarios):
         try:
-            _, _, action, r, info, latency = _control_cycle(cfg, nets, scenario, rng)
+            _, _, action, r, sol, latency = _control_cycle(cfg, nets, scenario, rng)
         except InfeasibleScenarioError as exc:
             log.warning("%s; skipped", exc)
             continue
@@ -156,10 +158,12 @@ def run_online(nets: ddpg.AgentNets, cfg: EnvConfig, scenarios, apr: AprConfig,
         recent.append(scenario)
 
         decision = apr_check(rewards, apr)
+        v = sol.v_complex
+        s_head = v[slack] * np.conj(y_head @ v)  # power into the feeder, per head phase
         run.records.append(StepRecord(
-            step, scenario.id, action, r, float(info["v_mag_true"].max()),
-            float(info["v_mag_true"].min()), info["p_head"], info["q_head"],
-            info["violations"]))
+            step, scenario.id, action, r, float(sol.v_mag.max()), float(sol.v_mag.min()),
+            float(s_head.real.sum()), float(s_head.imag.sum()),
+            int(np.sum((sol.v_mag < band.v_min) | (sol.v_mag > band.v_max)))))
 
         if decision == "fine_tune":
             run.fine_tune_events.append(step)
@@ -245,24 +249,21 @@ def evaluate(nets: ddpg.AgentNets, cfg: EnvConfig, scenarios, seed: int = 0
 
     v_base, v_ctrl = [], []
     r_base, r_ctrl = [], []
-    dev_base, dev_ctrl = [], []
     latencies = []
 
     for scenario in scenarios:
-        r0, info0, _, r1, info1, latency = _control_cycle(cfg, nets, scenario, rng)
-        v_base.append(info0["v_mag_true"])
+        v0, r0, _, r1, sol, latency = _control_cycle(cfg, nets, scenario, rng)
+        v_base.append(v0)
         r_base.append(r0)
-        dev_base.append(info0["deviation"])
-        v_ctrl.append(info1["v_mag_true"])
+        v_ctrl.append(sol.v_mag)
         r_ctrl.append(r1)
-        dev_ctrl.append(info1["deviation"])
         latencies.append(latency)
 
     v_base = np.stack(v_base)
     v_ctrl = np.stack(v_ctrl)
-    lo, hi = cfg.reward.v_min, cfg.reward.v_max
-    out_base = (v_base < lo) | (v_base > hi)
-    out_ctrl = (v_ctrl < lo) | (v_ctrl > hi)
+    band = cfg.reward
+    out_base = (v_base < band.v_min) | (v_base > band.v_max)
+    out_ctrl = (v_ctrl < band.v_min) | (v_ctrl > band.v_max)
 
     summary = {
         "scenario_count": v_base.shape[0],
@@ -270,8 +271,8 @@ def evaluate(nets: ddpg.AgentNets, cfg: EnvConfig, scenarios, seed: int = 0
         "violations_controlled": int(out_ctrl.sum()),
         "scenarios_violating_baseline": int(out_base.any(axis=1).sum()),
         "scenarios_violating_controlled": int(out_ctrl.any(axis=1).sum()),
-        "mean_deviation_baseline": float(np.mean(dev_base)),
-        "mean_deviation_controlled": float(np.mean(dev_ctrl)),
+        "mean_deviation_baseline": float(np.mean(objective_deviation(v_base, band.v_nominal))),
+        "mean_deviation_controlled": float(np.mean(objective_deviation(v_ctrl, band.v_nominal))),
         "mean_reward_baseline": float(np.mean(r_base)),
         "mean_reward_controlled": float(np.mean(r_ctrl)),
         "in_band_fraction_controlled": float(1.0 - out_ctrl.mean()),

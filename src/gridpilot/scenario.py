@@ -265,8 +265,8 @@ def read_scenario_set(csv_path, feeder: Feeder) -> ScenarioSet:
     CSV whose sha256 is not the sidecar's, a feeder with two loads or two pv
     units on one node-phase, a wrong header, no rows, a row that is not five
     fields with an integer scenario id and finite p and q, an element the
-    feeder lacks, or one listed twice in a scenario. An element absent from
-    a scenario reads as zero.
+    feeder lacks, one listed twice in a scenario, or a pv output outside
+    [0, s_rated] of its unit. An element absent from a scenario reads as zero.
     """
     seed, config, fingerprint = _read_sidecar(csv_path)
     if fingerprint and fingerprint != feeder.fingerprint:
@@ -317,8 +317,13 @@ def read_scenario_set(csv_path, feeder: Feeder) -> ScenarioSet:
     p.flat[cells] = rows["p"]
     q.flat[cells] = rows["q"]
     n_loads = len(feeder.loads)
+    p_pv, s_rated = p[:, n_loads:], np.array([pv.s_rated for pv in feeder.pv_units])
+    j, k = np.nonzero((p_pv < 0.0) | (p_pv > s_rated))
+    if j.size:
+        raise DatasetError(f"scenario {ids[j[0]]} has pv {elements[n_loads + k[0]][1]} output "
+                           f"{p_pv[j[0], k[0]]} outside [0, s_rated {s_rated[k[0]]}] in {csv_path}")
     scenarios = [Scenario(id=int(sid), p_load=p[j, :n_loads], q_load=q[j, :n_loads],
-                          p_pv=p[j, n_loads:]) for j, sid in enumerate(ids)]
+                          p_pv=p_pv[j]) for j, sid in enumerate(ids)]
     return ScenarioSet(scenarios=scenarios, seed=seed,
                        generator_config=config,
                        feeder_fingerprint=fingerprint or feeder.fingerprint)

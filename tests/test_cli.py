@@ -334,6 +334,17 @@ def test_error_exit_codes(tmp_path, workspace):
         ("train-agent", dict(scenario_file=scen_csv, env={"measurement_noise_pct": -3})),
         ("train-agent", dict(scenario_file=scen_csv,
                              env={"measurement_noise_pct": float("nan")})),
+        # a negative head voltage solved as the positive one and exited 0; zero
+        # exited 2, but as a power flow that "diverged at every grid point"
+        *((command, dict(scenario_file=scen_csv, slack_voltage=slack))
+          for command in ("oracle", "train-dsse", "train-agent") for slack in (-1.04, 0.0)),
+        # negative exploration sigmas and non-positive learning rates: each
+        # exited 0, exploring not at all or ascending the loss
+        ("train-agent", dict(scenario_file=scen_csv, train={"noise_sigma_start": -0.5})),
+        ("train-agent", dict(scenario_file=scen_csv, train={"noise_sigma_end": -0.1})),
+        ("train-agent", dict(scenario_file=scen_csv, train={"actor_lr": -0.001})),
+        ("train-agent", dict(scenario_file=scen_csv, train={"critic_lr": 0.0})),
+        ("train-dsse", dict(scenario_file=scen_csv, dsse={"learning_rate": -0.05})),
         # sizes of tens of TiB or more, which numpy fails to allocate without
         # touching memory: each was a raw numpy MemoryError traceback
         ("train-agent", dict(scenario_file=scen_csv, train={"buffer_capacity": 10**12})),
@@ -375,6 +386,16 @@ def test_error_exit_codes(tmp_path, workspace):
         else:  # a sidecar that matches the bad rows, which must fail on their own
             rewrite_csv(path, text)
         bad_sections.append(("oracle", dict(scenario_file=str(path), oracle={"n_grid": 3})))
+    # a pv output above its unit's 0.56 p.u. rating: train-agent ended in a raw
+    # ValueError, and train-dsse trained on it
+    k = next(i for i, line in enumerate(lines) if ",pv," in line)
+    sid, etype, eid, p, q = lines[k].split(",")
+    pv_over = tmp_path / "pv_over.csv"
+    (tmp_path / "pv_over.csv.meta.json").write_text(meta)
+    rewrite_csv(pv_over, "\n".join(lines[:k] + [f"{sid},{etype},{eid},50.0,{q}"]
+                                   + lines[k + 1:]) + "\n")
+    for command in ("train-agent", "train-dsse"):
+        bad_sections.append((command, dict(scenario_file=str(pv_over))))
     blob = open(agent_ckpt, "rb").read()
     header = json.dumps({"metadata": {"kind": "agent"}}).encode()
     bad_ckpts = {"five_bytes": blob[:5],

@@ -92,6 +92,13 @@ def test_train_config_validation():
         TrainConfig(episodes=0)
     with pytest.raises(ValueError, match="horizon"):
         TrainConfig(horizon=0)
+    for sigmas in ({"noise_sigma_start": -0.5}, {"noise_sigma_end": -1e-9}):
+        with pytest.raises(ValueError, match="noise_sigma"):
+            TrainConfig(**sigmas)
+    for rates in ({"actor_lr": -0.001}, {"critic_lr": 0.0}, {"actor_lr": float("nan")}):
+        with pytest.raises(ValueError, match="_lr"):
+            TrainConfig(**rates)
+    TrainConfig(noise_sigma_start=0.0, noise_sigma_end=0.0)  # no exploration is allowed
 
 
 # --- replay buffer ------------------------------------------------------------

@@ -85,6 +85,23 @@ def test_training_pairs_reject_broken_fixture(feeder2, sset4):
         build_training_pairs(bad, feeder2, 0.0)
 
 
+def test_training_pairs_refuse_bad_settings(feeder4, sset4):
+    with pytest.raises(DatasetError, match="noise_pct"):
+        build_training_pairs(sset4, feeder4, -1.0)
+    # the solve is symmetric under V -> -V: a negative head voltage gave the
+    # positive one's magnitudes
+    for slack in (-1.04, 0.0):
+        with pytest.raises(DatasetError, match="slack_voltage"):
+            build_training_pairs(sset4, feeder4, 1.0, slack_voltage=slack)
+
+
+def test_hyperparams_validation():
+    for bad in ({"epochs": 0}, {"batch_size": 0}, {"hidden_layers": (8, 0)},
+                {"dropout_rate": 1.0}, {"learning_rate": -0.05}, {"learning_rate": 0.0}):
+        with pytest.raises(ValueError):
+            DsseHyperparams(**bad)
+
+
 def test_train_requires_minimum_pairs(feeder4, pairs4):
     with pytest.raises(DatasetError, match="at least 100"):
         train_dsse(pairs4[:50], DsseHyperparams(), feeder4)

@@ -202,6 +202,27 @@ def test_run_online_logs_every_feasible_step(feeder4, nets4, scenarios4):
     assert rec.max_v >= rec.min_v > 0.0
 
 
+def test_run_online_records_come_from_the_controlled_solve(feeder4, nets4, scenarios4):
+    """Each record's voltages, violation count and head power (pf_p, pf_q)
+    are those of the solve under its action; the head power is recomputed
+    here from G and B: the power each source phase sends into the feeder."""
+    cfg = system(feeder4, reward=env.RewardConfig(v_min=0.98, v_max=1.03))
+    run, _ = run_online(nets4, cfg, scenarios4, AprConfig(reference_reward=-1.0))
+    adm = feeder4.admittance
+    source = feeder4.bus(feeder4.source_bus_id)
+    head = [adm.index_map[(source.id, ph)] for ph in source.phases]
+    assert sum(rec.violations for rec in run.records) > 0
+    for rec, sc in zip(run.records, scenarios4, strict=True):
+        state, r, info = env_step(cfg, sc, rec.action)
+        v = info["solution"].v_complex
+        current = adm.g[head] @ v + 1j * (adm.b[head] @ v)
+        s_head = v[head] * np.conj(current)
+        assert (rec.reward, rec.max_v, rec.min_v) == (r, state.max(), state.min())
+        assert rec.violations == np.sum((state < 0.98) | (state > 1.03))
+        assert rec.p_head == pytest.approx(s_head.real.sum(), rel=1e-12, abs=1e-14)
+        assert rec.q_head == pytest.approx(s_head.imag.sum(), rel=1e-12, abs=1e-14)
+
+
 def test_run_online_skips_infeasible(feeder2):
     nets = ddpg.build_agent(feeder2.n_node_phases, 1, np.random.default_rng(0))
     ok = Scenario(id=0, p_load=np.array([0.05]), q_load=np.array([0.01]),
@@ -374,7 +395,7 @@ def test_evaluate_report_contents(feeder4, nets4, scenarios4):
     assert [row[:2] for row in profile] == [(f"{b}.{ph}", ph) for b, ph in feeder4.node_phases()]
     assert profile[0][0] == "src.A"
     assert all(type(c) is float for row in profile for c in row[2:])
-    v_idle = np.stack([env_step(cfg, sc, np.zeros(1))[2]["v_mag_true"] for sc in scenarios4])
+    v_idle = np.stack([env_step(cfg, sc, np.zeros(1))[0] for sc in scenarios4])
     baseline = np.array([row[2:4] for row in profile])
     assert np.array_equal(baseline, np.column_stack([v_idle.mean(axis=0), v_idle.std(axis=0)]))
 
@@ -386,8 +407,7 @@ def test_evaluate_estimator_observed(feeder4, nets4, scenarios4):
     # the controlled profile is the one the estimate-driven actions produce,
     # and it differs from the profile under perfect-state actions
     cfg, expected = estimated_actions(feeder4, nets4, dsse, scenarios4[:5])
-    v = np.stack([env_step(cfg, sc, a)[2]["v_mag_true"]
-                  for sc, a in zip(scenarios4[:5], expected)])
+    v = np.stack([env_step(cfg, sc, a)[0] for sc, a in zip(scenarios4[:5], expected)])
     v_mean_controlled = np.array([row[4] for row in profile])
     assert np.array_equal(v_mean_controlled, v.mean(axis=0))
     _, perfect, _ = evaluate(nets4, cfg, scenarios4[:5])
@@ -441,5 +461,5 @@ def test_evaluate_applies_zone_map(feeder34):
         state, _, _ = env_step(cfg, sc, np.zeros(3))
         action = ddpg.act(nets, state)
         assert len(set(action)) == 3
-        v.append(env_step(cfg, sc, action)[2]["v_mag_true"])
+        v.append(env_step(cfg, sc, action)[0])
     assert np.array_equal([row[4] for row in profile], np.stack(v).mean(axis=0))

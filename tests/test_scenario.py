@@ -407,7 +407,10 @@ def test_csv_numbers_parse_bit_equal_to_float(feeder34, tmp_path):
         lines[i] = f"{sid},{etype},{eid},{fp(float(p))},{fq(float(q))}"
     rewrite_csv(path, "\n".join(lines) + "\n")
 
-    loaded = read_scenario_set(path, feeder34)
+    # unbounded ratings, so that every cell (all are >= 0) is a pv output the reader accepts
+    unrated = replace(feeder34, pv_units=[replace(pv, s_rated=math.inf)
+                                          for pv in feeder34.pv_units])
+    loaded = read_scenario_set(path, unrated)
     load_slot = {f"{ld.bus_id}.{ld.phase}": i for i, ld in enumerate(feeder34.loads)}
     pv_slot = {f"{pv.bus_id}.{pv.phase}": k for k, pv in enumerate(feeder34.pv_units)}
     by_id = {sc.id: sc for sc in loaded}
@@ -452,7 +455,7 @@ def test_read_rejects_rows_on_a_feeder_without_elements(feeder2, tmp_path):
 @pytest.mark.parametrize("case", ["text_p", "float_id", "short_row", "long_row", "nan_p",
                                   "inf_q", "empty_file", "header_only", "bad_type", "repeat",
                                   "sidecar_empty", "sidecar_bad_range", "sidecar_list",
-                                  "sidecar_infinite_seed"])
+                                  "sidecar_infinite_seed", "pv_above_rating", "pv_negative"])
 def test_read_rejects_malformed_input(feeder4, tmp_path, case):
     sset = generate_scenario_set(feeder4, fourbus_gen(2), seed=1)
     path = tmp_path / "s.csv"
@@ -469,6 +472,11 @@ def test_read_rejects_malformed_input(feeder4, tmp_path, case):
            "repeat": f"{lines[1]}\n{sid},{etype},{eid},0.5,{q}"}.get(case)
     if row is not None:
         rewrite_csv(path, "\n".join([lines[0], row] + lines[2:]) + "\n")
+    elif case.startswith("pv_"):  # 4bus's one unit is rated 0.56 p.u.
+        k = next(i for i, line in enumerate(lines) if ",pv," in line)
+        sid, etype, eid, _, q = lines[k].split(",")
+        lines[k] = f"{sid},{etype},{eid},{50.0 if case == 'pv_above_rating' else -1e-9},{q}"
+        rewrite_csv(path, "\n".join(lines) + "\n")
     elif case == "empty_file":
         rewrite_csv(path, "")
     elif case == "header_only":
@@ -483,6 +491,27 @@ def test_read_rejects_malformed_input(feeder4, tmp_path, case):
                             "sidecar_infinite_seed": inf_seed}[case])
     with pytest.raises(DatasetError):
         read_scenario_set(path, feeder4)
+
+
+def test_read_bounds_pv_output_by_the_unit_rating(feeder4, tmp_path):
+    """0 (-0.0 too) and s_rated are in range; just beyond either is refused,
+    naming the scenario and the pv unit."""
+    sset = generate_scenario_set(feeder4, fourbus_gen(2), seed=1)
+    path = tmp_path / "s.csv"
+    write_scenario_set(sset, feeder4, path)
+    lines = path.read_text().splitlines()
+    k = [i for i, line in enumerate(lines) if ",pv," in line][-1]
+    sid, etype, eid, _, q = lines[k].split(",")
+    s_rated = feeder4.pv_units[0].s_rated
+    for value in (-0.0, 0.0, s_rated, -5e-324, np.nextafter(s_rated, 1.0)):
+        lines[k] = f"{sid},{etype},{eid},{float(value)!r},{q}"
+        rewrite_csv(path, "\n".join(lines) + "\n")
+        if 0.0 <= value <= s_rated:
+            got = read_scenario_set(path, feeder4).scenarios[-1].p_pv[0]
+            assert np.float64(got).tobytes() == np.float64(value).tobytes()
+        else:
+            with pytest.raises(DatasetError, match=f"scenario {sid} has pv {eid} output"):
+                read_scenario_set(path, feeder4)
 
 
 # --- the generator and writer against their per-element reference loops -----

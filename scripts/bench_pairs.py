@@ -10,10 +10,19 @@ runs ``perfbench/run.py --workload all --trace 0 --seed S+k`` once from each
 tree, the parent first on odd seeds and the change first on even ones, so
 slow drift of the machine falls on both sides alike. Then each tree makes
 one traced run (``--trace 1 --seed 0``), parent first, for the per-layer
-counts and times. Last, for each workload, it times 8 alternated set-up
+counts and times. Then, for each workload, it times 8 alternated set-up
 processes per side (``perfbench/run.py --workload W --seed S --setup-into
 DIR``, S the first seed), around the subprocess as perfbench's own
 ``setup_s`` does: a run's ``setup_s`` is the median of only 3 of them.
+Last, each tree runs the tier-1 suite once, parent first, timed around the
+subprocess, with its passed and failed counts.
+
+Before every perfbench run, a fresh single-threaded process times a fixed
+numpy loop that runs no gridpilot code (CALIBRATION: products of a seeded
+135 x 135 complex matrix with a vector, the size of a synth34 solve's
+products). No change to the program can move it, so when both sides'
+calibration times move with their ``ops_per_s``, the machine moved, not
+the code.
 
 For every workload and end-to-end metric of the change tree's
 BENCHMARK.json, the output holds each side's runs in seed order, their
@@ -22,13 +31,19 @@ change's value is strictly better), the median ratio, and
 ``median_diff_beats_parent_iqr``: whether the change's median is better
 than the parent's by more than the parent's interquartile range. The
 ``setup_processes`` section holds the same summary of the set-up process
-times. The script only reads the two trees; it writes nothing but ``--out``
-and the set-up processes' inputs, in a temporary directory.
+times; ``calibration`` holds each side's calibration times in run order
+with their median and quartiles; ``tier1`` holds each side's suite wall
+time, exit code, passed and failed counts and pytest's summary line. Each
+pair records its calibration times too. Besides ``--out`` and the set-up
+processes' inputs, in a temporary directory, the script writes only what
+perfbench and pytest leave in the trees (``.perfbench_work/`` and
+``.pytest_cache/``, both ignored by git).
 """
 
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -36,6 +51,46 @@ import tempfile
 import time
 
 SETUP_PROCESSES = 8
+SINGLE_THREADED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+CALIBRATION = """
+import time
+import numpy as np
+rng = np.random.default_rng(0)
+a = rng.standard_normal((135, 135)) + 1j * rng.standard_normal((135, 135))
+x = rng.standard_normal(135) + 1j * rng.standard_normal(135)
+start = time.perf_counter()
+for _ in range(50_000):
+    a @ x
+print(time.perf_counter() - start)
+"""
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+
+
+def calibrate(tree: str) -> float:
+    """Seconds the CALIBRATION loop takes in a fresh single-threaded process."""
+    proc = subprocess.run([sys.executable, "-c", CALIBRATION], cwd=tree,
+                          env={**os.environ, **SINGLE_THREADED},
+                          capture_output=True, text=True, timeout=600)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr)
+        sys.exit(f"error: calibration loop failed in {tree}")
+    return float(proc.stdout)
+
+
+def run_tier1(tree: str) -> dict:
+    """Wall time, exit code and outcome counts of one tier-1 run in ``tree``."""
+    pythonpath = os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1], cwd=tree,
+                          env={**os.environ, "PYTHONPATH": pythonpath},
+                          capture_output=True, text=True, timeout=7200)
+    elapsed = time.perf_counter() - start
+    lines = proc.stdout.strip().splitlines()
+    last = lines[-1] if lines else ""
+    counts = {word: int(n) for n, word in re.findall(r"(\d+) (passed|failed)\b", last)}
+    return {"wall_s": elapsed, "exit_code": proc.returncode,
+            "passed": counts.get("passed", 0), "failed": counts.get("failed", 0),
+            "summary": last}
 
 
 def run_perfbench(tree: str, seed: int, trace: int) -> tuple[dict, dict]:
@@ -130,16 +185,20 @@ def main(argv=None) -> int:
         spec = json.load(fh)
 
     results = {"parent": [], "change": []}
+    calibration = {"parent": [], "change": []}
     machine = {}
     pairs = []
     for seed in range(args.first_seed, args.first_seed + args.pairs):
         order = ("parent", "change") if seed % 2 else ("change", "parent")
-        pairs.append({"seed": seed, "first": order[0]})
+        pairs.append({"seed": seed, "first": order[0], "calibration_s": {}})
         for side in order:
+            calibration[side].append(calibrate(trees[side]))
+            pairs[-1]["calibration_s"][side] = calibration[side][-1]
             result, machine = run_perfbench(trees[side], seed, trace=0)
             results[side].append(result)
             print(f"seed {seed} {side}: correct {result['correct']}, "
-                  f"failed {result['failed']}", file=sys.stderr)
+                  f"failed {result['failed']}, calibration "
+                  f"{calibration[side][-1]:.3f} s", file=sys.stderr)
 
     end_to_end = {}
     for workload in spec["workloads"]:
@@ -150,7 +209,10 @@ def main(argv=None) -> int:
                                     for side in ("parent", "change")))
             for m in spec["end_to_end"]}
 
-    traced = {side: run_perfbench(trees[side], 0, trace=1)[0] for side in ("parent", "change")}
+    traced, traced_calibration = {}, {}
+    for side in ("parent", "change"):
+        traced_calibration[side] = calibrate(trees[side])
+        traced[side] = run_perfbench(trees[side], 0, trace=1)[0]
     traced_metrics = {}
     for workload in spec["workloads"]:
         name = workload["name"]
@@ -161,6 +223,10 @@ def main(argv=None) -> int:
             for m in spec["per_layer"]}
 
     setup = setup_processes(trees, spec, args.first_seed)
+    tier1 = {}
+    for side in ("parent", "change"):
+        tier1[side] = run_tier1(trees[side])
+        print(f"tier-1 {side}: {tier1[side]['summary']}", file=sys.stderr)
     report = {
         "commits": {side: commit_of(tree) for side, tree in trees.items()},
         "machine": machine,
@@ -177,9 +243,22 @@ def main(argv=None) -> int:
         "traced": {
             "method": "perfbench/run.py --workload all --trace 1 --seed 0, parent then change",
             "correct": {side: traced[side]["correct"] for side in traced},
+            "calibration_s": traced_calibration,
             "metrics": traced_metrics,
         },
         "setup_processes": setup,
+        "calibration": {
+            "method": ("before each perfbench run, the seconds a fresh single-threaded "
+                       "process takes for 50,000 products of a seeded 135 x 135 complex128 "
+                       "matrix with a vector; numpy only, no gridpilot code"),
+            **{side: summary(calibration[side]) for side in ("parent", "change")},
+        },
+        "tier1": {
+            "method": (f"{' '.join(['python', *TIER1])} with PYTHONPATH=src, once per "
+                       "side after the set-up processes, parent first, timed around the "
+                       "subprocess"),
+            **tier1,
+        },
     }
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=2)

@@ -132,10 +132,10 @@ def map_action(coeff: np.ndarray, q_rated: np.ndarray, zone_map) -> np.ndarray:
     hard clamp to +-q_rated keeps the rating bound even if a caller bypasses
     the coefficient clamp.
     """
-    clamped = np.clip(coeff, -1.0, 1.0)
-    if not np.array_equal(coeff, clamped):
+    clamped = np.minimum(np.maximum(coeff, -1.0), 1.0)  # np.clip's values, without its overhead
+    if log.isEnabledFor(logging.DEBUG) and not np.array_equal(coeff, clamped):
         log.debug("action coefficients clamped: %s", coeff)
-    return np.clip(clamped[zone_map] * q_rated, -q_rated, q_rated)
+    return np.minimum(np.maximum(clamped[zone_map] * q_rated, -q_rated), q_rated)
 
 
 def voltage_barrier(v: float, cfg: RewardConfig) -> float:
@@ -148,8 +148,9 @@ def voltage_barrier(v: float, cfg: RewardConfig) -> float:
 
 def _voltage_barrier_vec(v: np.ndarray, cfg: RewardConfig) -> np.ndarray:
     dev = v - cfg.v_nominal
-    in_band = (v >= cfg.v_min) & (v <= cfg.v_max)
-    return np.where(in_band, dev * dev, np.abs(dev))
+    barrier = np.abs(dev)
+    np.multiply(dev, dev, out=barrier, where=(v >= cfg.v_min) & (v <= cfg.v_max))
+    return barrier
 
 
 def curtailment_barrier(q: float, q_max: float) -> float:

@@ -122,6 +122,7 @@ class AdmittanceMatrix:
     load_rows: np.ndarray  # feeder.loads[i] -> row
     pv_rows: np.ndarray  # feeder.pv_units[k] -> row
     y: np.ndarray  # g + jb
+    y_slack: np.ndarray  # y[slack], the rows of the feeder-head current
     slack: np.ndarray  # source-bus rows, in source phase order
     free: np.ndarray  # every other row, ascending
     z_ff: np.ndarray  # inv(Y_ff)
@@ -319,12 +320,18 @@ def build_admittance(feeder: Feeder) -> AdmittanceMatrix:
     Each line contributes the inverse of its per-unit phase impedance matrix
     as a branch admittance block between the to-bus node-phases and the
     matching from-bus node-phases. The free block Y_ff (every row but the
-    source bus's) is inverted once here, so each power-flow iteration is a
-    matrix-vector product. ``Feeder.admittance`` holds one per feeder.
+    source bus's) is inverted once here, so each power-flow iteration is two
+    matrix-vector products: the update and the mismatch check.
+    ``Feeder.admittance`` holds one per feeder.
+
+    The blocks are scattered by one ``np.add.at``, which is unbuffered and
+    runs in element order, so an entry shared by several lines sums in
+    feeder line order; subtracting a block equals adding its negation.
     """
     index_map = {np_: i for i, np_ in enumerate(feeder.node_phases())}
     n = len(index_map)
     y = np.zeros((n, n), dtype=complex)
+    rows, cols, blocks = [], [], []
 
     for ln in feeder.lines:
         z = ln.phase_impedance
@@ -337,12 +344,16 @@ def build_admittance(feeder: Feeder) -> AdmittanceMatrix:
             raise NumericalError(
                 f"line {ln.from_bus}->{ln.to_bus} produced non-finite admittance")
         to_phases = feeder.bus(ln.to_bus).phases
-        rows_to = [index_map[(ln.to_bus, ph)] for ph in to_phases]
-        rows_from = [index_map[(ln.from_bus, ph)] for ph in to_phases]
-        y[np.ix_(rows_to, rows_to)] += y_branch
-        y[np.ix_(rows_from, rows_from)] += y_branch
-        y[np.ix_(rows_to, rows_from)] -= y_branch
-        y[np.ix_(rows_from, rows_to)] -= y_branch
+        k = len(to_phases)
+        ends = [index_map[(bus, ph)] for bus in (ln.to_bus, ln.from_bus) for ph in to_phases]
+        block = np.empty((2 * k, 2 * k), dtype=complex)  # [[Y, -Y], [-Y, Y]] over ends
+        block[:k, :k] = block[k:, k:] = y_branch
+        block[:k, k:] = block[k:, :k] = -y_branch
+        rows.append(np.repeat(ends, 2 * k))
+        cols.append(np.tile(ends, 2 * k))
+        blocks.append(block.ravel())
+    if blocks:
+        np.add.at(y, (np.concatenate(rows), np.concatenate(cols)), np.concatenate(blocks))
 
     src = feeder.bus(feeder.source_bus_id)
     slack = np.array([index_map[(src.id, ph)] for ph in src.phases], dtype=int)
@@ -357,6 +368,7 @@ def build_admittance(feeder: Feeder) -> AdmittanceMatrix:
         "g": y.real,
         "b": y.imag,
         "y": y,
+        "y_slack": y[slack],
         "slack": slack,
         "free": free,
         "z_ff": z_ff,

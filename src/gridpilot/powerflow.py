@@ -81,13 +81,6 @@ class PowerFlowSolution:
         return np.degrees(np.arctan2(self.v_im, self.v_re))
 
 
-def _residual(admittance: AdmittanceMatrix, v: np.ndarray, s: np.ndarray) -> float:
-    """Largest absolute P or Q mismatch over the non-slack node-phases."""
-    f = (v * np.conj(admittance.y @ v) + s)[admittance.free]
-    return float(max(np.max(np.abs(f.real), initial=0.0),
-                     np.max(np.abs(f.imag), initial=0.0)))
-
-
 def solve_power_flow(feeder: Feeder, admittance: AdmittanceMatrix, injections: InjectionSet,
                      slack_voltage: float = 1.0) -> PowerFlowSolution:
     """Z-bus fixed point from a flat start until the mismatch drops below TOL.
@@ -101,15 +94,18 @@ def solve_power_flow(feeder: Feeder, admittance: AdmittanceMatrix, injections: I
     n = admittance.size
     if injections.p.shape[0] != n:
         raise ValueError(f"injection length {injections.p.shape[0]} != {n} node-phases")
-    free = admittance.free
-    s = injections.p + 1j * injections.q
-    s_free = s[free]
+    free, y, z_ff = admittance.free, admittance.y, admittance.z_ff
+    s_free = (injections.p + 1j * injections.q)[free]
     v = slack_voltage * admittance.unit  # flat start: each row at its slack phasor
+    v_free = v[free]  # carried between iterations, always equal to v[free]
     w = -(admittance.z_slack @ v[admittance.slack])
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for iteration in range(MAX_ITER + 1):
-            residual = _residual(admittance, v, s)
+            # the mismatch on the free rows; the largest |P| or |Q| is one
+            # reduction over the float view, and np.max propagates a NaN
+            f = v_free * np.conj((y @ v)[free]) + s_free
+            residual = float(np.abs(f.view(np.float64)).max(initial=0.0))
             if not math.isfinite(residual):
                 raise PowerFlowDivergedError("mismatch turned non-finite",
                                              residual=residual, iterations=iteration)
@@ -117,7 +113,8 @@ def solve_power_flow(feeder: Feeder, admittance: AdmittanceMatrix, injections: I
                 return PowerFlowSolution(v_re=v.real.copy(), v_im=v.imag.copy(),
                                          iterations=iteration, residual=residual)
             if iteration < MAX_ITER:
-                v[free] = w - admittance.z_ff @ np.conj(s_free / v[free])
+                v_free = w - z_ff @ np.conj(s_free / v_free)
+                v[free] = v_free
 
     raise PowerFlowDivergedError(
         f"no convergence after {MAX_ITER} iterations (residual {residual:.3e})",
@@ -138,7 +135,7 @@ def feeder_head_measurement(admittance: AdmittanceMatrix, solution: PowerFlowSol
     """
     v = solution.v_complex
     v_head = v[admittance.slack]
-    i_head = admittance.y[admittance.slack] @ v
+    i_head = admittance.y_slack @ v
 
     features = np.zeros((4, 3))
     features[:, admittance.slack_slots] = v_head.real, v_head.imag, i_head.real, i_head.imag

@@ -145,7 +145,6 @@ def run_online(nets: ddpg.AgentNets, cfg: EnvConfig, scenarios, apr: AprConfig,
     rewards: deque[float] = deque(maxlen=apr.window)
     recent: deque[Scenario] = deque(maxlen=apr.window)
     adm, band = cfg.feeder.admittance, cfg.reward
-    slack, y_head = adm.slack, adm.y[adm.slack]
 
     for step, scenario in enumerate(scenarios):
         try:
@@ -159,7 +158,7 @@ def run_online(nets: ddpg.AgentNets, cfg: EnvConfig, scenarios, apr: AprConfig,
 
         decision = apr_check(rewards, apr)
         v = sol.v_complex
-        s_head = v[slack] * np.conj(y_head @ v)  # power into the feeder, per head phase
+        s_head = v[adm.slack] * np.conj(adm.y_slack @ v)  # power into the feeder, per head phase
         run.records.append(StepRecord(
             step, scenario.id, action, r, float(sol.v_mag.max()), float(sol.v_mag.min()),
             float(s_head.real.sum()), float(s_head.imag.sum()),

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import bfs_oracle
 from gridpilot.errors import (
     DanglingReferenceError,
     FeederSchemaError,
@@ -291,3 +292,57 @@ def test_admittance_blocks_and_symmetry(feeder4, admittance4):
 def test_admittance_index_map_matches_node_phases(feeder4, admittance4):
     assert list(admittance4.index_map) == feeder4.node_phases()
     assert list(admittance4.index_map.values()) == list(range(feeder4.n_node_phases))
+
+
+def reference_admittance(feeder):
+    """Reference Y, Z_ff and Z_ff Y_fs: each line's four blocks added into Y
+    by its own ``np.ix_`` update, line by line."""
+    index_map = {np_: i for i, np_ in enumerate(feeder.node_phases())}
+    y = np.zeros((len(index_map), len(index_map)), dtype=complex)
+    for ln in feeder.lines:
+        y_branch = np.linalg.inv(ln.phase_impedance)
+        to_phases = feeder.bus(ln.to_bus).phases
+        rows_to = [index_map[(ln.to_bus, ph)] for ph in to_phases]
+        rows_from = [index_map[(ln.from_bus, ph)] for ph in to_phases]
+        y[np.ix_(rows_to, rows_to)] += y_branch
+        y[np.ix_(rows_from, rows_from)] += y_branch
+        y[np.ix_(rows_to, rows_from)] -= y_branch
+        y[np.ix_(rows_from, rows_to)] -= y_branch
+    src = feeder.bus(feeder.source_bus_id)
+    slack = [index_map[(src.id, ph)] for ph in src.phases]
+    free = [i for i in range(len(index_map)) if i not in slack]
+    z_ff = np.linalg.inv(y[np.ix_(free, free)])
+    return y, z_ff, z_ff @ y[np.ix_(free, slack)]
+
+
+def assert_admittance_matches_reference(feeder):
+    adm = build_admittance(feeder)
+    y, z_ff, z_slack = reference_admittance(feeder)
+    assert np.array_equal(adm.y, y)
+    assert np.array_equal(adm.z_ff, z_ff)
+    assert np.array_equal(adm.z_slack, z_slack)
+    assert np.array_equal(adm.y_slack, y[adm.slack])
+    assert not adm.y_slack.flags.writeable
+
+
+@pytest.mark.parametrize("name", ["2bus", "4bus", "synth34"])
+def test_admittance_matches_reference_assembly_on_bundled_feeders(name):
+    assert_admittance_matches_reference(load_feeder(builtin_feeder_path(name)))
+
+
+def test_admittance_of_a_feeder_without_lines(tmp_path):
+    # a lone source bus loads; its admittance is all zeros with no free rows
+    data = minimal_dict()
+    data.update(buses=data["buses"][:1], lines=[], loads=[], pv_units=[])
+    feeder = load_feeder(write(tmp_path, data))
+    assert_admittance_matches_reference(feeder)
+    assert build_admittance(feeder).z_ff.shape == (0, 0)
+
+
+def test_admittance_matches_reference_assembly_on_random_feeders(tmp_path):
+    # 1-, 2- and 3-phase lines; buses shared by several lines sum in line order
+    rng = np.random.default_rng(5)
+    for case in range(60):
+        data = bfs_oracle.random_radial_feeder_dict(rng, max_buses=12)
+        assert_admittance_matches_reference(
+            load_feeder(bfs_oracle.write_feeder(data, tmp_path / f"f{case}.json")))

@@ -9,7 +9,13 @@ from conftest import SYNTH34_SLACK, synth34_gen
 from gridpilot.env import map_action
 from gridpilot.errors import PowerFlowDivergedError
 from gridpilot.feeder import build_admittance, builtin_feeder_path, load_feeder
-from gridpilot.powerflow import InjectionSet, feeder_head_measurement, solve_power_flow
+from gridpilot.powerflow import (
+    MAX_ITER,
+    TOL,
+    InjectionSet,
+    feeder_head_measurement,
+    solve_power_flow,
+)
 from gridpilot.scenario import generate_scenario_set, to_injections
 
 
@@ -158,6 +164,104 @@ def test_impossible_load_raises_diverged(feeder2):
         solve_power_flow(feeder2, adm, inj)
     assert exc_info.value.iterations > 0
     assert exc_info.value.residual > 1e-8  # carries how far off the solve ended
+
+
+def reference_solve(admittance, injections, slack_voltage=1.0):
+    """The reference solver loop: the mismatch formed over every row and
+    then gathered to the free rows, its real and imaginary parts reduced
+    apart, and ``v[free]`` gathered afresh on each update. Returns (v_re,
+    v_im, iterations, residual) where the solve stops, converged or not."""
+    free = admittance.free
+    s = injections.p + 1j * injections.q
+    s_free = s[free]
+    v = slack_voltage * admittance.unit
+    w = -(admittance.z_slack @ v[admittance.slack])
+
+    def residual_of(v):
+        f = (v * np.conj(admittance.y @ v) + s)[free]
+        return float(max(np.max(np.abs(f.real), initial=0.0),
+                         np.max(np.abs(f.imag), initial=0.0)))
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for iteration in range(MAX_ITER + 1):
+            residual = residual_of(v)
+            if not math.isfinite(residual) or residual < TOL:
+                return v.real.copy(), v.imag.copy(), iteration, residual
+            if iteration < MAX_ITER:
+                v[free] = w - admittance.z_ff @ np.conj(s_free / v[free])
+    return v.real.copy(), v.imag.copy(), MAX_ITER, residual
+
+
+def assert_solve_matches_reference(feeder, adm, inj, slack_voltage=1.0):
+    """``solve_power_flow`` gives the reference loop's bits: the voltages,
+    iteration count and residual of a converged solve, or the iteration
+    count and residual its PowerFlowDivergedError carries. Returns whether
+    the solve converged."""
+    v_re, v_im, iterations, residual = reference_solve(adm, inj, slack_voltage)
+    if residual < TOL:
+        sol = solve_power_flow(feeder, adm, inj, slack_voltage=slack_voltage)
+        assert np.array_equal(sol.v_re, v_re) and np.array_equal(sol.v_im, v_im)
+        assert (sol.iterations, sol.residual) == (iterations, residual)
+        return True
+    with pytest.raises(PowerFlowDivergedError) as exc_info:
+        solve_power_flow(feeder, adm, inj, slack_voltage=slack_voltage)
+    assert exc_info.value.iterations == iterations
+    assert np.array_equal(exc_info.value.residual, residual, equal_nan=True)
+    return False
+
+
+@pytest.mark.parametrize("name", ["2bus", "4bus", "synth34"])
+def test_solver_matches_reference_loop_on_bundled_feeders(name):
+    feeder = load_feeder(builtin_feeder_path(name))
+    adm = build_admittance(feeder)
+    for slack_voltage in (1.0, 1.04, 1.045):
+        assert assert_solve_matches_reference(feeder, adm, nominal_injections(feeder, adm),
+                                              slack_voltage)
+
+
+def test_solver_matches_reference_loop_on_random_feeders(tmp_path):
+    # 1-, 2- and 3-phase lines, with loads and PV export jittered per case
+    rng = np.random.default_rng(2024)
+    for case in range(40):
+        data = bfs_oracle.random_radial_feeder_dict(rng)
+        feeder = load_feeder(bfs_oracle.write_feeder(data, tmp_path / f"f{case}.json"))
+        adm = build_admittance(feeder)
+        for _ in range(3):
+            assert assert_solve_matches_reference(
+                feeder, adm, bfs_oracle.random_injections(feeder, rng)), f"case {case}"
+
+
+@pytest.mark.parametrize("slack_voltage", [1.0, SYNTH34_SLACK])
+def test_solver_matches_reference_loop_on_synth34_oracle_grid(feeder34, slack_voltage):
+    # the 201 single-zone grid points the oracle solves for one scenario
+    adm = build_admittance(feeder34)
+    scenario = generate_scenario_set(feeder34, synth34_gen(1), seed=901).scenarios[0]
+    q_rated = np.array([pv.q_rated for pv in feeder34.pv_units])
+    zones = np.zeros(len(feeder34.pv_units), dtype=int)
+    for a in np.linspace(-1.0, 1.0, 201):
+        inj = to_injections(adm, scenario, q_pv=map_action(np.array([a]), q_rated, zones))
+        assert assert_solve_matches_reference(feeder34, adm, inj, slack_voltage), a
+
+
+@pytest.mark.parametrize("load", [(40.0, 10.0), (6.0, 0.0), (1e300, 0.0), (0.0, 1e300)])
+def test_diverging_solve_matches_reference_loop(feeder2, load):
+    # beyond the j0.1 line's loadability limit (5 p.u. at unity power factor):
+    # still off after MAX_ITER updates, or non-finite after the first
+    adm = build_admittance(feeder2)
+    inj = InjectionSet(p=np.array([0.0, load[0]]), q=np.array([0.0, load[1]]))
+    assert not assert_solve_matches_reference(feeder2, adm, inj)
+
+
+@pytest.mark.parametrize("part", ["p", "q"])
+def test_nan_injection_diverges_at_first_check(feeder4, admittance4, part):
+    # the mismatch check must see a NaN in either part of one free node's
+    # injection, before any update runs
+    inj = nominal_injections(feeder4, admittance4)
+    getattr(inj, part)[admittance4.free[1]] = np.nan
+    with pytest.raises(PowerFlowDivergedError) as exc_info:
+        solve_power_flow(feeder4, admittance4, inj)
+    assert exc_info.value.iterations == 0
+    assert not math.isfinite(exc_info.value.residual)
 
 
 def test_head_measurement_matches_solution(feeder4, admittance4):

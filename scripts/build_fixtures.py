@@ -226,18 +226,23 @@ def default_params():
     return synth, four
 
 
+def bundled_fixtures():
+    """Each bundled feeder's name and the dict its file holds."""
+    synth_p, four_p = default_params()
+    return {
+        "2bus": two_bus(),
+        "4bus": four_bus(four_p),
+        "synth34": synth34(synth_p),
+    }
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--report", action="store_true")
     ap.add_argument("--n", type=int, default=300)
     args = ap.parse_args()
 
-    synth_p, four_p = default_params()
-    fixtures = {
-        "2bus": two_bus(),
-        "4bus": four_bus(four_p),
-        "synth34": synth34(synth_p),
-    }
+    fixtures = bundled_fixtures()
     for name, data in fixtures.items():
         path = write_fixture(name, data)
         print(f"wrote {path}")

@@ -13,7 +13,6 @@ environment variable (debug/info/warning/error).
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -25,7 +24,7 @@ from . import ddpg, dsse, runtime, scenario
 from .env import EnvConfig, RewardConfig
 from .errors import GridPilotError
 from .feeder import Feeder, resolve_feeder
-from .fileio import from_json, write_atomic, write_csv
+from .fileio import from_json, read_json, write_csv, write_json
 
 # every top-level key some command reads; one config file may serve several
 # commands, so a key only another command reads is not an error
@@ -38,13 +37,7 @@ _DSSE_KEYS = {"noise_pct"} | {f.name for f in fields(dsse.DsseHyperparams) if f.
 
 
 def _load_config(path) -> dict:
-    try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or not JSON
-        raise GridPilotError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise GridPilotError(f"config {path} must be a JSON object")
+    cfg = read_json(path, GridPilotError, "config")
     unknown = sorted(set(cfg) - _CONFIG_KEYS)
     if unknown:
         raise GridPilotError(f"unknown key(s) {unknown} in config {path}")
@@ -92,10 +85,6 @@ def _section(cfg: dict, section: str, cls, drop=(), **fixed):
         return from_json(cls, raw, section, **fixed)
     except (TypeError, ValueError) as exc:
         raise GridPilotError(f"bad {section!r} config: {exc}") from exc
-
-
-def _write_json(path, obj):
-    write_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_gen_scenarios(cfg: dict, feeder: Feeder, seed: int, out: str) -> dict:
@@ -200,7 +189,7 @@ def cmd_evaluate(cfg: dict, feeder: Feeder, seed: int, out: str) -> dict:
     write_csv(os.path.join(out, "eval_profile.csv"),
               ("node_phase", "phase", "v_mean_baseline", "v_std_baseline",
                "v_mean_controlled", "v_std_controlled"), profile)
-    _write_json(os.path.join(out, "latency.json"), runtime.latency_stats(latencies_s))
+    write_json(os.path.join(out, "latency.json"), runtime.latency_stats(latencies_s))
     print(f"baseline violations {s['scenarios_violating_baseline']}/{s['scenario_count']} "
           f"scenarios; controlled in-band fraction {s['in_band_fraction_controlled']:.4f}")
     return s
@@ -218,7 +207,7 @@ def cmd_run_online(cfg: dict, feeder: Feeder, seed: int, out: str) -> dict:
                "pf_p", "pf_q", "violation_count"),
               ((0, step, sid, ";".join(map(repr, action.tolist())), *rest)
                for step, sid, action, *rest in run.records))
-    _write_json(os.path.join(out, "latency.json"), runtime.latency_stats(run.latencies_s))
+    write_json(os.path.join(out, "latency.json"), runtime.latency_stats(run.latencies_s))
     print(f"ran {len(run.records)} online steps, "
           f"{len(run.fine_tune_events)} fine-tune events")
     return {"steps": len(run.records), "fine_tune_events": run.fine_tune_events,
@@ -277,8 +266,8 @@ def main(argv=None) -> int:
             raise GridPilotError(f"seed must be >= 0, got {seed}")
         os.makedirs(args.out, exist_ok=True)
         summary = _COMMANDS[args.command](cfg, feeder, seed, args.out)
-        _write_json(os.path.join(args.out, "summary.json"),
-                    {"command": args.command, "seed": seed, **summary})
+        write_json(os.path.join(args.out, "summary.json"),
+                   {"command": args.command, "seed": seed, **summary})
     # OSError: --out or an artifact unwritable; MemoryError: a size numpy cannot allocate
     except (GridPilotError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -30,7 +30,7 @@ from .errors import (
     FeederTopologyError,
     NumericalError,
 )
-from .fileio import from_json
+from .fileio import from_json, read_json
 
 PHASES = ("A", "B", "C")
 # slack phase angles, radians
@@ -132,7 +132,7 @@ class AdmittanceMatrix:
 
     @property
     def size(self) -> int:
-        return self.g.shape[0]
+        return self.y.shape[0]
 
 
 @dataclass
@@ -223,16 +223,7 @@ def load_feeder(path) -> Feeder:
     first class in that order (dangling reference, topology, schema) is
     raised with all of its diagnostics.
     """
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise FeederSchemaError(f"cannot parse {path}: line {exc.lineno}: {exc.msg}") from exc
-    except OSError as exc:
-        raise FeederSchemaError(f"cannot read {path}: {exc}") from exc
-
-    if not isinstance(raw, dict):
-        raise FeederSchemaError(f"{path} must hold a JSON object")
+    raw = read_json(path, FeederSchemaError, "feeder")
     for key in ("buses", "lines", "loads", "pv_units", "source_bus_id",
                 "base_voltage_kv", "base_power_kva"):
         if key not in raw:

@@ -1,15 +1,17 @@
-"""The file boundary: atomic artifact writes and typed reads of parsed JSON.
+"""The file boundary: atomic artifact writes and typed reads of JSON.
 
 ``write_atomic`` writes a temporary file beside the target and renames it
 over the target with ``os.replace``. Nothing is fsync'd: this guards
 against a failing or interrupted process, not against a power loss.
-``write_csv`` is the one encoder of a CSV artifact.
-``from_json`` is the one type check every JSON reader (config, checkpoint
-metadata, scenario sidecar) puts between a parsed value and a dataclass.
+``write_csv`` and ``write_json`` are the one encoder of a CSV and of a JSON
+artifact. ``read_json`` is the one reader of a JSON file (config, feeder,
+scenario sidecar), and ``from_json`` the one type check every JSON reader
+(also of checkpoint metadata) puts between a parsed value and a dataclass.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import sys
@@ -43,6 +45,26 @@ def write_csv(path, header, rows) -> None:
     lines.extend(",".join(repr(float(c)) if isinstance(c, float) else str(c) for c in row)
                  for row in rows)
     write_atomic(path, "\n".join(lines), "\n")
+
+
+def write_json(path, obj) -> None:
+    """Write ``obj`` as indented JSON with sorted keys, through ``write_atomic``."""
+    write_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def read_json(path, error: type[Exception], what: str) -> dict:
+    """The JSON object in the UTF-8 file ``path``, or ``error`` naming ``what``
+    when the file cannot be read, is not UTF-8 JSON, nests too deep to parse
+    or holds anything but an object."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            value = json.load(fh)
+    # ValueError: not UTF-8 or not JSON; RecursionError: nested too deep
+    except (OSError, ValueError, RecursionError) as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+    if not isinstance(value, dict):
+        raise error(f"{what} {path} must hold a JSON object")
+    return value
 
 
 def from_json(hint, value, where: str, **fixed):

@@ -12,8 +12,10 @@ Conventions:
     that rng and uses batch statistics for batch norm (updating running
     statistics as a side effect); a pass without one is an inference pass,
     deterministic and on running statistics. Nets carry no mode
-  - a model's trainable arrays are views into one vector, ``MlpModel.params``,
-    keyed "L{i}.{W,b,gamma,beta}" in layer order; ``backward`` returns
+  - layer i's arrays are its attributes ``W``, ``b`` and, with batch norm,
+    ``gamma``, ``beta``, ``running_mean`` and ``running_var``, each saved under
+    the key "L{i}.<attribute>"; the trainable ones, W, b, gamma and beta, are
+    views into one vector, ``MlpModel.params``, in layer order; ``backward`` returns
     d(loss)/d(params) in that layout (never the input gradient, which
     ``input_gradient`` returns alone), and ``adam_step`` consumes it as scratch
 """
@@ -37,25 +39,18 @@ _ACTIVATIONS = ("relu", "tanh", "identity")
 
 
 @dataclass
-class BatchNormState:
-    scale: np.ndarray  # gamma
-    shift: np.ndarray  # beta
-    running_mean: np.ndarray
-    running_var: np.ndarray
-
-    @classmethod
-    def identity(cls, dim: int) -> "BatchNormState":
-        return cls(scale=np.ones(dim), shift=np.zeros(dim),
-                   running_mean=np.zeros(dim), running_var=np.ones(dim))
-
-
-@dataclass
 class DenseLayer:
-    weights: np.ndarray
-    biases: np.ndarray
+    """One layer; each array attribute is named as the suffix of its
+    checkpoint key "L{i}.<name>". The batch-norm arrays (scale ``gamma``,
+    shift ``beta`` and the running statistics) are all None without batch norm."""
+    W: np.ndarray
+    b: np.ndarray
     activation: str = "identity"
     dropout_rate: float = 0.0
-    batch_norm: BatchNormState | None = None
+    gamma: np.ndarray | None = None
+    beta: np.ndarray | None = None
+    running_mean: np.ndarray | None = None
+    running_var: np.ndarray | None = None
 
     def __post_init__(self):
         if self.activation not in _ACTIVATIONS:
@@ -65,11 +60,11 @@ class DenseLayer:
 
     @property
     def in_dim(self) -> int:
-        return self.weights.shape[0]
+        return self.W.shape[0]
 
     @property
     def out_dim(self) -> int:
-        return self.weights.shape[1]
+        return self.W.shape[1]
 
 
 @dataclass
@@ -84,7 +79,7 @@ class MlpModel:
                 raise ModelMismatchError(
                     f"layer dims do not chain: {prev.out_dim} -> {nxt.in_dim}")
         _bind(self, np.concatenate(
-            [np.ravel(arr) for arr in model_parameters(self).values()], dtype=float))
+            [np.ravel(getattr(layer, name)) for _, layer, name in _slots(self)], dtype=float))
 
     @property
     def input_dim(self) -> int:
@@ -116,31 +111,29 @@ def build_mlp(dims: list[int], activations: list[str], rng: np.random.Generator,
         bound = 1.0 / np.sqrt(d_in)
         if i == last and final_init_scale is not None:
             bound = final_init_scale
-        layers.append(DenseLayer(
-            weights=rng.uniform(-bound, bound, size=(d_in, d_out)),
-            biases=rng.uniform(-bound, bound, size=d_out),
-            activation=activations[i],
-            dropout_rate=0.0 if i == last else dropout_rate,
-            batch_norm=BatchNormState.identity(d_out) if (batch_norm and i != last) else None,
-        ))
+        layer = DenseLayer(W=rng.uniform(-bound, bound, size=(d_in, d_out)),
+                           b=rng.uniform(-bound, bound, size=d_out),
+                           activation=activations[i],
+                           dropout_rate=0.0 if i == last else dropout_rate)
+        if batch_norm and i != last:  # starts as the identity transform
+            layer.gamma, layer.beta = np.ones(d_out), np.zeros(d_out)
+            layer.running_mean, layer.running_var = np.zeros(d_out), np.ones(d_out)
+        layers.append(layer)
     return MlpModel(layers=layers)
 
 
 def _slots(model: MlpModel):
-    """(key, owner, attribute) of every trainable array, in ``params`` order."""
+    """(key, layer, attribute) of every trainable array, in ``params`` order."""
     for i, layer in enumerate(model.layers):
-        yield f"L{i}.W", layer, "weights"
-        yield f"L{i}.b", layer, "biases"
-        if layer.batch_norm is not None:
-            yield f"L{i}.gamma", layer.batch_norm, "scale"
-            yield f"L{i}.beta", layer.batch_norm, "shift"
+        for name in ("W", "b", "gamma", "beta") if layer.gamma is not None else ("W", "b"):
+            yield f"L{i}.{name}", layer, name
 
 
 def _views(model: MlpModel, flat: np.ndarray) -> dict[str, np.ndarray]:
     """Views of a vector laid out like ``model.params``, keyed like its arrays."""
     views, offset = {}, 0
-    for key, owner, attr in _slots(model):
-        shape = getattr(owner, attr).shape
+    for key, layer, name in _slots(model):
+        shape = getattr(layer, name).shape
         size = math.prod(shape)
         views[key] = flat[offset:offset + size].reshape(shape)
         offset += size
@@ -149,8 +142,8 @@ def _views(model: MlpModel, flat: np.ndarray) -> dict[str, np.ndarray]:
 
 def _bind(model: MlpModel, flat: np.ndarray) -> None:
     """Make ``flat`` the model's parameter vector and each array a view of it."""
-    for (_, owner, attr), view in zip(_slots(model), _views(model, flat).values()):
-        setattr(owner, attr, view)
+    for (_, layer, name), view in zip(_slots(model), _views(model, flat).values()):
+        setattr(layer, name, view)
     model.params = flat
 
 
@@ -194,23 +187,22 @@ def forward(model: MlpModel, batch: np.ndarray,
 
     cache = []
     for layer in model.layers:
-        z = x @ layer.weights
-        z += layer.biases
+        z = x @ layer.W
+        z += layer.b
         entry = {"x": x, "train": train}
 
         y = z
-        bn = layer.batch_norm
-        if bn is not None:
+        if layer.gamma is not None:
             if train:
                 mu = z.mean(axis=0)
                 var = z.var(axis=0)  # biased, matches the backward pass
-                bn.running_mean = BN_MOMENTUM * bn.running_mean + (1 - BN_MOMENTUM) * mu
-                bn.running_var = BN_MOMENTUM * bn.running_var + (1 - BN_MOMENTUM) * var
+                layer.running_mean = BN_MOMENTUM * layer.running_mean + (1 - BN_MOMENTUM) * mu
+                layer.running_var = BN_MOMENTUM * layer.running_var + (1 - BN_MOMENTUM) * var
             else:
-                mu, var = bn.running_mean, bn.running_var
+                mu, var = layer.running_mean, layer.running_var
             inv_std = 1.0 / np.sqrt(var + BN_EPS)
             z_hat = (z - mu) * inv_std
-            y = bn.scale * z_hat + bn.shift
+            y = layer.gamma * z_hat + layer.beta
             entry.update(mu=mu, inv_std=inv_std, z_hat=z_hat)
 
         a = _activate(layer.activation, y)
@@ -252,10 +244,9 @@ def _backprop(model: MlpModel, cache: list, output_gradient: np.ndarray):
 
         dy = _activation_backward(layer.activation, entry["y"], entry["a"], da)
 
-        bn = layer.batch_norm
-        if bn is not None:
+        if layer.gamma is not None:
             z_hat, inv_std = entry["z_hat"], entry["inv_std"]
-            dz_hat = dy * bn.scale
+            dz_hat = dy * layer.gamma
             if entry["train"]:
                 n = z_hat.shape[0]
                 # standard batch-norm backward through batch mean/variance
@@ -268,7 +259,7 @@ def _backprop(model: MlpModel, cache: list, output_gradient: np.ndarray):
 
         yield i, dy, dz
         if i:
-            da = dz @ layer.weights.T
+            da = dz @ layer.W.T
 
 
 def backward(model: MlpModel, cache: list, output_gradient: np.ndarray) -> np.ndarray:
@@ -277,7 +268,7 @@ def backward(model: MlpModel, cache: list, output_gradient: np.ndarray) -> np.nd
     views = _views(model, grad)
     for i, dy, dz in _backprop(model, cache, output_gradient):
         entry = cache[i]
-        if model.layers[i].batch_norm is not None:
+        if model.layers[i].gamma is not None:
             np.sum(dy * entry["z_hat"], axis=0, out=views[f"L{i}.gamma"])
             np.sum(dy, axis=0, out=views[f"L{i}.beta"])
         np.matmul(entry["x"].T, dz, out=views[f"L{i}.W"])
@@ -288,12 +279,7 @@ def backward(model: MlpModel, cache: list, output_gradient: np.ndarray) -> np.nd
 def input_gradient(model: MlpModel, cache: list, output_gradient: np.ndarray) -> np.ndarray:
     """d(loss)/d(inputs) from d(loss)/d(outputs); no parameter gradient is formed."""
     *_, (_, _, dz) = _backprop(model, cache, output_gradient)
-    return dz @ model.layers[0].weights.T
-
-
-def model_parameters(model: MlpModel) -> dict[str, np.ndarray]:
-    """Live references to every trainable array, keyed "L{i}.{W,b,gamma,beta}"."""
-    return {key: getattr(owner, attr) for key, owner, attr in _slots(model)}
+    return dz @ model.layers[0].W.T
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
@@ -426,8 +412,9 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
             arrays[str(item["name"])] = np.frombuffer(
                 blob[start:end], dtype="<f8").reshape(shape).copy()
         metadata = header["metadata"]
-    # JSONDecodeError is a ValueError; int() of an inf read from 1e400 overflows
-    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+    # JSONDecodeError is a ValueError; int() of an inf read from 1e400 overflows;
+    # a header nested too deep for the parser raises RecursionError
+    except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         raise CheckpointError(f"corrupt checkpoint header in {path}: {exc!r}") from exc
     if not isinstance(metadata, dict):
         raise CheckpointError(f"corrupt checkpoint header in {path}: metadata is not an object")
@@ -436,21 +423,16 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
 
 def model_to_arrays(model: MlpModel) -> tuple[dict[str, np.ndarray], dict]:
     """Flatten a model into checkpoint arrays plus an architecture descriptor."""
-    arrays = dict(model_parameters(model))
-    arch = []
+    arrays, arch = {}, []
     for i, layer in enumerate(model.layers):
         arch.append({"in": layer.in_dim, "out": layer.out_dim,
                      "activation": layer.activation,
                      "dropout_rate": layer.dropout_rate,
-                     "batch_norm": layer.batch_norm is not None})
-        if layer.batch_norm is not None:
-            arrays[f"L{i}.running_mean"] = layer.batch_norm.running_mean
-            arrays[f"L{i}.running_var"] = layer.batch_norm.running_var
+                     "batch_norm": layer.gamma is not None})
+        arrays.update((f"L{i}.{name}", value) for name, value in vars(layer).items()
+                      if isinstance(value, np.ndarray))
     # format 1 records a mode; every saved net is used for inference
     return arrays, {"arch": arch, "mode": "eval"}
-
-
-_BN_KEYS = ("gamma", "beta", "running_mean", "running_var")  # BatchNormState field order
 
 
 def model_from_arrays(arrays: dict[str, np.ndarray], descriptor: dict) -> MlpModel:
@@ -459,17 +441,16 @@ def model_from_arrays(arrays: dict[str, np.ndarray], descriptor: dict) -> MlpMod
     layers = []
     try:
         for i, spec in enumerate(descriptor["arch"]):
-            bn_keys = _BN_KEYS if spec["batch_norm"] else ()
-            shapes = {"W": (spec["in"], spec["out"]), "b": (spec["out"],),
-                      **dict.fromkeys(bn_keys, (spec["out"],))}
-            arr = {key: arrays[f"L{i}.{key}"] for key in shapes}
-            if any(arr[key].shape != shape for key, shape in shapes.items()):
+            out = spec["out"]
+            shapes = {"W": (spec["in"], out), "b": (out,)}
+            if spec["batch_norm"]:
+                shapes.update(gamma=(out,), beta=(out,), running_mean=(out,), running_var=(out,))
+            arr = {name: arrays[f"L{i}.{name}"] for name in shapes}
+            if any(arr[name].shape != shape for name, shape in shapes.items()):
                 raise CheckpointError(
                     f"checkpoint arrays of layer {i} disagree with architecture descriptor")
-            bn = BatchNormState(*(arr[key] for key in bn_keys)) if bn_keys else None
-            layers.append(DenseLayer(weights=arr["W"], biases=arr["b"],
-                                     activation=spec["activation"],
-                                     dropout_rate=spec["dropout_rate"], batch_norm=bn))
+            layers.append(DenseLayer(**arr, activation=spec["activation"],
+                                     dropout_rate=spec["dropout_rate"]))
         if not layers:
             raise CheckpointError("checkpoint describes a model without layers")
     except KeyError as exc:

@@ -15,7 +15,6 @@ generation with the same config and seed writes byte-identical files.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import warnings
 from collections import Counter
@@ -25,7 +24,7 @@ import numpy as np
 
 from .errors import DatasetError
 from .feeder import AdmittanceMatrix, Feeder
-from .fileio import from_json, write_atomic
+from .fileio import from_json, read_json, write_atomic, write_json
 from .powerflow import InjectionSet
 
 CSV_HEADER = "scenario_id, element_type, element_id, p_pu, q_pu"
@@ -221,18 +220,14 @@ def write_scenario_set(scenario_set: ScenarioSet, feeder: Feeder, csv_path) -> N
         "feeder_fingerprint": scenario_set.feeder_fingerprint or feeder.fingerprint,
         "scenario_count": len(scenario_set),
     }
-    write_atomic(_sidecar_path(csv_path), json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    write_json(_sidecar_path(csv_path), meta)
 
 
 def _read_sidecar(csv_path) -> tuple[int, GenConfig, str]:
     """(seed, generator config, feeder fingerprint) from the JSON sidecar,
     whose ``csv_sha256`` must be the digest of the CSV beside it."""
     path = _sidecar_path(csv_path)
-    try:
-        with open(path) as fh:
-            meta = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DatasetError(f"missing or unreadable sidecar for {csv_path}: {exc}") from exc
+    meta = read_json(path, DatasetError, "sidecar")
     try:
         seed = from_json(int, meta["seed"], "seed")
         config = from_json(GenConfig, meta["generator_config"], "generator_config")

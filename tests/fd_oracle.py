@@ -77,7 +77,7 @@ def max_relative_gradient_error(model, batch, target, rng_seed=None, h=1e-5,
     out, cache = _forward(model, batch, rng_seed)
     _, dloss = nn.mse_loss(out, target)
     grads = nn._views(model, nn.backward(model, cache, dloss))
-    params = nn.model_parameters(model)
+    params = nn._views(model, model.params)
     return _worst_relative_error(model, batch, target, rng_seed, h,
                                  [(params[k], grads[k]) for k in params],
                                  samples_per_tensor, rng)

@@ -30,6 +30,7 @@ def with_metadata(blob: bytes, edit) -> bytes:
 
 
 BASE = dict(feeder="4bus", slack_voltage=FOURBUS_SLACK, seed=3)
+DEEP = "[" * 100_000 + "]" * 100_000  # JSON nested deeper than the parser recurses
 SCEN = {"count": 140, "load_scale_range": [0.1, 0.5],
         "power_factor_range": [0.95, 1.0], "households_per_node": 2}
 
@@ -241,6 +242,9 @@ def test_error_exit_codes(tmp_path, workspace):
     bad.write_bytes(b"\xff{}")  # not UTF-8: was a raw UnicodeDecodeError
     assert main(["gen-scenarios", "--config", str(bad),
                  "--out", str(tmp_path / "o2")]) == 2
+    bad.write_text(DEEP)  # nested too deep to parse: was a raw RecursionError
+    assert main(["gen-scenarios", "--config", str(bad),
+                 "--out", str(tmp_path / "o2")]) == 2
 
     no_feeder = write_config(tmp_path / "nofeeder.json", scenario=SCEN)
     assert main(["gen-scenarios", "--config", no_feeder,
@@ -373,6 +377,10 @@ def test_error_exit_codes(tmp_path, workspace):
                  for name, row in bad_rows.items()}
     bad_files["empty"] = ("", meta)
     bad_files["empty_sidecar"] = (open(scen_csv).read(), "{}")
+    # a sidecar that is not UTF-8, and one nested too deep to parse: a raw
+    # UnicodeDecodeError and a raw RecursionError
+    bad_files["sidecar_not_utf8"] = (open(scen_csv).read(), b"\xff" + meta.encode())
+    bad_files["sidecar_deep"] = (open(scen_csv).read(), DEEP)
     # sidecar generator counts that are not integers: each loaded
     for count in (1.5, True):
         sidecar = json.loads(meta)
@@ -380,8 +388,12 @@ def test_error_exit_codes(tmp_path, workspace):
         bad_files[f"count_{count}"] = (open(scen_csv).read(), json.dumps(sidecar))
     for name, (text, sidecar) in bad_files.items():
         path = tmp_path / f"{name}.csv"
-        (tmp_path / f"{name}.csv.meta.json").write_text(sidecar)
-        if name == "empty_sidecar":
+        sidecar_path = tmp_path / f"{name}.csv.meta.json"
+        if isinstance(sidecar, bytes):
+            sidecar_path.write_bytes(sidecar)
+        else:
+            sidecar_path.write_text(sidecar)
+        if name.startswith(("empty_sidecar", "sidecar_")):
             path.write_text(text)
         else:  # a sidecar that matches the bad rows, which must fail on their own
             rewrite_csv(path, text)
@@ -399,7 +411,9 @@ def test_error_exit_codes(tmp_path, workspace):
     blob = open(agent_ckpt, "rb").read()
     header = json.dumps({"metadata": {"kind": "agent"}}).encode()
     bad_ckpts = {"five_bytes": blob[:5],
-                 "no_arrays": blob[:4] + struct.pack("<HQ", 1, len(header)) + header}
+                 "no_arrays": blob[:4] + struct.pack("<HQ", 1, len(header)) + header,
+                 # a header nested too deep to parse: was a raw RecursionError
+                 "deep_header": blob[:4] + struct.pack("<HQ", 1, len(DEEP)) + DEEP.encode()}
     # a sound container whose metadata is not: each was a raw KeyError,
     # ValueError or TypeError, or (no layers) an IndexError once evaluated
     bad_ckpts["no_config"] = with_metadata(blob, lambda m: m.pop("config"))
@@ -438,9 +452,14 @@ def test_error_exit_codes(tmp_path, workspace):
     for name, old, new in (("id_null", "b4", None), ("id_int", "src", 1),
                            ("id_list", "b4", ["b4"])):
         feeder_docs[name] = replaced(feeder_doc, old, new)
-    for name, doc in feeder_docs.items():
+    feeder_files = {name: json.dumps(doc).encode() for name, doc in feeder_docs.items()}
+    # a file that is not UTF-8, and one nested too deep to parse: a raw
+    # UnicodeDecodeError and a raw RecursionError
+    feeder_files["not_utf8"] = b"\xff" + json.dumps(feeder_doc).encode()
+    feeder_files["deep"] = DEEP.encode()
+    for name, data in feeder_files.items():
         path = tmp_path / f"feeder_{name}.json"
-        path.write_text(json.dumps(doc))
+        path.write_bytes(data)
         bad_sections.append(("gen-scenarios", dict(scenario=SCEN, feeder=str(path))))
     no_net = tmp_path / "no_net.ckpt"
     no_net.write_bytes(with_metadata(open(dsse_ckpt, "rb").read(), lambda m: m.pop("net")))

@@ -61,20 +61,20 @@ def test_build_agent_shapes_and_activations():
     # output layers start near zero so early actions/values stay small
     for net in (nets.actor, nets.critic):
         final = net.layers[-1]
-        assert np.abs(final.weights).max() <= 3e-3
-        assert np.abs(final.biases).max() <= 3e-3
+        assert np.abs(final.W).max() <= 3e-3
+        assert np.abs(final.b).max() <= 3e-3
 
 
 def test_build_agent_targets_start_equal():
     nets = build_agent(3, 1, rng=np.random.default_rng(1))
     for src, dst in ((nets.actor, nets.actor_target),
                      (nets.critic, nets.critic_target)):
-        a = nn.model_parameters(src)
-        b = nn.model_parameters(dst)
+        a = nn._views(src, src.params)
+        b = nn._views(dst, dst.params)
         assert a.keys() == b.keys()
         for k in a:
             assert np.array_equal(a[k], b[k])
-            assert a[k] is not b[k]  # clones, not views
+            assert not np.shares_memory(a[k], b[k])  # clones, not views
 
 
 def test_train_config_validation():
@@ -162,10 +162,10 @@ def test_soft_update_mismatch_raises():
 def test_soft_update_nets_converges_geometrically():
     nets = small_nets()
     rng = np.random.default_rng(2)
-    for p in nn.model_parameters(nets.actor).values():
+    for p in nn._views(nets.actor, nets.actor.params).values():
         p += rng.normal(0, 0.1, p.shape)
-    learned = nn.model_parameters(nets.actor)
-    target = nn.model_parameters(nets.actor_target)
+    learned = nn._views(nets.actor, nets.actor.params)
+    target = nn._views(nets.actor_target, nets.actor_target.params)
     gap0 = {k: learned[k] - target[k] for k in learned}
     soft_update_nets(nets, 0.1)
     for k in learned:
@@ -205,7 +205,7 @@ def test_policy_gradient_matches_finite_differences():
         q, _ = nn.forward(nets.critic, np.hstack([states, a]))
         return -float(np.mean(q))
 
-    params = nn.model_parameters(nets.actor)
+    params = nn._views(nets.actor, nets.actor.params)
     h = 1e-6
     worst = 0.0
     for key, tensor in params.items():
@@ -225,9 +225,9 @@ def test_policy_gradient_matches_finite_differences():
 
 def test_policy_gradient_leaves_critic_untouched():
     nets = small_nets()
-    before = {k: v.copy() for k, v in nn.model_parameters(nets.critic).items()}
+    before = {k: v.copy() for k, v in nn._views(nets.critic, nets.critic.params).items()}
     policy_gradient(nets, np.random.default_rng(5).normal(size=(3, 4)))
-    after = nn.model_parameters(nets.critic)
+    after = nn._views(nets.critic, nets.critic.params)
     for k in before:
         assert np.array_equal(before[k], after[k])
 
@@ -301,7 +301,8 @@ def test_train_deterministic_per_seed(train_setup):
     nets_a, traj_a = train(env_cfg, scenarios, quick_cfg())
     nets_b, traj_b = train(env_cfg, scenarios, quick_cfg())
     assert traj_a == traj_b
-    pa, pb = nn.model_parameters(nets_a.actor), nn.model_parameters(nets_b.actor)
+    pa = nn._views(nets_a.actor, nets_a.actor.params)
+    pb = nn._views(nets_b.actor, nets_b.actor.params)
     for k in pa:
         assert np.array_equal(pa[k], pb[k])
     _, traj_c = train(env_cfg, scenarios, quick_cfg(seed=1))
@@ -357,16 +358,16 @@ def test_train_critic_freeze(train_setup):
     env_cfg, scenarios = train_setup
     rng = np.random.default_rng(0)
     nets = build_agent(env_cfg.state_dim, env_cfg.n_zones, rng)
-    before = {k: v.copy() for k, v in nn.model_parameters(nets.critic).items()}
-    actor_before = {k: v.copy() for k, v in nn.model_parameters(nets.actor).items()}
+    before = {k: v.copy() for k, v in nn._views(nets.critic, nets.critic.params).items()}
+    actor_before = {k: v.copy() for k, v in nn._views(nets.actor, nets.actor.params).items()}
     train(env_cfg, scenarios, quick_cfg(), nets=nets,
           critic_freeze_updates=10 ** 9)
-    after = nn.model_parameters(nets.critic)
+    after = nn._views(nets.critic, nets.critic.params)
     for k in before:
         assert np.array_equal(before[k], after[k])
     # the actor still learns while the critic is frozen
     assert any(not np.array_equal(actor_before[k], v)
-               for k, v in nn.model_parameters(nets.actor).items())
+               for k, v in nn._views(nets.actor, nets.actor.params).items())
 
 
 def test_train_error_carries_aborting_episode(train_setup, monkeypatch):
@@ -409,8 +410,8 @@ def test_agent_checkpoint_round_trip(tmp_path, train_setup):
     assert cfg2 == cfg
     assert meta["feeder_fingerprint"] == "abc123"
     for name in ("actor", "critic", "actor_target", "critic_target"):
-        a = nn.model_parameters(getattr(nets, name))
-        b = nn.model_parameters(getattr(nets2, name))
+        src, dst = getattr(nets, name), getattr(nets2, name)
+        a, b = nn._views(src, src.params), nn._views(dst, dst.params)
         assert a.keys() == b.keys()
         for k in a:
             assert np.array_equal(a[k], b[k])

@@ -1,3 +1,4 @@
+import pathlib
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,8 @@ from gridpilot.dsse import (
 from gridpilot.env import EnvConfig
 from gridpilot.errors import CheckpointError, DatasetError, ModelMismatchError
 from gridpilot.scenario import Scenario, ScenarioSet, generate_scenario_set
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -202,6 +205,39 @@ def test_save_load_round_trip(tmp_path, model4, pairs4):
     p2 = tmp_path / "dsse2.gpck"
     save_dsse(loaded, p2)
     assert p.read_bytes() == p2.read_bytes()
+
+
+# forward outputs of the fixture below on default_rng(0).standard_normal((3, 12))
+FORMAT1_OUTPUTS = [
+    ["0x1.ab60c68216710p-4", "-0x1.81e1a0b8e2818p-3", "-0x1.ade46d49268f2p-4",
+     "-0x1.fceae96afa9e3p-4"],
+    ["0x1.b74dcc26b97ccp-4", "-0x1.6e0614b89bd1ap-3", "-0x1.faf9f3cef87a2p-4",
+     "-0x1.16cbb7df6ab27p-3"],
+    ["0x1.ab60c68216710p-4", "-0x1.81e1a0b8e2818p-3", "-0x1.ade46d49268f2p-4",
+     "-0x1.fceae96afa9e3p-4"],
+]
+
+
+def test_format1_fixture_loads_resaves_and_predicts(tmp_path):
+    """A format-1 estimator checkpoint written by an earlier build loads,
+    re-saves to the same bytes and gives its recorded outputs bit for bit.
+    tests/data/dsse_format1.ckpt was written on 2bus by:
+
+        feeder = resolve_feeder("2bus")
+        sset = generate_scenario_set(feeder, GenConfig(count=100), seed=0)
+        pairs = build_training_pairs(sset, feeder, 1.0, seed=0)
+        hp = DsseHyperparams(hidden_layers=(4, 4), epochs=2, batch_size=32, seed=0)
+        save_dsse(train_dsse(pairs, hp, feeder)[0], path)
+    """
+    path = DATA / "dsse_format1.ckpt"
+    model = load_dsse(path)
+    layers = model.net.layers
+    assert [layer.gamma is not None for layer in layers] == [True, True, False]
+    assert [layer.dropout_rate for layer in layers] == [0.5, 0.5, 0.0]
+    save_dsse(model, tmp_path / "again.ckpt")
+    assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
+    out, _ = nn.forward(model.net, np.random.default_rng(0).standard_normal((3, 12)))
+    assert [[v.hex() for v in row] for row in out.tolist()] == FORMAT1_OUTPUTS
 
 
 def test_load_rejects_wrong_kind(tmp_path):

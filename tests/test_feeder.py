@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -96,6 +98,18 @@ def test_bundled_fixtures_load(feeder2, feeder4, feeder34):
     assert feeder34.n_node_phases == 135  # state dimension of the control task
     for feeder in (feeder2, feeder4, feeder34):
         assert validate_feeder(feeder) == []
+
+
+def test_bundled_fixtures_match_their_build_script():
+    """scripts/build_fixtures.py writes each bundled feeder's exact text."""
+    script = pathlib.Path(__file__).parents[1] / "scripts" / "build_fixtures.py"
+    spec = importlib.util.spec_from_file_location("build_fixtures", script)
+    build = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(build)
+    fixtures = build.bundled_fixtures()
+    assert sorted(fixtures) == ["2bus", "4bus", "synth34"]
+    for name, data in fixtures.items():
+        assert json.dumps(data, indent=1) + "\n" == builtin_feeder_path(name).read_text(), name
 
 
 def test_resolve_feeder_accepts_name_and_path(tmp_path):

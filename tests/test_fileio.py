@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import fourbus_gen
-from gridpilot import cli, fileio, nn, scenario
+from gridpilot import fileio, nn, scenario
 
 
 class HalfWriter:
@@ -52,7 +52,7 @@ def test_failed_writes_keep_old_files(tmp_path, feeder4, full_disk):
     writers = [
         lambda: scenario.write_scenario_set(sset, feeder4, csv_path),
         lambda: nn.save_checkpoint(ckpt, {"w": np.arange(6.0)}, {"kind": "test"}),
-        lambda: cli._write_json(summary, {"command": "test", "values": list(range(50))}),
+        lambda: fileio.write_json(summary, {"command": "test", "values": list(range(50))}),
         lambda: fileio.write_csv(tmp_path / "t.csv", ("x", "y"), [(i, 0.5 * i) for i in range(50)]),
     ]
     for write in writers:
@@ -70,9 +70,9 @@ def test_failed_writes_keep_old_files(tmp_path, feeder4, full_disk):
 
 def test_write_json_never_leaves_a_partial_file(tmp_path):
     path = tmp_path / "summary.json"
-    cli._write_json(path, {"ok": 1})
+    fileio.write_json(path, {"ok": 1})
     with pytest.raises(TypeError):
-        cli._write_json(path, {"a": 1, "b": object()})  # fails while serializing
+        fileio.write_json(path, {"a": 1, "b": object()})  # fails while serializing
     assert path.read_text() == '{\n  "ok": 1\n}\n'
     assert os.listdir(tmp_path) == ["summary.json"]
 

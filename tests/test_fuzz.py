@@ -1,7 +1,8 @@
-"""Fuzzed inputs at the boundaries: a damaged checkpoint, scenario file or
-feeder file either loads or raises the package's typed error, never a raw
-KeyError, TypeError or ValueError, and a mutated config, or a checkpoint
-whose training config was edited, ends a command in exit code 0 or 2."""
+"""Fuzzed inputs at the boundaries: a damaged checkpoint, scenario file,
+sidecar or feeder file either loads or raises the package's typed error, never
+a raw KeyError, TypeError, ValueError or UnicodeDecodeError, and a mutated
+config, or a checkpoint whose training config was edited, ends a command in
+exit code 0 or 2."""
 
 import copy
 import dataclasses
@@ -93,6 +94,22 @@ def loads_or_raises(load, path, error):
         pass
 
 
+def damaged_bytes(blob: bytes, data) -> bytes:
+    """``blob`` with one to three bytes flipped, cut short, or with a byte
+    that never occurs in UTF-8 inserted."""
+    damaged = bytearray(blob)
+    action = data.draw(st.sampled_from(["flip", "truncate", "insert"]))
+    if action == "flip":
+        for _ in range(data.draw(st.integers(1, 3))):
+            damaged[data.draw(st.integers(0, len(blob) - 1))] ^= data.draw(st.integers(1, 255))
+    elif action == "truncate":
+        del damaged[data.draw(st.integers(0, len(blob) - 1)):]
+    else:
+        damaged.insert(data.draw(st.integers(0, len(blob))),
+                       data.draw(st.sampled_from([0xC0, 0xC1, *range(0xF5, 0x100)])))
+    return bytes(damaged)
+
+
 @settings(max_examples=150)
 @given(kind=st.sampled_from(["agent", "dsse"]), data=st.data())
 def test_byte_flipped_checkpoint_loads_or_raises(checkpoints, fuzz_dir, kind, data):
@@ -177,6 +194,25 @@ def test_mutated_sidecar_loads_or_raises(scenario_file, fuzz_dir, feeder4, data)
     path.write_text("\n".join(lines) + "\n")
     (fuzz_dir / "sidecar.csv.meta.json").write_text(json.dumps(mutate_json(sidecar, data)))
     loads_or_raises(lambda p: read_scenario_set(p, feeder4), path, DatasetError)
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_damaged_sidecar_bytes_load_or_raise(scenario_file, fuzz_dir, feeder4, data):
+    lines, sidecar = scenario_file
+    path = fuzz_dir / "sidecar_bytes.csv"
+    path.write_text("\n".join(lines) + "\n")
+    raw = json.dumps(sidecar, indent=2, sort_keys=True).encode()
+    (fuzz_dir / "sidecar_bytes.csv.meta.json").write_bytes(damaged_bytes(raw, data))
+    loads_or_raises(lambda p: read_scenario_set(p, feeder4), path, DatasetError)
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_damaged_feeder_bytes_load_or_raise(fuzz_dir, data):
+    path = fuzz_dir / "feeder_bytes.json"
+    path.write_bytes(damaged_bytes(builtin_feeder_path("4bus").read_bytes(), data))
+    loads_or_raises(load_feeder, path, GridPilotError)
 
 
 @settings(max_examples=400)

@@ -92,9 +92,9 @@ def test_dropout_reproducible_and_unbiased(rng):
 
 def test_batchnorm_running_stats_ema(rng):
     model = nn.build_mlp([2, 3, 1], ["relu", "identity"], rng, batch_norm=True)
-    bn = model.layers[0].batch_norm
+    bn = model.layers[0]
     x = rng.standard_normal((50, 2))
-    z = x @ model.layers[0].weights + model.layers[0].biases
+    z = x @ bn.W + bn.b
     nn.forward(model, x, rng)
     assert np.allclose(bn.running_mean, 0.1 * z.mean(axis=0))
     assert np.allclose(bn.running_var, 0.9 * 1.0 + 0.1 * z.var(axis=0))
@@ -109,46 +109,46 @@ def test_pass_kind_follows_the_rng_alone(rng):
     pass; with one it trains, also right after an inference pass."""
     model = nn.build_mlp([3, 6, 2], ["relu", "identity"], rng,
                          dropout_rate=0.5, batch_norm=True)
-    layer, bn = model.layers[0], model.layers[0].batch_norm
+    layer = model.layers[0]
     x = rng.standard_normal((8, 3))
-    z = x @ layer.weights + layer.biases
+    z = x @ layer.W + layer.b
     nn.forward(model, x, np.random.default_rng(1))
-    mean, var = bn.running_mean.copy(), bn.running_var.copy()
+    mean, var = layer.running_mean.copy(), layer.running_var.copy()
     out, cache = nn.forward(model, x)
-    hidden = np.maximum(bn.scale * (z - mean) / np.sqrt(var + nn.BN_EPS) + bn.shift, 0.0)
-    assert np.allclose(out, hidden @ model.layers[1].weights + model.layers[1].biases)
+    hidden = np.maximum(layer.gamma * (z - mean) / np.sqrt(var + nn.BN_EPS) + layer.beta, 0.0)
+    assert np.allclose(out, hidden @ model.layers[1].W + model.layers[1].b)
     assert not cache[0]["train"] and "mask" not in cache[0]
-    assert np.array_equal(bn.running_mean, mean) and np.array_equal(bn.running_var, var)
+    assert np.array_equal(layer.running_mean, mean) and np.array_equal(layer.running_var, var)
 
     _, cache = nn.forward(model, x, np.random.default_rng(2))
     assert cache[0]["train"] and "mask" in cache[0]
     assert np.array_equal(cache[0]["mu"], z.mean(axis=0))
     momentum = nn.BN_MOMENTUM
-    assert np.array_equal(bn.running_mean, momentum * mean + (1 - momentum) * z.mean(axis=0))
+    assert np.array_equal(layer.running_mean, momentum * mean + (1 - momentum) * z.mean(axis=0))
 
 
 def test_batchnorm_eval_uses_running_stats(rng):
     model = nn.build_mlp([2, 4, 1], ["relu", "identity"], rng, batch_norm=True)
-    bn = model.layers[0].batch_norm
+    bn = model.layers[0]
     bn.running_mean = np.array([1.0, -1.0, 0.5, 0.0])
     bn.running_var = np.array([4.0, 1.0, 0.25, 9.0])
-    bn.scale = np.array([2.0, 1.0, 1.0, 3.0])
-    bn.shift = np.array([0.0, 1.0, 0.0, -2.0])
+    bn.gamma = np.array([2.0, 1.0, 1.0, 3.0])
+    bn.beta = np.array([0.0, 1.0, 0.0, -2.0])
     x = rng.standard_normal((3, 2))
-    z = x @ model.layers[0].weights + model.layers[0].biases
-    expected = bn.scale * (z - bn.running_mean) / np.sqrt(bn.running_var + nn.BN_EPS) \
-        + bn.shift
+    z = x @ bn.W + bn.b
+    expected = bn.gamma * (z - bn.running_mean) / np.sqrt(bn.running_var + nn.BN_EPS) \
+        + bn.beta
     out, _ = nn.forward(model, x)
-    assert np.allclose(out, np.maximum(expected, 0.0) @ model.layers[1].weights
-                       + model.layers[1].biases)
+    assert np.allclose(out, np.maximum(expected, 0.0) @ model.layers[1].W
+                       + model.layers[1].b)
 
 
 def test_build_mlp_init_bounds(rng):
     model = nn.build_mlp([100, 50, 4], ["relu", "identity"], rng, final_init_scale=3e-3)
-    w0, b0 = model.layers[0].weights, model.layers[0].biases
+    w0, b0 = model.layers[0].W, model.layers[0].b
     assert np.max(np.abs(w0)) <= 1.0 / np.sqrt(100)
     assert np.max(np.abs(b0)) <= 1.0 / np.sqrt(100)
-    w1, b1 = model.layers[1].weights, model.layers[1].biases
+    w1, b1 = model.layers[1].W, model.layers[1].b
     assert np.max(np.abs(w1)) <= 3e-3
     assert np.max(np.abs(b1)) <= 3e-3
 
@@ -186,11 +186,11 @@ def test_adam_first_step_and_asymptotic_step_size():
 
 def test_adam_updates_in_place_and_validates(rng):
     model = nn.build_mlp([3, 4, 2], ["relu", "identity"], rng)
-    params, weights = model.params, model.layers[0].weights
+    params, weights = model.params, model.layers[0].W
     before = params.copy()
     state = nn.AdamState(learning_rate=0.1)
     nn.adam_step(state, model, np.ones_like(params))
-    assert model.params is params and model.layers[0].weights is weights
+    assert model.params is params and model.layers[0].W is weights
     assert not np.any(params == before)  # every element moved, views too
     with pytest.raises(ModelMismatchError):
         nn.adam_step(state, model, np.ones(params.size + 1))
@@ -250,7 +250,7 @@ def test_adam_bit_equal_to_per_key_loop(dims, batch_norm, lr):
                                 step=0, m={}, v={})
     for _ in range(100):
         grad = rng.standard_normal(model.params.size) * rng.uniform(1e-4, 10.0)
-        _reference_adam_step(ref_state, nn.model_parameters(reference),
+        _reference_adam_step(ref_state, nn._views(reference, reference.params),
                              nn._views(reference, grad.copy()))
         nn.adam_step(state, model, grad)
     assert np.array_equal(model.params, reference.params)
@@ -263,7 +263,8 @@ def test_flat_vector_aliases_every_layer_array(rng):
     arrays, descriptor = nn.model_to_arrays(built)
     rebuilt = nn.model_from_arrays({k: v.copy() for k, v in arrays.items()}, descriptor)
     for model in (built, nn.clone_model(built), rebuilt):
-        params = nn.model_parameters(model)
+        # the layers' own arrays, not fresh views of ``params``
+        params = {k: v for k, v in nn.model_to_arrays(model)[0].items() if ".running_" not in k}
         assert list(params) == ["L0.W", "L0.b", "L0.gamma", "L0.beta",
                                 "L1.W", "L1.b", "L1.gamma", "L1.beta", "L2.W", "L2.b"]
         assert model.params.size == sum(a.size for a in params.values())
@@ -275,12 +276,12 @@ def test_flat_vector_aliases_every_layer_array(rng):
             offset += arr.size
 
 
-def test_model_parameters_are_live_references(rng):
+def test_param_views_are_live_references(rng):
     model = nn.build_mlp([2, 3, 1], ["relu", "identity"], rng, batch_norm=True)
-    params = nn.model_parameters(model)
+    params = nn._views(model, model.params)
     assert set(params) == {"L0.W", "L0.b", "L0.gamma", "L0.beta", "L1.W", "L1.b"}
     params["L0.W"][0, 0] = 123.0
-    assert model.layers[0].weights[0, 0] == 123.0
+    assert model.layers[0].W[0, 0] == 123.0
 
 
 def test_clone_model_is_independent(rng):
@@ -289,10 +290,10 @@ def test_clone_model_is_independent(rng):
     twin = nn.clone_model(model)
     x = rng.standard_normal((3, 2))
     assert np.array_equal(nn.forward(model, x)[0], nn.forward(twin, x)[0])
-    twin.layers[0].weights += 1.0
-    assert not np.array_equal(model.layers[0].weights, twin.layers[0].weights)
+    twin.layers[0].W += 1.0
+    assert not np.array_equal(model.layers[0].W, twin.layers[0].W)
     assert not np.shares_memory(model.params, twin.params)
-    bn, twin_bn = model.layers[0].batch_norm, twin.layers[0].batch_norm
+    bn, twin_bn = model.layers[0], twin.layers[0]
     assert not np.shares_memory(bn.running_mean, twin_bn.running_mean)
     assert not np.shares_memory(bn.running_var, twin_bn.running_var)
     before = twin.params.copy()

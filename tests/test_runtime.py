@@ -151,15 +151,15 @@ def test_fine_tune_zero_episodes_is_identity(feeder4, nets4, scenarios4):
 
 def test_fine_tune_never_mutates_input(feeder4, nets4, scenarios4):
     cfg = system(feeder4)
-    before = {k: v.copy() for k, v in nn.model_parameters(nets4.actor).items()}
+    before = {k: v.copy() for k, v in nn._views(nets4.actor, nets4.actor.params).items()}
     tcfg = ddpg.TrainConfig(horizon=2, batch_size=4, buffer_capacity=64)
     tuned = fine_tune(nets4, scenarios4[:4], 3, cfg, train_cfg=tcfg, seed=1)
-    after = nn.model_parameters(nets4.actor)
+    after = nn._views(nets4.actor, nets4.actor.params)
     for k in before:
         assert np.array_equal(before[k], after[k])
     assert tuned is not nets4
     assert any(not np.array_equal(before[k], v)
-               for k, v in nn.model_parameters(tuned.actor).items())
+               for k, v in nn._views(tuned.actor, tuned.actor.params).items())
 
 
 def test_fine_tune_freeze_and_prefill(feeder4, nets4, scenarios4, monkeypatch):
@@ -362,8 +362,8 @@ def test_run_online_fine_tune_updates_actor(feeder4, nets4, scenarios4):
     run, tuned = run_online(nets4, system(feeder4), scenarios4[:3], apr,
                             train_cfg=ddpg.TrainConfig())
     assert run.fine_tune_events == [2]
-    before = nn.model_parameters(nets4.actor)
-    after = nn.model_parameters(tuned.actor)
+    before = nn._views(nets4.actor, nets4.actor.params)
+    after = nn._views(tuned.actor, tuned.actor.params)
     assert any(not np.array_equal(before[k], after[k]) for k in before)
 
 

@@ -10,7 +10,10 @@ without fine-tuning, and run-online with a monitor that fine-tunes every ten
 steps. Two more gen-scenarios runs write 300 synth34 scenarios each, with
 the benchmark's scenario ranges at two and three households per node: a
 third of synth34's PV units share no node-phase with a load point and draw
-their own households, which 4bus exercises for one unit only. The configs
+their own households, which 4bus exercises for one unit only. Last, the
+oracle runs at the benchmark's 201 grid points on 20 more synth34 scenarios
+(written by one more gen-scenarios run), so the feeder, head voltage and
+grid that the benchmark's oracle solves are covered too. The configs
 go to a temporary directory, so OUT holds nothing but artifacts: to compare
 two checkouts, run each one's copy of this script into its own OUT and
 ``diff -r`` the two trees. Every file except latency.json is byte-stable
@@ -72,6 +75,10 @@ def run_chain(out: str, config_dir: str) -> None:
     for households in (2, 3):
         run("gen-scenarios", f"gen-scenarios-synth34-h{households}", **SYNTH34,
             scenario={**SYNTH34_SCENARIOS, "households_per_node": households})
+    run("gen-scenarios", "gen-scenarios-synth34-oracle", **SYNTH34,
+        scenario={**SYNTH34_SCENARIOS, "count": 20, "households_per_node": 2})
+    run("oracle", "oracle-synth34", **SYNTH34, oracle={"n_grid": 201},
+        scenario_file=os.path.join(out, "gen-scenarios-synth34-oracle", "scenarios.csv"))
 
 
 def main() -> None:

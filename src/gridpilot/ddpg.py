@@ -320,18 +320,17 @@ def save_agent(path, nets: AgentNets, cfg: TrainConfig,
 
 def load_agent(path) -> tuple[AgentNets, TrainConfig, dict]:
     """(nets, config, metadata) of an agent checkpoint; CheckpointError when
-    the file is not one or its nets or config metadata is missing or bad."""
+    the file is not one, its nets or config metadata is missing or bad, or it
+    holds an array that no net reads."""
     arrays, meta = nn.load_checkpoint(path)
     if meta.get("kind") != "agent":
         raise CheckpointError(f"{path} is not an agent checkpoint")
-
-    def net(name):
-        prefix = f"{name}."
-        sub = {k[len(prefix):]: v for k, v in arrays.items() if k.startswith(prefix)}
-        return nn.model_from_arrays(sub, meta["nets"][name])
-
     try:
-        nets = AgentNets(*(net(name) for name in NET_NAMES))
+        subs = {name: {} for name in NET_NAMES}
+        for key, value in arrays.items():
+            name, _, rest = key.partition(".")
+            subs[name][rest] = value  # KeyError: an array of no net
+        nets = AgentNets(*(nn.model_from_arrays(subs[n], meta["nets"][n]) for n in NET_NAMES))
         cfg = from_json(TrainConfig, meta["config"], "config")
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed agent checkpoint {path}: {exc!r}") from exc

@@ -262,17 +262,16 @@ def save_dsse(model: DsseModel, path) -> None:
 
 def load_dsse(path) -> DsseModel:
     """The estimator in a ``save_dsse`` file; CheckpointError when its net,
-    normalizers or node-phase layout is missing or malformed."""
+    normalizers or node-phase layout is missing or malformed, or it holds an
+    array that neither reads."""
     arrays, meta = nn.load_checkpoint(path)
     if meta.get("kind") != "dsse":
         raise CheckpointError(f"{path} is not a state-estimator checkpoint")
-    try:
+    try:  # the net must read every array the normalizers leave
+        norms = {name: arrays.pop(f"norm.{name}")
+                 for name in ("input_mean", "input_std", "output_mean", "output_std")}
         net = nn.model_from_arrays(arrays, meta["net"])
-        model = DsseModel(net=net,
-                          input_mean=arrays["norm.input_mean"],
-                          input_std=arrays["norm.input_std"],
-                          output_mean=arrays["norm.output_mean"],
-                          output_std=arrays["norm.output_std"],
+        model = DsseModel(net=net, **norms,
                           feeder_fingerprint=meta["feeder_fingerprint"],
                           node_phases=[(b, p) for b, p in meta["node_phases"]])
     except (KeyError, TypeError, ValueError) as exc:

@@ -311,8 +311,9 @@ def build_admittance(feeder: Feeder) -> AdmittanceMatrix:
     Each line contributes the inverse of its per-unit phase impedance matrix
     as a branch admittance block between the to-bus node-phases and the
     matching from-bus node-phases. The free block Y_ff (every row but the
-    source bus's) is inverted once here, so each power-flow iteration is two
-    matrix-vector products: the update and the mismatch check.
+    source bus's) is inverted once here, so a power-flow update is one ``z_ff``
+    matrix-vector product; one exact ``y`` product checks the mismatch at the
+    flat start and where the solver's screen says convergence is near.
     ``Feeder.admittance`` holds one per feeder.
 
     The blocks are scattered by one ``np.add.at``, which is unbuffered and
@@ -427,7 +428,7 @@ def validate_feeder(feeder: Feeder) -> list[Diagnostic]:
     for ln in feeder.lines:
         name = f"line {ln.from_bus}->{ln.to_bus}"
         z = ln.phase_impedance
-        if not np.allclose(z, z.T, rtol=0, atol=1e-12):
+        if not (np.abs(z - z.T) <= 1e-12).all():
             out.append(Diagnostic(name, "impedance matrix not symmetric"))
         if np.any(np.diag(z).real < 0):
             out.append(Diagnostic(name, "diagonal resistance is negative"))

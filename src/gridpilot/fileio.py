@@ -74,26 +74,28 @@ def from_json(hint, value, where: str, **fixed):
     plus ``fixed``; a float takes an integer or a finite real; a tuple takes
     a list (returned as a tuple); int, bool, str and None take only their own
     JSON kind."""
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if hasattr(hint, "__dataclass_fields__") and isinstance(value, dict):
-        hints = typing.get_type_hints(hint)
-        return hint(**fixed, **{k: from_json(hints[k], v, f"{where}.{k}") if k in hints else v
-                                for k, v in value.items()})
-    if origin is tuple and isinstance(value, list):
-        items = args[:1] * len(value) if args[-1] is ... else args
-        if len(value) == len(items):
-            return tuple(from_json(h, v, where) for h, v in zip(items, value))
-    elif args and origin is not tuple:  # a union, such as float | None
-        for arg in args:
-            try:
-                return from_json(arg, value, where)
-            except ValueError:
-                pass
-    elif hint is float:
+    # the plain hints come first: they are most of the calls, and need no typing call
+    if hint is float:
         if (type(value) is float and math.isfinite(value)
                 or type(value) is int and abs(value) <= sys.float_info.max):
             return value
     elif type(value) is hint:
         return value
+    elif hasattr(hint, "__dataclass_fields__") and isinstance(value, dict):
+        hints = typing.get_type_hints(hint)
+        return hint(**fixed, **{k: from_json(hints[k], v, f"{where}.{k}") if k in hints else v
+                                for k, v in value.items()})
+    elif typing.get_origin(hint) is tuple:
+        if isinstance(value, list):
+            args = typing.get_args(hint)
+            items = args[:1] * len(value) if args[-1] is ... else args
+            if len(value) == len(items):
+                return tuple(from_json(h, v, where) for h, v in zip(items, value))
+    else:  # a union, such as float | None (any other hint has no args)
+        for arg in typing.get_args(hint):
+            try:
+                return from_json(arg, value, where)
+            except ValueError:
+                pass
     name = hint.__name__ if isinstance(hint, type) else str(hint)
     raise ValueError(f"{where} must be of type {name}, got {value!r}")

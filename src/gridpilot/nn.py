@@ -437,15 +437,16 @@ def model_to_arrays(model: MlpModel) -> tuple[dict[str, np.ndarray], dict]:
 
 def model_from_arrays(arrays: dict[str, np.ndarray], descriptor: dict) -> MlpModel:
     """Inverse of ``model_to_arrays``. CheckpointError when the descriptor is
-    malformed or an array is missing or has another shape than its layer's."""
-    layers = []
+    malformed, an array is missing or has another shape than its layer's, or
+    ``arrays`` holds one that no layer reads."""
+    layers, unread = [], dict(arrays)
     try:
         for i, spec in enumerate(descriptor["arch"]):
             out = spec["out"]
             shapes = {"W": (spec["in"], out), "b": (out,)}
             if spec["batch_norm"]:
                 shapes.update(gamma=(out,), beta=(out,), running_mean=(out,), running_var=(out,))
-            arr = {name: arrays[f"L{i}.{name}"] for name in shapes}
+            arr = {name: unread.pop(f"L{i}.{name}") for name in shapes}
             if any(arr[name].shape != shape for name, shape in shapes.items()):
                 raise CheckpointError(
                     f"checkpoint arrays of layer {i} disagree with architecture descriptor")
@@ -457,4 +458,6 @@ def model_from_arrays(arrays: dict[str, np.ndarray], descriptor: dict) -> MlpMod
         raise CheckpointError(f"checkpoint is missing {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed architecture descriptor: {exc!r}") from exc
+    if unread:
+        raise CheckpointError(f"arrays no layer reads: {sorted(unread)}")
     return MlpModel(layers=layers)

@@ -15,9 +15,13 @@ into free (f) and slack (s) rows, f = 0 at the free rows reads
 
 (Bazrafshan & Gatsis, "Comprehensive modeling of three-phase distribution
 systems via the bus admittance matrix", IEEE TPWRS 2018). ``Z_ff`` and
-``Z_ff Y_fs`` are built once per feeder by ``build_admittance``, so each
-iteration is two matrix-vector products: one applying the update, one
-checking the mismatch against ``TOL`` in absolute terms. A solve either
+``Z_ff Y_fs`` are built once per feeder by ``build_admittance``, so an
+update is one ``Z_ff`` matrix-vector product. It leaves the free rows of Y V
+at -conj(S_f / V_f,old), so S_f - V_f,new (S_f / V_f,old) is its mismatch at
+O(n) cost. That screen only says when to check: one exact ``Y`` product
+checks the mismatch against ``TOL`` in absolute terms at the flat start,
+where the screen is below ``SCREEN`` or not finite, and after ``MAX_ITER``
+updates, so only the exact mismatch ends a solve. A solve either
 returns a converged ``PowerFlowSolution`` or raises PowerFlowDivergedError.
 The feeder-head measurement reads the source bus's slack rows of the same
 admittance, so neither it nor the solve needs anything else of the feeder.
@@ -27,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -36,6 +39,7 @@ from .feeder import AdmittanceMatrix, Feeder
 
 TOL = 1e-8  # largest absolute P or Q mismatch of a converged solve, p.u.
 MAX_ITER = 50
+SCREEN = 2 * TOL  # an update whose own mismatch is below this takes the exact check
 
 
 @dataclass
@@ -58,23 +62,23 @@ class InjectionSet:
 
 @dataclass
 class PowerFlowSolution:
-    """Solved node-phase voltages; the derived views are computed once.
+    """The solver's node-phase voltages, and their ``np.hypot`` magnitudes.
 
     Only a converged solve returns one: a divergence raises instead.
     """
 
-    v_re: np.ndarray
-    v_im: np.ndarray
+    v_complex: np.ndarray
+    v_mag: np.ndarray
     iterations: int
     residual: float
 
-    @cached_property
-    def v_complex(self) -> np.ndarray:
-        return self.v_re + 1j * self.v_im
+    @property
+    def v_re(self) -> np.ndarray:
+        return self.v_complex.real
 
-    @cached_property
-    def v_mag(self) -> np.ndarray:
-        return np.hypot(self.v_re, self.v_im)
+    @property
+    def v_im(self) -> np.ndarray:
+        return self.v_complex.imag
 
     @property
     def v_ang_deg(self) -> np.ndarray:
@@ -97,24 +101,29 @@ def solve_power_flow(feeder: Feeder, admittance: AdmittanceMatrix, injections: I
     free, y, z_ff = admittance.free, admittance.y, admittance.z_ff
     s_free = (injections.p + 1j * injections.q)[free]
     v = slack_voltage * admittance.unit  # flat start: each row at its slack phasor
-    v_free = v[free]  # carried between iterations, always equal to v[free]
+    v_free = v[free]  # carried between iterations; v[free] is set before each check
     w = -(admittance.z_slack @ v[admittance.slack])
+    screen = 0.0  # the flat start takes the exact check
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for iteration in range(MAX_ITER + 1):
-            # the mismatch on the free rows; the largest |P| or |Q| is one
-            # reduction over the float view, and np.max propagates a NaN
-            f = v_free * np.conj((y @ v)[free]) + s_free
-            residual = float(np.abs(f.view(np.float64)).max(initial=0.0))
-            if not math.isfinite(residual):
-                raise PowerFlowDivergedError("mismatch turned non-finite",
-                                             residual=residual, iterations=iteration)
-            if residual < TOL:
-                return PowerFlowSolution(v_re=v.real.copy(), v_im=v.imag.copy(),
-                                         iterations=iteration, residual=residual)
-            if iteration < MAX_ITER:
-                v_free = w - z_ff @ np.conj(s_free / v_free)
+            if not SCREEN <= screen < math.inf or iteration == MAX_ITER:
+                # the exact mismatch on the free rows; the largest |P| or |Q| is
+                # one reduction over the float view, and np.max propagates a NaN
                 v[free] = v_free
+                f = v_free * np.conj((y @ v)[free]) + s_free
+                residual = float(np.abs(f.view(np.float64)).max(initial=0.0))
+                if not math.isfinite(residual):
+                    raise PowerFlowDivergedError("mismatch turned non-finite",
+                                                 residual=residual, iterations=iteration)
+                if residual < TOL:
+                    return PowerFlowSolution(v_complex=v, v_mag=np.hypot(v.real, v.imag),
+                                             iterations=iteration, residual=residual)
+            if iteration < MAX_ITER:
+                s_over_v = s_free / v_free
+                v_free = w - z_ff @ np.conj(s_over_v)
+                screen = float(np.abs((s_free - v_free * s_over_v).view(np.float64))
+                               .max(initial=0.0))
 
     raise PowerFlowDivergedError(
         f"no convergence after {MAX_ITER} iterations (residual {residual:.3e})",

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import FOURBUS_SLACK, replaced, rewrite_csv
-from gridpilot import ddpg
+from gridpilot import ddpg, nn
 from gridpilot import feeder as feeder_mod
 from gridpilot.cli import main
 from gridpilot.feeder import resolve_feeder
@@ -229,6 +229,21 @@ def test_rerun_is_byte_identical(workspace, tmp_path):
     for name in ("eval_profile.csv", "summary.json"):
         assert filecmp.cmp(out / name, workspace / "eval" / name, shallow=False)
     # latency.json is wall-clock and carries no reproducibility promise
+
+
+def test_checkpoint_arrays_nothing_reads_exit_2(tmp_path, workspace):
+    # a checkpoint with an array no layer reads loaded as the same net and
+    # exited 0; re-saving it dropped the array
+    scen_csv = str(workspace / "gen" / "scenarios.csv")
+    cases = {"dsse": ("eval-dsse", "dsse_checkpoint", "L7.W"),
+             "agent": ("evaluate", "agent_checkpoint", "actor.L9.b")}
+    for name, (command, key, extra) in cases.items():
+        arrays, meta = nn.load_checkpoint(workspace / name / f"{name}.ckpt")
+        bad = tmp_path / f"{name}.ckpt"
+        nn.save_checkpoint(bad, {**arrays, extra: np.zeros(3)}, meta)
+        cfg = write_config(tmp_path / f"{name}.json", **BASE, scenario_file=scen_csv,
+                           **{key: str(bad)})
+        assert main([command, "--config", cfg, "--out", str(tmp_path / name)]) == 2, name
 
 
 def test_error_exit_codes(tmp_path, workspace):

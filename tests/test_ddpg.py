@@ -467,6 +467,19 @@ def test_load_agent_rejects_nets_that_do_not_fit(tmp_path):
             load_agent(p)
 
 
+def test_load_agent_rejects_arrays_no_net_reads(tmp_path):
+    p = tmp_path / "agent.gpck"
+    save_agent(p, small_nets(), TrainConfig())
+    arrays, meta = nn.load_checkpoint(p)
+    for name in ("actor.L9.b", "critic.L0.Wx", "buffer.states"):
+        bad = tmp_path / "extra.gpck"
+        nn.save_checkpoint(bad, {**arrays, name: np.zeros(4)}, meta)
+        with pytest.raises(CheckpointError):
+            load_agent(bad)
+    nn.save_checkpoint(p, arrays, meta)  # the same arrays, re-saved, still load
+    assert load_agent(p)[0].state_dim == small_nets().state_dim
+
+
 def test_load_agent_rejects_wrong_kind(tmp_path):
     p = tmp_path / "dsse.gpck"
     nn.save_checkpoint(p, {"x": np.zeros(2)}, {"kind": "dsse"})

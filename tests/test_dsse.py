@@ -1,4 +1,5 @@
 import pathlib
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -238,6 +239,22 @@ def test_format1_fixture_loads_resaves_and_predicts(tmp_path):
     assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
     out, _ = nn.forward(model.net, np.random.default_rng(0).standard_normal((3, 12)))
     assert [[v.hex() for v in row] for row in out.tolist()] == FORMAT1_OUTPUTS
+
+
+def test_load_rejects_arrays_nothing_reads(tmp_path):
+    # an array in the manifest that no layer or normalizer reads is as
+    # corrupt as a missing one: loading and re-saving would drop it
+    arrays, meta = nn.load_checkpoint(DATA / "dsse_format1.ckpt")
+    extras = {"L7.W": np.zeros((3, 3)), "L0.Wx": np.zeros((12, 4))}
+    for name, value in extras.items():
+        p = tmp_path / f"{name}.ckpt"
+        nn.save_checkpoint(p, {**arrays, name: value}, meta)
+        with pytest.raises(CheckpointError, match=re.escape(name)):
+            load_dsse(p)
+    p = tmp_path / "both.ckpt"
+    nn.save_checkpoint(p, {**arrays, **extras}, meta)
+    with pytest.raises(CheckpointError, match="no layer reads"):
+        load_dsse(p)
 
 
 def test_load_rejects_wrong_kind(tmp_path):

@@ -1,5 +1,6 @@
 import errno
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -24,6 +25,50 @@ class HalfWriter:
 
     def __exit__(self, *exc):
         self.fh.close()
+
+
+FLOAT_MAX_INT = int(sys.float_info.max)
+
+# (hint, JSON value, accepted?): float takes an integer or a finite real, and
+# str, int and bool take only their own JSON kind
+SCALAR_CASES = [
+    (float, 3, True),
+    (float, -0.25, True),
+    (float, FLOAT_MAX_INT, True),
+    (float, True, False),
+    (float, float("nan"), False),
+    (float, float("inf"), False),
+    (float, float("-inf"), False),
+    (float, "1.0", False),
+    (float, None, False),
+    (float, FLOAT_MAX_INT * 2, False),
+    (str, "b2", True),
+    (str, 2, False),
+    (str, None, False),
+    (str, ["b2"], False),
+    (int, 7, True),
+    (int, 7.0, False),
+    (int, True, False),
+    (int, "7", False),
+    (bool, False, True),
+    (bool, 0, False),
+    (bool, "true", False),
+    (float | None, None, True),
+    (float | None, 2, True),
+    (float | None, float("nan"), False),
+]
+
+
+@pytest.mark.parametrize("hint, value, accepted", SCALAR_CASES)
+def test_from_json_scalar_hints(hint, value, accepted):
+    if accepted:
+        got = fileio.from_json(hint, value, "cfg.x")
+        assert got is value
+        return
+    name = hint.__name__ if isinstance(hint, type) else str(hint)
+    with pytest.raises(ValueError) as exc_info:
+        fileio.from_json(hint, value, "cfg.x")
+    assert str(exc_info.value) == f"cfg.x must be of type {name}, got {value!r}"
 
 
 @pytest.fixture()

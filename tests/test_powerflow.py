@@ -252,6 +252,81 @@ def test_diverging_solve_matches_reference_loop(feeder2, load):
     assert not assert_solve_matches_reference(feeder2, adm, inj)
 
 
+def screen_gaps(admittance, injections, slack_voltage=1.0):
+    """|screen - exact| after each update of the reference loop where the
+    exact mismatch is below 10 TOL. The screen is the update's own mismatch,
+    S_f - V_new (S_f / V_old), and the exact one is formed with ``y``; both
+    are the largest |P| or |Q| over the free rows. Stops where the reference
+    loop does."""
+    free = admittance.free
+    s_free = (injections.p + 1j * injections.q)[free]
+    v = slack_voltage * admittance.unit
+    w = -(admittance.z_slack @ v[admittance.slack])
+
+    def largest(f):
+        return max(np.max(np.abs(f.real)), np.max(np.abs(f.imag)))
+
+    gaps = []
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(MAX_ITER):
+            s_over_v = s_free / v[free]
+            v[free] = w - admittance.z_ff @ np.conj(s_over_v)
+            screen = largest(s_free - v[free] * s_over_v)
+            exact = largest(v[free] * np.conj((admittance.y @ v)[free]) + s_free)
+            if exact < 10 * TOL:
+                gaps.append(abs(screen - exact))
+            if not math.isfinite(exact) or exact < TOL:
+                break
+    return gaps
+
+
+def assert_screen_tracks_exact(adm, inj, slack_voltage=1.0):
+    # near convergence the screen is the exact mismatch to far below TOL, so
+    # a screen at or above powerflow.SCREEN (2 TOL) never skips a check that converges
+    gaps = screen_gaps(adm, inj, slack_voltage)
+    assert gaps, "the solve never came within 10 TOL"
+    assert max(gaps) <= 1e-3 * TOL, f"screen off by {max(gaps):.2e}"
+
+
+@pytest.mark.parametrize("name", ["2bus", "4bus", "synth34"])
+def test_screen_tracks_exact_mismatch_on_bundled_feeders(name):
+    feeder = load_feeder(builtin_feeder_path(name))
+    adm = build_admittance(feeder)
+    for slack_voltage in (1.0, 1.04, 1.045):
+        assert_screen_tracks_exact(adm, nominal_injections(feeder, adm), slack_voltage)
+
+
+def test_screen_tracks_exact_mismatch_on_random_feeders(tmp_path):
+    # the inputs of test_solver_matches_reference_loop_on_random_feeders
+    rng = np.random.default_rng(2024)
+    for case in range(40):
+        data = bfs_oracle.random_radial_feeder_dict(rng)
+        feeder = load_feeder(bfs_oracle.write_feeder(data, tmp_path / f"f{case}.json"))
+        adm = build_admittance(feeder)
+        for _ in range(3):
+            assert_screen_tracks_exact(adm, bfs_oracle.random_injections(feeder, rng))
+
+
+@pytest.mark.parametrize("slack_voltage", [1.0, SYNTH34_SLACK])
+def test_screen_tracks_exact_mismatch_on_synth34_oracle_grid(feeder34, slack_voltage):
+    adm = build_admittance(feeder34)
+    scenario = generate_scenario_set(feeder34, synth34_gen(1), seed=901).scenarios[0]
+    q_rated = np.array([pv.q_rated for pv in feeder34.pv_units])
+    zones = np.zeros(len(feeder34.pv_units), dtype=int)
+    for a in np.linspace(-1.0, 1.0, 201):
+        inj = to_injections(adm, scenario, q_pv=map_action(np.array([a]), q_rated, zones))
+        assert_screen_tracks_exact(adm, inj, slack_voltage)
+
+
+def test_solution_carries_one_complex_vector(feeder4, admittance4):
+    sol = solve_power_flow(feeder4, admittance4, nominal_injections(feeder4, admittance4))
+    v = sol.v_complex
+    assert v.dtype == complex and v.shape == (admittance4.size,)
+    assert np.shares_memory(sol.v_re, v) and np.shares_memory(sol.v_im, v)
+    assert np.array_equal(sol.v_re, v.real) and np.array_equal(sol.v_im, v.imag)
+    assert np.array_equal(sol.v_mag, np.hypot(v.real, v.imag))
+
+
 @pytest.mark.parametrize("part", ["p", "q"])
 def test_nan_injection_diverges_at_first_check(feeder4, admittance4, part):
     # the mismatch check must see a NaN in either part of one free node's

@@ -19,7 +19,13 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from gridpilot.env import EnvConfig, RewardConfig, env_step, objective_deviation  # noqa: E402
+from gridpilot.env import (  # noqa: E402
+    EnvConfig,
+    RewardConfig,
+    conditions,
+    env_step,
+    objective_deviation,
+)
 from gridpilot.feeder import load_feeder  # noqa: E402
 from gridpilot.scenario import GenConfig, generate_scenario_set  # noqa: E402
 
@@ -177,16 +183,17 @@ def report(data, slack, gen_cfg, n=300, seed=7, label=""):
     cfg = EnvConfig(feeder=feeder, estimator=None, slack_voltage=slack,
                     reward=RewardConfig())
     n_zones = cfg.n_zones
+    conds = [conditions(cfg, sc) for sc in sset]
 
     print(f"--- {label}: {feeder.n_node_phases} node-phases, "
           f"{len(feeder.loads)} loads, {len(feeder.pv_units)} pv ---")
     for a in (0.0, -0.25, -0.5, -0.75, -1.0, 0.5):
         stats = {"max_v": [], "min_v": [], "over": 0, "under": 0,
                  "reward": [], "iters": [], "dev": []}
-        for sc in sset:
-            v, r, info = env_step(cfg, sc, np.full(n_zones, a))
+        for cond in conds:
+            v, r, info = env_step(cfg, cond, np.full(n_zones, a))
             if info["terminal"]:
-                print(f"  a={a:+.2f}: DIVERGED scenario {sc.id}")
+                print(f"  a={a:+.2f}: DIVERGED scenario {cond.scenario.id}")
                 continue
             stats["max_v"].append(v.max())
             stats["min_v"].append(v.min())

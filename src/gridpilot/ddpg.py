@@ -4,13 +4,14 @@ Actor maps the voltage-magnitude state vector to one coefficient per zone
 through relu/tanh hidden layers and a tanh output (so actions respect
 [-1, 1] before any clamping). The critic scores (state, action) with the
 action appended to the state vector. Targets are soft-updated copies.
-``train`` runs its episodes directly on an ``env.EnvConfig``: an idle start,
-then ``act`` -> ``env_step`` -> ``observe`` for up to ``TrainConfig.horizon``
-steps. It is strictly sequential on one RNG stream (exploration, measurement
-noise, replay sampling), so a (seed, config, scenarios) triple pins the
-whole trajectory bit-for-bit. A checkpoint (``save_agent``) holds the four
-nets and the ``TrainConfig``; the replay buffer and RNG are not saved, so a
-run cannot be resumed from one, only deployed or fine-tuned.
+``train`` runs its episodes on an ``env.EnvConfig``: ``env.conditions``,
+an idle start, then ``act`` -> ``env_step`` -> ``observe`` for up to
+``TrainConfig.horizon`` steps. It is strictly sequential on one RNG stream
+(exploration, measurement noise, replay sampling), so a (seed, config,
+scenarios) triple pins the whole trajectory bit-for-bit. A checkpoint
+(``save_agent``) holds the four nets and the ``TrainConfig``; the replay
+buffer and RNG are not saved, so a run cannot be resumed from one, only
+deployed or fine-tuned.
 
 Each update runs critic, actor, then targets (Lillicrap et al., ICLR 2016)
 on whole parameter vectors (``nn.MlpModel.params``); the policy gradient
@@ -25,7 +26,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import nn
-from .env import EnvConfig, env_step, idle_step, observe
+from .env import EnvConfig, conditions, env_step, idle_step, observe
 from .errors import CheckpointError, ModelMismatchError, NumericalError, TrainingError
 from .fileio import from_json
 
@@ -228,7 +229,7 @@ def train(env_cfg: EnvConfig, scenarios, cfg: TrainConfig,
           critic_freeze_updates: int = 0) -> tuple[AgentNets, list[float]]:
     """Offline training loop: explore, replay, update, soft-track targets.
 
-    Each episode draws one scenario and holds it fixed: an idle start
+    Each episode draws one scenario and its conditions, fixed: an idle start
     (``env.idle_step``, which raises InfeasibleScenarioError if the scenario
     diverges), then up to ``cfg.horizon`` steps, ending early on a terminal
     (diverged) step. One critic and one actor update per environment step
@@ -258,16 +259,16 @@ def train(env_cfg: EnvConfig, scenarios, cfg: TrainConfig,
 
     for episode in range(cfg.episodes):
         sigma = sigma_schedule(cfg, episode)
-        scenario = scenario_list[rng.integers(len(scenario_list))]
+        cond = conditions(env_cfg, scenario_list[rng.integers(len(scenario_list))])
         ou = OuNoise(nets.action_dim, cfg.noise_mu, sigma) \
             if cfg.noise_process == "ou" else None
         try:
-            true_state, _, info = idle_step(env_cfg, scenario, rng)
+            true_state, _, info = idle_step(env_cfg, cond, rng)
             state = observe(env_cfg.estimator, true_state, info)
             cum_reward = 0.0
             for _ in range(cfg.horizon):
                 action = act(nets, state, sigma=sigma, rng=rng, noise=ou)
-                true_state, r, info = env_step(env_cfg, scenario, action, rng=rng)
+                true_state, r, info = env_step(env_cfg, cond, action, rng=rng)
                 next_state = observe(env_cfg.estimator, true_state, info)
                 buffer.push(state, action, r, next_state, info["terminal"])
                 cum_reward += r

@@ -2,23 +2,24 @@
 
 A state is the 1-D vector of node-phase voltage magnitudes (p.u.). One
 environment step is the physical half of the pipeline: map the agent's zone
-coefficients to inverter reactive setpoints, superimpose them on the
-scenario's injections, solve the power flow, and take the feeder-head
-measurement; its ``info`` holds ``terminal``, ``iterations``, and the
-``solution`` and ``measurement`` (or, diverged, the solver's ``residual``),
-from which each report derives its own numbers. ``observe`` is the other
-half: it turns a step into what the agent sees, the state estimator's
-reading of the head measurement or (in perfect-state mode, no estimator)
-the true solver voltages. ``idle_step`` is the step under idle inverters
-that starts both a training episode (``ddpg.train``) and a deployed control
-cycle (``runtime``). The reward is always computed from true solver
-voltages; estimation error only affects what the agent observes.
+coefficients to inverter reactive setpoints, subtract them from the scenario's
+idle-inverter injections (``conditions``, built once per scenario), solve the
+power flow, and take the feeder-head measurement; its ``info`` holds
+``terminal``, ``iterations``, and the ``solution`` and ``measurement`` (or,
+diverged, the solver's ``residual``), from which each report derives its own
+numbers. ``observe`` is the other half: it turns a step into what the agent
+sees, the state estimator's reading of the head measurement or (in
+perfect-state mode, no estimator) the true solver voltages. ``idle_step`` is
+the step under idle inverters that starts both a training episode
+(``ddpg.train``) and a deployed control cycle (``runtime``). The reward is
+always computed from true solver voltages; estimation error only affects what
+the agent observes.
 
 ``EnvConfig`` is the one description of the controlled system: feeder,
 estimator, inverter zones, slack voltage, measurement noise and reward band.
 Training, evaluation, the online loop and the oracle all take one; building
-it is where an estimator is checked against its feeder. The episode length
-belongs to the learner (``ddpg.TrainConfig.horizon``).
+it checks an estimator against its feeder and builds the feeder's admittance.
+The episode length belongs to the learner (``ddpg.TrainConfig.horizon``).
 
 Sign conventions: positive q setpoint injects reactive power (raises local
 voltage), negative absorbs. Reward is never positive; zero only for an
@@ -36,7 +37,7 @@ import numpy as np
 from .dsse import DsseModel, estimate_states
 from .errors import InfeasibleScenarioError, ModelMismatchError, PowerFlowDivergedError
 from .feeder import Feeder
-from .powerflow import feeder_head_measurement, solve_power_flow
+from .powerflow import InjectionSet, feeder_head_measurement, solve_power_flow
 from .scenario import Scenario, to_injections
 
 log = logging.getLogger(__name__)
@@ -94,6 +95,7 @@ class EnvConfig:
         self.s_rated = np.array([pv.s_rated for pv in self.feeder.pv_units], dtype=float)
         self.q_rated = np.array([pv.q_rated for pv in self.feeder.pv_units], dtype=float)
         self.s_rated.flags.writeable = self.q_rated.flags.writeable = False
+        self.feeder.admittance  # NumericalError here, not inside a stage
 
     @property
     def n_zones(self) -> int:
@@ -175,9 +177,25 @@ def objective_deviation(v_mags: np.ndarray, v_nominal: float = 1.0) -> float | n
     return np.abs(np.asarray(v_mags, dtype=float) - v_nominal).sum(axis=-1)
 
 
-def env_step(cfg: EnvConfig, scenario: Scenario, action: np.ndarray,
+@dataclass(frozen=True)
+class Conditions:
+    """What every step on one scenario shares; ``conditions`` builds it."""
+    scenario: Scenario
+    injections: InjectionSet  # read-only: loads minus PV active output in p, loads in q
+    q_max: np.ndarray  # read-only: per pv unit, the no-curtailment reactive limit
+
+
+def conditions(cfg: EnvConfig, scenario: Scenario) -> Conditions:
+    """Raises ValueError when a PV unit's output lies outside its rating."""
+    injections = to_injections(cfg.feeder.admittance, scenario)
+    q_max = q_max_vector(cfg.s_rated, scenario.p_pv)
+    injections.p.flags.writeable = injections.q.flags.writeable = q_max.flags.writeable = False
+    return Conditions(scenario, injections, q_max)
+
+
+def env_step(cfg: EnvConfig, cond: Conditions, action: np.ndarray,
              rng: np.random.Generator | None = None) -> tuple[np.ndarray, float, dict]:
-    """Apply an action to a scenario and measure the resulting system.
+    """Apply an action to a scenario's conditions and measure the system.
 
     ``action`` holds one coefficient per zone. Returns (true magnitudes,
     reward, info); info holds ``terminal``, ``iterations``, the ``solution``
@@ -189,8 +207,8 @@ def env_step(cfg: EnvConfig, scenario: Scenario, action: np.ndarray,
     """
     admittance = cfg.feeder.admittance
     q_set = map_action(action, cfg.q_rated, cfg.zone_map)
-    injections = to_injections(admittance, scenario, q_pv=q_set)
-    q_max_vals = q_max_vector(cfg.s_rated, scenario.p_pv)
+    injections = InjectionSet(p=cond.injections.p, q=cond.injections.q.copy())
+    np.subtract.at(injections.q, admittance.pv_rows, q_set)  # to_injections' q_pv step
 
     try:
         sol = solve_power_flow(cfg.feeder, admittance, injections,
@@ -203,7 +221,7 @@ def env_step(cfg: EnvConfig, scenario: Scenario, action: np.ndarray,
 
     meas = feeder_head_measurement(admittance, sol, cfg.measurement_noise_pct / 100.0, rng=rng)
     info = {"terminal": False, "iterations": sol.iterations, "solution": sol, "measurement": meas}
-    return sol.v_mag, reward(sol.v_mag, q_set, q_max_vals, cfg.reward), info
+    return sol.v_mag, reward(sol.v_mag, q_set, cond.q_max, cfg.reward), info
 
 
 def observe(estimator: DsseModel | None, state: np.ndarray, info: dict) -> np.ndarray:
@@ -218,14 +236,14 @@ def observe(estimator: DsseModel | None, state: np.ndarray, info: dict) -> np.nd
     return estimate_states(estimator, info["measurement"]).v_mag
 
 
-def idle_step(cfg: EnvConfig, scenario: Scenario,
+def idle_step(cfg: EnvConfig, cond: Conditions,
               rng: np.random.Generator | None = None) -> tuple[np.ndarray, float, dict]:
     """``env_step`` under idle inverters (all zone coefficients zero).
 
     Raises InfeasibleScenarioError when the power flow diverges, since no
     episode or control cycle can start from such a scenario.
     """
-    state, r, info = env_step(cfg, scenario, np.zeros(cfg.n_zones), rng=rng)
+    state, r, info = env_step(cfg, cond, np.zeros(cfg.n_zones), rng=rng)
     if info["terminal"]:
-        raise InfeasibleScenarioError(f"scenario {scenario.id} infeasible at zero action")
+        raise InfeasibleScenarioError(f"scenario {cond.scenario.id} infeasible at zero action")
     return state, r, info

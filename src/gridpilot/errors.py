@@ -38,7 +38,7 @@ class PowerFlowDivergedError(GridPilotError):
 
 
 class DatasetError(GridPilotError):
-    """Training-set construction failed (too many infeasible scenarios, empty set)."""
+    """Unusable scenario data: generator config, CSV, sidecar, split or DSSE training set."""
 
 
 class TrainingError(GridPilotError):
@@ -52,7 +52,7 @@ class TrainingError(GridPilotError):
 
 
 class ModelMismatchError(GridPilotError):
-    """A checkpoint was built for a different feeder than the one in use."""
+    """A model that does not fit its feeder, state or zones, or its own layers and shapes."""
 
 
 class CheckpointError(GridPilotError):
@@ -60,4 +60,4 @@ class CheckpointError(GridPilotError):
 
 
 class InfeasibleScenarioError(GridPilotError):
-    """Power flow diverged at every probed action for a scenario."""
+    """Power flow diverged at the idle start, under a control action, or at every oracle action."""

@@ -129,6 +129,7 @@ class AdmittanceMatrix:
     z_slack: np.ndarray  # Z_ff @ Y_fs, free x slack
     unit: np.ndarray  # per row, the unit phasor of its phase
     slack_slots: np.ndarray  # per slack row, its phase's index in PHASES
+    flat_bound: float  # |V_f conj((Y V)_f)| <= slack_voltage**2 * flat_bound at the flat start
 
     @property
     def size(self) -> int:
@@ -312,8 +313,12 @@ def build_admittance(feeder: Feeder) -> AdmittanceMatrix:
     as a branch admittance block between the to-bus node-phases and the
     matching from-bus node-phases. The free block Y_ff (every row but the
     source bus's) is inverted once here, so a power-flow update is one ``z_ff``
-    matrix-vector product; one exact ``y`` product checks the mismatch at the
-    flat start and where the solver's screen says convergence is near.
+    matrix-vector product; one exact ``y`` product checks the mismatch where
+    the solver's screen says convergence is near. A line maps equal phasors
+    to zero current, so at the flat start Y V's free rows are rounding alone:
+    ``flat_bound`` is |(y @ unit)_f| plus 8 (n + 2) 2**-52 times the largest
+    free row sum of |y| (Higham 2002, section 3.1), or inf past a row sum of
+    1e150, where Y V could overflow while slack_voltage**2 does not.
     ``Feeder.admittance`` holds one per feeder.
 
     The blocks are scattered by one ``np.add.at``, which is unbuffered and
@@ -370,9 +375,12 @@ def build_admittance(feeder: Feeder) -> AdmittanceMatrix:
         "pv_rows": np.array([index_map[(x.bus_id, x.phase)] for x in feeder.pv_units], dtype=int),
         "slack_slots": np.array([PHASES.index(ph) for ph in src.phases], dtype=int),
     }
+    row_sum = np.abs(y[free]).sum(axis=1).max(initial=0.0)
+    bound = np.abs((y @ arrays["unit"])[free]).max(initial=0.0) + 8 * (n + 2) * 2.0**-52 * row_sum
     for arr in arrays.values():
         arr.flags.writeable = False
-    return AdmittanceMatrix(index_map=index_map, **arrays)
+    return AdmittanceMatrix(index_map=index_map, **arrays,
+                            flat_bound=float(bound) if row_sum < 1e150 else math.inf)
 
 
 def validate_feeder(feeder: Feeder) -> list[Diagnostic]:

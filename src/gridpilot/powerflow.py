@@ -15,13 +15,14 @@ into free (f) and slack (s) rows, f = 0 at the free rows reads
 
 (Bazrafshan & Gatsis, "Comprehensive modeling of three-phase distribution
 systems via the bus admittance matrix", IEEE TPWRS 2018). ``Z_ff`` and
-``Z_ff Y_fs`` are built once per feeder by ``build_admittance``, so an
-update is one ``Z_ff`` matrix-vector product. It leaves the free rows of Y V
-at -conj(S_f / V_f,old), so S_f - V_f,new (S_f / V_f,old) is its mismatch at
-O(n) cost. That screen only says when to check: one exact ``Y`` product
-checks the mismatch against ``TOL`` in absolute terms at the flat start,
-where the screen is below ``SCREEN`` or not finite, and after ``MAX_ITER``
-updates, so only the exact mismatch ends a solve. A solve either
+``Z_ff Y_fs`` are built once per feeder by ``build_admittance``, so an update
+is one ``Z_ff`` matrix-vector product. It leaves the free rows of Y V at
+-conj(S_f / V_f,old), so S_f - V_f,new (S_f / V_f,old) is its mismatch at O(n)
+cost; at the flat start the screen is the largest |P| or |Q| injection less
+slack_voltage**2 * ``AdmittanceMatrix.flat_bound``. Screens only say when to
+check: one exact ``Y`` product checks the mismatch against ``TOL`` in absolute
+terms where the screen is below ``SCREEN`` or not finite, and after
+``MAX_ITER`` updates, so only the exact mismatch ends a solve. A solve either
 returns a converged ``PowerFlowSolution`` or raises PowerFlowDivergedError.
 The feeder-head measurement reads the source bus's slack rows of the same
 admittance, so neither it nor the solve needs anything else of the feeder.
@@ -99,13 +100,14 @@ def solve_power_flow(feeder: Feeder, admittance: AdmittanceMatrix, injections: I
     if injections.p.shape[0] != n:
         raise ValueError(f"injection length {injections.p.shape[0]} != {n} node-phases")
     free, y, z_ff = admittance.free, admittance.y, admittance.z_ff
-    s_free = (injections.p + 1j * injections.q)[free]
     v = slack_voltage * admittance.unit  # flat start: each row at its slack phasor
     v_free = v[free]  # carried between iterations; v[free] is set before each check
     w = -(admittance.z_slack @ v[admittance.slack])
-    screen = 0.0  # the flat start takes the exact check
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s_free = (injections.p + 1j * injections.q)[free]  # 1j * inf is nan + inf j
+        screen = (float(np.abs(s_free.view(np.float64)).max(initial=0.0))  # <= exact mismatch
+                  - slack_voltage * slack_voltage * admittance.flat_bound)
         for iteration in range(MAX_ITER + 1):
             if not SCREEN <= screen < math.inf or iteration == MAX_ITER:
                 # the exact mismatch on the free rows; the largest |P| or |Q| is

@@ -1,14 +1,14 @@
 """Online execution, performance monitoring, oracle baseline, evaluation.
 
 Every entry point takes the controlled system as one ``env.EnvConfig``:
-feeder, estimator, inverter zones, slack voltage, noise and reward band.
-Both the online loop and evaluation run the deployed control cycle, written
-once in ``_control_cycle``: per scenario snapshot, solve under idle inverters
-(``env.idle_step``, the same start a training episode makes), take the head
-measurement, estimate the state through the config's estimator, act without
-exploration through its zone map, and solve under the applied setpoints.
-A trailing-reward monitor (APR) triggers fine-tuning when control quality
-degrades against the training reference.
+feeder, estimator, inverter zones, slack voltage, noise and reward band. Both
+the online loop and evaluation run the deployed control cycle, written once in
+``_control_cycle``: per scenario snapshot, build its ``env.conditions``, solve
+under idle inverters (``env.idle_step``, the same start a training episode
+makes), take the head measurement, estimate the state through the config's
+estimator, act without exploration through its zone map, and solve under the
+applied setpoints. A trailing-reward monitor (APR) triggers fine-tuning when
+control quality degrades against the training reference.
 Latency is recorded separately from the deterministic run log so logs stay
 bit-reproducible under a fixed seed.
 """
@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import ddpg
-from .env import EnvConfig, env_step, idle_step, objective_deviation, observe
+from .env import EnvConfig, conditions, env_step, idle_step, objective_deviation, observe
 from .errors import InfeasibleScenarioError, ModelMismatchError, TrainingError
 from .scenario import Scenario
 
@@ -112,11 +112,12 @@ def _control_cycle(cfg: EnvConfig, nets: ddpg.AgentNets, scenario: Scenario,
     controlled solution, latency_s), the latency of estimation plus action
     selection. Raises InfeasibleScenarioError when either solve diverges.
     """
-    v0, r0, info0 = idle_step(cfg, scenario, rng)
+    cond = conditions(cfg, scenario)
+    v0, r0, info0 = idle_step(cfg, cond, rng)
     t0 = time.perf_counter()
     action = ddpg.act(nets, observe(cfg.estimator, v0, info0))
     latency = time.perf_counter() - t0
-    _, r1, info1 = env_step(cfg, scenario, action, rng=rng)
+    _, r1, info1 = env_step(cfg, cond, action, rng=rng)
     if info1["terminal"]:
         raise InfeasibleScenarioError(
             f"scenario {scenario.id} diverged under control action")
@@ -215,10 +216,10 @@ def oracle_best_action(cfg: EnvConfig, scenario: Scenario, n_grid: int = 201
         raise ValueError("need at least 3 grid points")
     if cfg.n_zones != 1:
         raise ValueError(f"the oracle searches one zone, zone_map has {cfg.n_zones}")
-    best_a = None
-    best_r = -np.inf
+    cond = conditions(cfg, scenario)
+    best_a, best_r = None, -np.inf
     for a in np.linspace(-1.0, 1.0, n_grid):
-        _, r, info = env_step(cfg, scenario, np.array([a]))
+        _, r, info = env_step(cfg, cond, np.array([a]))
         if info["terminal"]:
             continue
         if r > best_r or (r == best_r and abs(a) < abs(best_a)):

@@ -29,6 +29,7 @@ from gridpilot.dsse import (
 from gridpilot.env import (
     EnvConfig,
     RewardConfig,
+    conditions,
     curtailment_barrier,
     env_step,
     q_max_no_curtailment,
@@ -240,8 +241,9 @@ def test_criterion_7_oracle_closeness(feeder4, capsys):
                          slack_voltage=FOURBUS_SLACK, reward=reward_cfg)
     r_base, r_agent, r_oracle = [], [], []
     for sc in test_scen:
-        state, rb, _ = env_step(step_cfg, sc, np.zeros(1))
-        _, ra, _ = env_step(step_cfg, sc, ddpg.act(nets, state))
+        cond = conditions(step_cfg, sc)
+        state, rb, _ = env_step(step_cfg, cond, np.zeros(1))
+        _, ra, _ = env_step(step_cfg, cond, ddpg.act(nets, state))
         _, rstar = oracle_best_action(step_cfg, sc, n_grid=201)
         r_base.append(rb)
         r_agent.append(ra)

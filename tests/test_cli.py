@@ -246,7 +246,7 @@ def test_checkpoint_arrays_nothing_reads_exit_2(tmp_path, workspace):
         assert main([command, "--config", cfg, "--out", str(tmp_path / name)]) == 2, name
 
 
-def test_error_exit_codes(tmp_path, workspace):
+def test_error_exit_codes(tmp_path, workspace, capsys):
     assert main(["gen-scenarios", "--config", str(tmp_path / "missing.json"),
                  "--out", str(tmp_path / "o1")]) == 2
 
@@ -484,6 +484,28 @@ def test_error_exit_codes(tmp_path, workspace):
         cfg = write_config(tmp_path / f"section{i}.json", **{**BASE, **entries})
         assert main([command, "--config", cfg,
                      "--out", str(tmp_path / f"s{i}")]) == 2, (command, entries)
+
+    # a zero b2 -> b3 impedance passes validation, but no admittance can be
+    # built for it: train-agent reported that as an abort in its first episode
+    singular_doc = json.loads(json.dumps(feeder_doc))
+    for row in singular_doc["lines"][1]["z_ohm"]:
+        for entry in row:
+            entry.update(re=0.0, im=0.0)
+    singular = tmp_path / "feeder_singular.json"
+    singular.write_text(json.dumps(singular_doc))
+    singular_base = {**BASE, "feeder": str(singular)}
+    gen_cfg = write_config(tmp_path / "gen_singular.json", **singular_base,
+                           scenario={**SCEN, "count": 5})
+    assert main(["gen-scenarios", "--config", gen_cfg,
+                 "--out", str(tmp_path / "gen_singular")]) == 0
+    capsys.readouterr()
+    for command in ("train-agent", "oracle", "train-dsse"):
+        cfg = write_config(tmp_path / f"singular_{command}.json", **singular_base,
+                           scenario_file=str(tmp_path / "gen_singular" / "scenarios.csv"))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / f"sg_{command}")]) == 2
+        err = capsys.readouterr().err
+        assert "line b2->b3 has a singular impedance matrix" in err, (command, err)
+        assert "aborted in episode" not in err, (command, err)
 
 
 def test_unwritable_artifact_exits_2(tmp_path, workspace, capsys):

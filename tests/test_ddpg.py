@@ -346,6 +346,20 @@ def test_train_episode_steps(train_setup, monkeypatch):
     assert not any(terminals)
 
 
+def test_train_builds_conditions_once_per_episode(train_setup, monkeypatch):
+    env_cfg, scenarios = train_setup
+    seen = []
+    real = ddpg.conditions
+
+    def counting(cfg, scenario):
+        seen.append(scenario)
+        return real(cfg, scenario)
+
+    monkeypatch.setattr(ddpg, "conditions", counting)
+    train(env_cfg, scenarios, quick_cfg(episodes=3, horizon=5))
+    assert len(seen) == 3 and {id(sc) for sc in seen} <= {id(sc) for sc in scenarios}
+
+
 def test_train_raises_on_infeasible_start(feeder2):
     # 40 p.u. behind a j0.1 p.u. line diverges even with idle inverters
     sc = Scenario(id=0, p_load=np.array([40.0]), q_load=np.array([10.0]),

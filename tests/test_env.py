@@ -1,13 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FOURBUS_SLACK, fourbus_gen
+from conftest import FOURBUS_SLACK, SYNTH34_SLACK, fourbus_gen, synth34_gen
 from gridpilot.env import (
     DIVERGENCE_PENALTY_PER_NODE,
     EnvConfig,
     RewardConfig,
+    conditions,
     curtailment_barrier,
     env_step,
     map_action,
@@ -17,7 +20,9 @@ from gridpilot.env import (
     reward,
     voltage_barrier,
 )
-from gridpilot.scenario import generate_scenario_set
+from gridpilot.feeder import LoadPoint, PvUnit, validate_feeder
+from gridpilot.powerflow import PowerFlowDivergedError, feeder_head_measurement, solve_power_flow
+from gridpilot.scenario import Scenario, generate_scenario_set, to_injections
 
 
 # --- equation unit values (hand-computable) ---------------------------------
@@ -172,7 +177,7 @@ def env4_setup():
 def test_env_step_info_consistency(env4_setup):
     feeder, cfg, sset = env4_setup
     sc = sset.scenarios[0]
-    state, r, info = env_step(cfg, sc, np.array([-0.4]))
+    state, r, info = env_step(cfg, conditions(cfg, sc), np.array([-0.4]))
     assert sorted(info) == ["iterations", "measurement", "solution", "terminal"]
     assert not info["terminal"]
     assert state.shape == (feeder.n_node_phases,)
@@ -187,7 +192,7 @@ def test_env_step_info_consistency(env4_setup):
 
 def test_env_step_head_power_sign(env4_setup):
     feeder, cfg, sset = env4_setup
-    _, _, info = env_step(cfg, sset.scenarios[0], np.array([0.0]))
+    _, _, info = env_step(cfg, conditions(cfg, sset.scenarios[0]), np.array([0.0]))
     v, adm = info["solution"].v_complex, feeder.admittance
     head = v[adm.slack] * np.conj((adm.g + 1j * adm.b)[adm.slack] @ v)
     # loads dominate PV on this fixture; the head supplies real power
@@ -196,9 +201,10 @@ def test_env_step_head_power_sign(env4_setup):
 
 def test_absorption_lowers_peak_voltage(env4_setup):
     _, cfg, sset = env4_setup
+    cond = conditions(cfg, sset.scenarios[1])
     peaks = []
     for a in (0.4, 0.0, -0.5, -1.0):
-        state, _, _ = env_step(cfg, sset.scenarios[1], np.array([a]))
+        state, _, _ = env_step(cfg, cond, np.array([a]))
         peaks.append(state.max())
     assert peaks[0] > peaks[1] > peaks[2] > peaks[3]
 
@@ -209,7 +215,7 @@ def test_divergence_penalty_and_placeholder(feeder2):
     # 40 p.u. behind a j0.1 p.u. line is far beyond loadability
     sc = Scenario(id=0, p_load=np.array([40.0]), q_load=np.array([10.0]),
                   p_pv=np.zeros(0))
-    state, r, info = env_step(cfg, sc, np.zeros(1))
+    state, r, info = env_step(cfg, conditions(cfg, sc), np.zeros(1))
     assert info["terminal"]
     assert sorted(info) == ["iterations", "residual", "terminal"]
     assert r == DIVERGENCE_PENALTY_PER_NODE * feeder2.n_node_phases
@@ -217,14 +223,15 @@ def test_divergence_penalty_and_placeholder(feeder2):
 
 
 def test_out_of_range_pv_raises_on_a_diverging_step(env4_setup):
+    # conditions refuses the scenario before any step, even one that diverges
     _, cfg, sset = env4_setup
     from gridpilot.scenario import Scenario
     sc = sset.scenarios[0]
     heavy = Scenario(id=0, p_load=sc.p_load * 1e3, q_load=sc.q_load, p_pv=sc.p_pv)
-    assert env_step(cfg, heavy, np.zeros(1))[2]["terminal"]
+    assert env_step(cfg, conditions(cfg, heavy), np.zeros(1))[2]["terminal"]
     heavy.p_pv = cfg.s_rated * 2.0
     with pytest.raises(ValueError, match="outside"):
-        env_step(cfg, heavy, np.zeros(1))
+        conditions(cfg, heavy)
 
 
 def test_env_config_validation(feeder4):
@@ -244,18 +251,91 @@ def test_measurement_noise_flows_through_env(env4_setup):
     feeder, _, sset = env4_setup
     cfg = EnvConfig(feeder=feeder, estimator=None, measurement_noise_pct=1.0,
                     slack_voltage=FOURBUS_SLACK)
-    sc = sset.scenarios[0]
-    m1 = env_step(cfg, sc, np.zeros(1),
+    cond = conditions(cfg, sset.scenarios[0])
+    m1 = env_step(cfg, cond, np.zeros(1),
                   rng=np.random.default_rng(1))[2]["measurement"]
-    m2 = env_step(cfg, sc, np.zeros(1),
+    m2 = env_step(cfg, cond, np.zeros(1),
                   rng=np.random.default_rng(2))[2]["measurement"]
     clean_cfg = EnvConfig(feeder=feeder, estimator=None,
                           slack_voltage=FOURBUS_SLACK)
-    m0 = env_step(clean_cfg, sc, np.zeros(1))[2]["measurement"]
+    m0 = env_step(clean_cfg, cond, np.zeros(1))[2]["measurement"]
     assert m1.shape == (12,) and not np.array_equal(m1, m2)
     # 1% noise: perturbations are small relative to the clean phasors
     rel = np.abs(m1 - m0)
     assert rel.max() < 0.1
     # true voltages are untouched by measurement noise
-    v1 = env_step(cfg, sc, np.zeros(1), rng=np.random.default_rng(3))[0]
-    assert np.array_equal(v1, env_step(clean_cfg, sc, np.zeros(1))[0])
+    v1 = env_step(cfg, cond, np.zeros(1), rng=np.random.default_rng(3))[0]
+    assert np.array_equal(v1, env_step(clean_cfg, cond, np.zeros(1))[0])
+
+
+# --- conditions ----------------------------------------------------------------
+
+def per_step_reference(cfg, scenario, action):
+    """A step that rebuilds the scenario's injections and curtailment limits
+    on every call: (magnitudes, reward, iterations, solution, measurement),
+    or None where the solve diverges."""
+    adm = cfg.feeder.admittance
+    q_set = map_action(action, cfg.q_rated, cfg.zone_map)
+    inj = to_injections(adm, scenario, q_pv=q_set)
+    q_max = q_max_vector(cfg.s_rated, scenario.p_pv)
+    try:
+        sol = solve_power_flow(cfg.feeder, adm, inj, slack_voltage=cfg.slack_voltage)
+    except PowerFlowDivergedError:
+        return None
+    r = reward(sol.v_mag, q_set, q_max, cfg.reward)
+    return sol.v_mag, r, sol.iterations, sol, feeder_head_measurement(adm, sol)
+
+
+def assert_steps_match_per_step_reference(cfg, scenario, actions):
+    cond = conditions(cfg, scenario)
+    for action in actions:
+        state, r, info = env_step(cfg, cond, action)
+        ref = per_step_reference(cfg, scenario, action)
+        assert info["terminal"] == (ref is None)
+        if ref is None:
+            continue
+        v_mag, r_ref, iterations, sol, meas = ref
+        assert state.tobytes() == v_mag.tobytes()
+        assert (r, info["iterations"]) == (r_ref, iterations)
+        assert info["solution"].v_complex.tobytes() == sol.v_complex.tobytes()
+        assert info["measurement"].tobytes() == meas.tobytes()
+
+
+def test_env_step_bit_equal_to_per_step_injections_on_synth34_oracle_grid(feeder34):
+    cfg = EnvConfig(feeder=feeder34, slack_voltage=SYNTH34_SLACK)
+    scenario = generate_scenario_set(feeder34, synth34_gen(1), seed=901).scenarios[0]
+    actions = [np.array([a]) for a in np.linspace(-1.0, 1.0, 201)]
+    assert_steps_match_per_step_reference(cfg, scenario, actions)
+
+
+def test_env_step_bit_equal_to_per_step_injections_sharing_a_node_phase(feeder4):
+    # test_scenario's feeder: two loads and two pv units on b2.B, so the
+    # reactive setpoints of units that share a node-phase sum in feeder order
+    loads = feeder4.loads + [LoadPoint("b2", "B", 0.1, 0.02), LoadPoint("b2", "B", 0.3, 0.1)]
+    pv_units = feeder4.pv_units + [PvUnit("b2", "B", 0.5, 0.4), PvUnit("b2", "B", 0.3, 0.3)]
+    feeder = dataclasses.replace(feeder4, loads=loads, pv_units=pv_units, fingerprint="")
+    assert not validate_feeder(feeder)
+    cfg = EnvConfig(feeder=feeder, slack_voltage=FOURBUS_SLACK)
+    rng = np.random.default_rng(8)
+    actions = [np.array([a]) for a in np.linspace(-1.0, 1.0, 21)]
+    for _ in range(10):
+        # magnitudes spread over decades, so summation order shows in the bits
+        scenario = Scenario(id=0, p_load=0.1 * 10.0 ** rng.uniform(-6, 0, len(loads)),
+                            q_load=0.1 * 10.0 ** rng.uniform(-6, 0, len(loads)),
+                            p_pv=cfg.s_rated * 10.0 ** rng.uniform(-6, 0, len(pv_units)))
+        assert_steps_match_per_step_reference(cfg, scenario, actions)
+
+
+def test_conditions_are_read_only(env4_setup):
+    _, cfg, sset = env4_setup
+    cond = conditions(cfg, sset.scenarios[0])
+    arrays = (cond.injections.p, cond.injections.q, cond.q_max)
+    before = [a.copy() for a in arrays]
+    env_step(cfg, cond, np.array([0.7]))
+    for arr, old in zip(arrays, before):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+        assert np.array_equal(arr, old)  # a step leaves them as they were
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cond.q_max = np.zeros(1)

@@ -11,6 +11,7 @@ from gridpilot.errors import (
     DanglingReferenceError,
     FeederSchemaError,
     FeederTopologyError,
+    NumericalError,
 )
 from gridpilot.feeder import (
     Bus,
@@ -360,3 +361,63 @@ def test_admittance_matches_reference_assembly_on_random_feeders(tmp_path):
         data = bfs_oracle.random_radial_feeder_dict(rng, max_buses=12)
         assert_admittance_matches_reference(
             load_feeder(bfs_oracle.write_feeder(data, tmp_path / f"f{case}.json")))
+
+
+def assert_flat_bound_holds(feeder):
+    """``flat_bound``'s premise: at the flat start V = sigma * unit, the free
+    rows of Y V and the mismatch term V_f conj((Y V)_f) stay within
+    sigma**2 * flat_bound."""
+    adm = build_admittance(feeder)
+    assert math.isfinite(adm.flat_bound)
+    for sigma in (0.9, 1.0, 1.045, 1.1):
+        v = sigma * adm.unit
+        current = (adm.y @ v)[adm.free]
+        bound = sigma * sigma * adm.flat_bound
+        assert np.abs(current).max(initial=0.0) <= bound, sigma
+        assert np.abs(v[adm.free] * np.conj(current)).max(initial=0.0) <= bound, sigma
+
+
+@pytest.mark.parametrize("name", ["2bus", "4bus", "synth34"])
+def test_flat_bound_covers_the_flat_start_on_bundled_feeders(name):
+    assert_flat_bound_holds(load_feeder(builtin_feeder_path(name)))
+
+
+def test_flat_bound_covers_the_flat_start_on_random_feeders(tmp_path):
+    # the feeders of test_admittance_matches_reference_assembly_on_random_feeders
+    rng = np.random.default_rng(5)
+    for case in range(60):
+        data = bfs_oracle.random_radial_feeder_dict(rng, max_buses=12)
+        assert_flat_bound_holds(
+            load_feeder(bfs_oracle.write_feeder(data, tmp_path / f"f{case}.json")))
+
+
+def fourbus_with_line_impedance(tmp_path, z_ohm):
+    """4bus with the b2 -> b3 line's two-phase impedance replaced."""
+    data = json.loads(builtin_feeder_path("4bus").read_text())
+    line = data["lines"][1]
+    assert (line["from"], line["to"]) == ("b2", "b3")
+    line["z_ohm"] = [[{"re": z.real, "im": z.imag} for z in row] for row in z_ohm]
+    return load_feeder(write(tmp_path, data))
+
+
+def test_admittance_refuses_a_singular_line(tmp_path):
+    # an all-zero impedance passes validation; only the inverse fails
+    feeder = fourbus_with_line_impedance(tmp_path, np.zeros((2, 2), dtype=complex))
+    assert not validate_feeder(feeder)
+    with pytest.raises(NumericalError, match="^line b2->b3 has a singular impedance matrix$"):
+        build_admittance(feeder)
+
+
+def test_admittance_refuses_a_line_that_inverts_to_infinity(tmp_path):
+    # a subnormal per-unit diagonal inverts to inf without a LAPACK error
+    feeder = fourbus_with_line_impedance(tmp_path, np.diag([1e-320, 1e-320]).astype(complex))
+    assert not validate_feeder(feeder)
+    with pytest.raises(NumericalError, match="^line b2->b3 produced non-finite admittance$"):
+        build_admittance(feeder)
+
+
+def test_flat_bound_is_infinite_past_1e150(tmp_path):
+    # beyond that row sum, Y V could overflow at a slack voltage whose
+    # square is finite, so the solver must never skip the flat start's check
+    feeder = fourbus_with_line_impedance(tmp_path, np.diag([1e-160, 1e-160]).astype(complex))
+    assert build_admittance(feeder).flat_bound == math.inf

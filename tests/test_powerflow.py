@@ -11,6 +11,7 @@ from gridpilot.errors import PowerFlowDivergedError
 from gridpilot.feeder import build_admittance, builtin_feeder_path, load_feeder
 from gridpilot.powerflow import (
     MAX_ITER,
+    SCREEN,
     TOL,
     InjectionSet,
     feeder_head_measurement,
@@ -337,6 +338,59 @@ def test_nan_injection_diverges_at_first_check(feeder4, admittance4, part):
         solve_power_flow(feeder4, admittance4, inj)
     assert exc_info.value.iterations == 0
     assert not math.isfinite(exc_info.value.residual)
+
+
+@pytest.mark.parametrize("part", ["p", "q"])
+def test_inf_injection_diverges_at_first_check(feeder4, admittance4, part):
+    # an infinite injection is infinite in the flat-start screen too, so the
+    # exact check runs and raises before any update, as the reference loop does
+    inj = nominal_injections(feeder4, admittance4)
+    getattr(inj, part)[admittance4.free[1]] = np.inf
+    with pytest.raises(PowerFlowDivergedError) as exc_info:
+        solve_power_flow(feeder4, admittance4, inj)
+    assert exc_info.value.iterations == 0
+    assert not math.isfinite(exc_info.value.residual)
+    with np.errstate(invalid="ignore"):  # the reference loop forms 1j * inf bare
+        assert not assert_solve_matches_reference(feeder4, admittance4, inj)
+
+
+def largest_free_injection(adm, inj):
+    return np.abs((inj.p + 1j * inj.q)[adm.free].view(np.float64)).max()
+
+
+@pytest.mark.parametrize("name", ["4bus", "synth34"])
+@pytest.mark.parametrize("slack_voltage", [1.0, SYNTH34_SLACK])
+def test_flat_start_screen_edge_matches_reference_loop(name, slack_voltage):
+    # the flat start skips its exact check only where the largest |P| or |Q|
+    # injection is at least SCREEN + slack_voltage**2 * flat_bound; scaled to
+    # sit just below and just above that edge, both solves keep every bit
+    feeder = load_feeder(builtin_feeder_path(name))
+    adm = build_admittance(feeder)
+    inj = nominal_injections(feeder, adm)
+    edge = SCREEN + slack_voltage * slack_voltage * adm.flat_bound
+    for side in (1 - 1e-9, 1 + 1e-9):
+        scale = side * edge / largest_free_injection(adm, inj)
+        scaled = InjectionSet(p=scale * inj.p, q=scale * inj.q)
+        assert (largest_free_injection(adm, scaled) < edge) == (side < 1)
+        assert assert_solve_matches_reference(feeder, adm, scaled, slack_voltage)
+
+
+@pytest.mark.parametrize("case", ["zero", "tiny", "minus_inf", "slack_square_overflows"])
+def test_flat_start_check_cases_match_reference_loop(feeder4, admittance4, case):
+    # each of these takes the flat start's exact check: a screen below SCREEN,
+    # or one that is not finite
+    inj = nominal_injections(feeder4, admittance4)
+    slack_voltage = 1.0
+    if case == "zero":
+        inj = InjectionSet(p=np.zeros(admittance4.size), q=np.zeros(admittance4.size))
+    elif case == "tiny":
+        inj = InjectionSet(p=1e-12 * inj.p, q=1e-12 * inj.q)
+    elif case == "minus_inf":
+        inj.p[admittance4.free[2]] = -np.inf
+    else:
+        slack_voltage = 1e160  # its square is inf
+    converged = case in ("zero", "tiny")
+    assert assert_solve_matches_reference(feeder4, admittance4, inj, slack_voltage) == converged
 
 
 def test_head_measurement_matches_solution(feeder4, admittance4):

@@ -6,7 +6,7 @@ import pytest
 from conftest import FOURBUS_SLACK, fourbus_gen, synth34_gen
 from gridpilot import ddpg, env, nn, runtime
 from gridpilot.dsse import DsseModel, estimate_states
-from gridpilot.env import EnvConfig, env_step
+from gridpilot.env import EnvConfig, conditions, env_step
 from gridpilot.errors import (
     InfeasibleScenarioError,
     ModelMismatchError,
@@ -61,7 +61,7 @@ def estimated_actions(feeder, nets, dsse, scenarios):
     zero = np.zeros(1)
     actions = []
     for sc in scenarios:
-        meas = env_step(cfg, sc, zero)[2]["measurement"]
+        meas = env_step(cfg, conditions(cfg, sc), zero)[2]["measurement"]
         actions.append(ddpg.act(nets, estimate_states(dsse, meas).v_mag))
     return cfg, actions
 
@@ -96,8 +96,26 @@ def test_oracle_absorbs_on_overvoltage_fixture(feeder4, scenarios4):
     assert -1.0 <= a < 0.0
     for probe in (0.0, -1.0, 1.0):
         cfg = system(feeder4)
-        _, r_probe, _ = env_step(cfg, scenarios4[0], np.array([probe]))
+        _, r_probe, _ = env_step(cfg, conditions(cfg, scenarios4[0]), np.array([probe]))
         assert r >= r_probe
+
+
+def test_oracle_and_control_cycle_build_conditions_once_per_scenario(
+        feeder4, scenarios4, nets4, monkeypatch):
+    seen = []
+    real = runtime.conditions
+
+    def counting(cfg, scenario):
+        seen.append(scenario.id)
+        return real(cfg, scenario)
+
+    monkeypatch.setattr(runtime, "conditions", counting)
+    for sc in scenarios4[:3]:
+        oracle_best_action(system(feeder4), sc, n_grid=11)
+    assert seen == [sc.id for sc in scenarios4[:3]]
+    seen.clear()
+    evaluate(nets4, system(feeder4), scenarios4[:4])
+    assert seen == [sc.id for sc in scenarios4[:4]]
 
 
 def test_oracle_tie_breaks_toward_idle(feeder2):
@@ -134,10 +152,11 @@ def test_oracle_beats_any_snapped_policy_action(feeder4, scenarios4, nets4):
     cfg = system(feeder4)
     grid = np.linspace(-1.0, 1.0, 201)
     for sc in scenarios4[:5]:
-        state, _, _ = env_step(cfg, sc, np.zeros(1))
+        cond = conditions(cfg, sc)
+        state, _, _ = env_step(cfg, cond, np.zeros(1))
         agent_a = ddpg.act(nets4, state)[0]
         snapped = grid[np.argmin(np.abs(grid - agent_a))]
-        _, r_snap, _ = env_step(cfg, sc, np.array([snapped]))
+        _, r_snap, _ = env_step(cfg, cond, np.array([snapped]))
         _, r_star = oracle_best_action(cfg, sc)
         assert r_star >= r_snap
 
@@ -213,7 +232,7 @@ def test_run_online_records_come_from_the_controlled_solve(feeder4, nets4, scena
     head = [adm.index_map[(source.id, ph)] for ph in source.phases]
     assert sum(rec.violations for rec in run.records) > 0
     for rec, sc in zip(run.records, scenarios4, strict=True):
-        state, r, info = env_step(cfg, sc, rec.action)
+        state, r, info = env_step(cfg, conditions(cfg, sc), rec.action)
         v = info["solution"].v_complex
         current = adm.g[head] @ v + 1j * (adm.b[head] @ v)
         s_head = v[head] * np.conj(current)
@@ -395,7 +414,7 @@ def test_evaluate_report_contents(feeder4, nets4, scenarios4):
     assert [row[:2] for row in profile] == [(f"{b}.{ph}", ph) for b, ph in feeder4.node_phases()]
     assert profile[0][0] == "src.A"
     assert all(type(c) is float for row in profile for c in row[2:])
-    v_idle = np.stack([env_step(cfg, sc, np.zeros(1))[0] for sc in scenarios4])
+    v_idle = np.stack([env_step(cfg, conditions(cfg, sc), np.zeros(1))[0] for sc in scenarios4])
     baseline = np.array([row[2:4] for row in profile])
     assert np.array_equal(baseline, np.column_stack([v_idle.mean(axis=0), v_idle.std(axis=0)]))
 
@@ -407,7 +426,8 @@ def test_evaluate_estimator_observed(feeder4, nets4, scenarios4):
     # the controlled profile is the one the estimate-driven actions produce,
     # and it differs from the profile under perfect-state actions
     cfg, expected = estimated_actions(feeder4, nets4, dsse, scenarios4[:5])
-    v = np.stack([env_step(cfg, sc, a)[0] for sc, a in zip(scenarios4[:5], expected)])
+    v = np.stack([env_step(cfg, conditions(cfg, sc), a)[0]
+                  for sc, a in zip(scenarios4[:5], expected)])
     v_mean_controlled = np.array([row[4] for row in profile])
     assert np.array_equal(v_mean_controlled, v.mean(axis=0))
     _, perfect, _ = evaluate(nets4, cfg, scenarios4[:5])
@@ -458,8 +478,9 @@ def test_evaluate_applies_zone_map(feeder34):
     # the controlled profile is the one the per-zone actions produce
     v = []
     for sc in sset:
-        state, _, _ = env_step(cfg, sc, np.zeros(3))
+        cond = conditions(cfg, sc)
+        state, _, _ = env_step(cfg, cond, np.zeros(3))
         action = ddpg.act(nets, state)
         assert len(set(action)) == 3
-        v.append(env_step(cfg, sc, action)[0])
+        v.append(env_step(cfg, cond, action)[0])
     assert np.array_equal([row[4] for row in profile], np.stack(v).mean(axis=0))

@@ -7,7 +7,9 @@ acceptance criterion 9 runs (scenarios, estimator, agent, then evaluate,
 run-online and oracle on them), plus four runs that observe through the
 trained estimator at 1% measurement noise: train-agent, evaluate, run-online
 without fine-tuning, and run-online with a monitor that fine-tunes every ten
-steps. Two more gen-scenarios runs write 300 synth34 scenarios each, with
+steps. One more train-agent run, sized like the estimator one, explores
+with the Ornstein-Uhlenbeck process, which no other run takes. Two more
+gen-scenarios runs write 300 synth34 scenarios each, with
 the benchmark's scenario ranges at two and three households per node: a
 third of synth34's PV units share no node-phase with a load point and draw
 their own households, which 4bus exercises for one unit only. Last, the
@@ -71,6 +73,9 @@ def run_chain(out: str, config_dir: str) -> None:
     # a reference reward no window reaches: a fine-tune every `window` steps
     run("run-online", "run-online-fine-tune", **deployed,
         apr={"reference_reward": 0.0, "degradation_threshold": 1e-9, "window": 10})
+    run("train-agent", "train-agent-ou", scenario_file=scen_csv,
+        train={"episodes": 4, "horizon": 5, "batch_size": 8, "buffer_capacity": 64,
+               "noise_process": "ou"})
 
     for households in (2, 3):
         run("gen-scenarios", f"gen-scenarios-synth34-h{households}", **SYNTH34,

@@ -4,8 +4,9 @@ Actor maps the voltage-magnitude state vector to one coefficient per zone
 through relu/tanh hidden layers and a tanh output (so actions respect
 [-1, 1] before any clamping). The critic scores (state, action) with the
 action appended to the state vector. Targets are soft-updated copies.
-``train`` runs its episodes on an ``env.EnvConfig``: ``env.conditions``,
-an idle start, then ``act`` -> ``env_step`` -> ``observe`` for up to
+``act`` alone is the deployed policy; ``train`` draws the exploration. It
+runs its episodes on an ``env.EnvConfig``: ``env.conditions``, an idle
+start, then ``act`` plus noise -> ``env_step`` -> ``observe`` for up to
 ``TrainConfig.horizon`` steps. It is strictly sequential on one RNG stream
 (exploration, measurement noise, replay sampling), so a (seed, config,
 scenarios) triple pins the whole trajectory bit-for-bit. A checkpoint
@@ -135,35 +136,9 @@ class ReplayBuffer:
                 "s2": self.s2[idx], "terminal": self.terminal[idx]}
 
 
-class OuNoise:
-    """Ornstein-Uhlenbeck process pulled toward zero, one state per episode."""
-
-    def __init__(self, dim: int, theta: float, sigma: float):
-        self.theta = theta
-        self.sigma = sigma
-        self.x = np.zeros(dim)
-
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        self.x += self.theta * (0.0 - self.x) + self.sigma * rng.standard_normal(self.x.shape)
-        return self.x
-
-
-def act(nets: AgentNets, state: np.ndarray, sigma: float = 0.0,
-        rng: np.random.Generator | None = None,
-        noise: OuNoise | None = None) -> np.ndarray:
-    """Zone coefficients of the policy plus optional exploration noise, in [-1, 1]."""
-    if state.shape[0] != nets.actor.input_dim:
-        raise ModelMismatchError(
-            f"state has {state.shape[0]} entries, actor expects {nets.actor.input_dim}")
-    out, _ = nn.forward(nets.actor, state[None, :])
-    a = out[0]
-    if noise is not None:
-        a = a + noise.sample(rng)
-    elif sigma > 0.0:
-        if rng is None:
-            raise ValueError("sigma > 0 requires an rng")
-        a = a + rng.normal(0.0, sigma, size=a.shape)
-    return np.clip(a, -1.0, 1.0)
+def act(nets: AgentNets, state: np.ndarray) -> np.ndarray:
+    """The deployed policy: the actor's zone coefficients in [-1, 1], no exploration."""
+    return np.clip(nn.forward(nets.actor, state[None, :])[0][0], -1.0, 1.0)
 
 
 def td_loss(nets: AgentNets, batch: dict, gamma: float) -> tuple[float, np.ndarray]:
@@ -232,11 +207,13 @@ def train(env_cfg: EnvConfig, scenarios, cfg: TrainConfig,
     Each episode draws one scenario and its conditions, fixed: an idle start
     (``env.idle_step``, which raises InfeasibleScenarioError if the scenario
     diverges), then up to ``cfg.horizon`` steps, ending early on a terminal
-    (diverged) step. One critic and one actor update per environment step
-    once the buffer holds enough transitions; exploration sigma anneals
-    linearly across episodes. Returns the nets and the
-    cumulative-reward-per-episode series. On a non-finite loss the run
-    aborts with TrainingError carrying the episode in ``epoch``.
+    (diverged) step. Each action is ``act``'s plus exploration noise, clipped:
+    Gaussian, or an Ornstein-Uhlenbeck process restarted each episode, with
+    sigma from ``sigma_schedule``. One critic and one actor update per step
+    once the buffer holds enough transitions. Returns the nets and the
+    cumulative-reward-per-episode series. Raises TrainingError on an empty
+    scenario set, or on a NumericalError (non-finite loss or gradient) with
+    the episode in ``epoch``.
 
     ``nets`` starts from an existing agent (fine-tuning);
     ``critic_freeze_updates`` skips the first N critic updates (fine-tune
@@ -260,14 +237,18 @@ def train(env_cfg: EnvConfig, scenarios, cfg: TrainConfig,
     for episode in range(cfg.episodes):
         sigma = sigma_schedule(cfg, episode)
         cond = conditions(env_cfg, scenario_list[rng.integers(len(scenario_list))])
-        ou = OuNoise(nets.action_dim, cfg.noise_mu, sigma) \
-            if cfg.noise_process == "ou" else None
+        ou = np.zeros(nets.action_dim)  # the OU process's state, restarted each episode
         try:
             true_state, _, info = idle_step(env_cfg, cond, rng)
             state = observe(env_cfg.estimator, true_state, info)
             cum_reward = 0.0
             for _ in range(cfg.horizon):
-                action = act(nets, state, sigma=sigma, rng=rng, noise=ou)
+                action = act(nets, state)
+                if cfg.noise_process == "ou":
+                    ou += cfg.noise_mu * (0.0 - ou) + sigma * rng.standard_normal(ou.shape)
+                    action = np.clip(action + ou, -1.0, 1.0)
+                elif sigma > 0.0:
+                    action = np.clip(action + rng.normal(0.0, sigma, size=action.shape), -1.0, 1.0)
                 true_state, r, info = env_step(env_cfg, cond, action, rng=rng)
                 next_state = observe(env_cfg.estimator, true_state, info)
                 buffer.push(state, action, r, next_state, info["terminal"])

@@ -38,11 +38,11 @@ class PowerFlowDivergedError(GridPilotError):
 
 
 class DatasetError(GridPilotError):
-    """Unusable scenario data: generator config, CSV, sidecar, split or DSSE training set."""
+    """Unusable scenario data: generator config, CSV, sidecar, split, unfit Scenario or DSSE set."""
 
 
 class TrainingError(GridPilotError):
-    """Loss became non-finite during training."""
+    """No scenarios to train on, or a non-finite loss or gradient (a wrapped NumericalError)."""
 
     def __init__(self, message, epoch=None):
         self.epoch = epoch

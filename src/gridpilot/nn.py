@@ -34,6 +34,7 @@ from .fileio import write_atomic
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.9  # running = momentum * running + (1 - momentum) * batch
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
 
 _ACTIVATIONS = ("relu", "tanh", "identity")
 
@@ -303,9 +304,6 @@ BLOCK_SIZE = 1 << 15
 @dataclass
 class AdamState:
     learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step: int = 0
     m: np.ndarray | None = None  # first and second moments, laid out like params
     v: np.ndarray | None = None
@@ -328,8 +326,8 @@ def adam_step(state: AdamState, model: MlpModel, grad: np.ndarray) -> None:
         state.m = np.zeros_like(params)
         state.v = np.zeros_like(params)
     m, v = state.m, state.v
-    correction1 = 1.0 - state.beta1**t
-    correction2 = 1.0 - state.beta2**t
+    correction1 = 1.0 - ADAM_BETA1**t
+    correction2 = 1.0 - ADAM_BETA2**t
     scratch = np.empty(min(BLOCK_SIZE, params.size))
     for start in range(0, params.size, BLOCK_SIZE):
         block = slice(start, start + BLOCK_SIZE)
@@ -337,18 +335,18 @@ def adam_step(state: AdamState, model: MlpModel, grad: np.ndarray) -> None:
         tmp = scratch[:g.size]
         # one elementwise operation a line, in the order of m = b1 m + (1 - b1) g,
         # v = b2 v + ((1 - b2) g) g, p -= (lr (m / c1)) / (sqrt(v / c2) + eps)
-        np.multiply(g, 1 - state.beta2, out=tmp)
+        np.multiply(g, 1 - ADAM_BETA2, out=tmp)
         tmp *= g
-        vb *= state.beta2
+        vb *= ADAM_BETA2
         vb += tmp
-        g *= 1 - state.beta1
-        mb *= state.beta1
+        g *= 1 - ADAM_BETA1
+        mb *= ADAM_BETA1
         mb += g
         np.divide(mb, correction1, out=g)
         g *= state.learning_rate
         np.divide(vb, correction2, out=tmp)
         np.sqrt(tmp, out=tmp)
-        tmp += state.epsilon
+        tmp += ADAM_EPSILON
         g /= tmp
         pb -= g
 

@@ -333,7 +333,13 @@ def to_injections(admittance: AdmittanceMatrix, scenario: Scenario,
     (generation); source-bus entries stay zero, the slack balances them.
     ``np.add.at``/``np.subtract.at`` are unbuffered and run in element
     order, so node-phases shared by several elements sum in feeder order.
+    Raises DatasetError unless the arrays match the feeder's loads and PV units.
     """
+    n_load, n_pv = admittance.load_rows.size, admittance.pv_rows.size
+    shapes = (np.shape(scenario.p_load), np.shape(scenario.q_load), np.shape(scenario.p_pv))
+    if shapes != ((n_load,), (n_load,), (n_pv,)):
+        raise DatasetError(f"scenario {scenario.id} has p_load, q_load, p_pv shapes {shapes}; "
+                           f"the feeder has {n_load} loads and {n_pv} pv units")
     p = np.zeros(admittance.size)
     q = np.zeros(admittance.size)
     np.add.at(p, admittance.load_rows, scenario.p_load)

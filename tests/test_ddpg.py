@@ -7,7 +7,6 @@ from conftest import FOURBUS_SLACK, fourbus_gen
 from gridpilot import ddpg, env, nn
 from gridpilot.ddpg import (
     AgentNets,
-    OuNoise,
     ReplayBuffer,
     TrainConfig,
     act,
@@ -244,20 +243,19 @@ def test_sigma_schedule_endpoints():
 
 
 def test_act_clamps_and_validates():
-    nets = small_nets()
+    # an identity output far past [-1, 1]: only act's own clip bounds it
+    big = nn.build_mlp([4, 3], ["identity"], np.random.default_rng(6))
+    big.layers[0].W *= 100.0
+    nets = replace(small_nets(), actor=big)
     state = np.ones(4)
-    rng = np.random.default_rng(6)
-    for _ in range(20):
-        a = act(nets, state, sigma=5.0, rng=rng)
-        assert np.all(np.abs(a) <= 1.0)
-    with pytest.raises(ValueError, match="requires an rng"):
-        act(nets, state, sigma=0.5)
+    out, _ = nn.forward(big, state[None, :])
+    a = act(nets, state)
+    assert np.abs(out).max() > 1.0
+    assert np.array_equal(a, np.clip(out[0], -1.0, 1.0))
     with pytest.raises(ModelMismatchError):
         act(nets, np.ones(7))
-    # deterministic without noise
-    a1 = act(nets, state)
-    a2 = act(nets, state)
-    assert np.array_equal(a1, a2)
+    # deterministic: the deployed policy draws nothing
+    assert np.array_equal(act(nets, state), a)
 
 
 def test_act_leaves_nets_untouched():
@@ -265,20 +263,12 @@ def test_act_leaves_nets_untouched():
     before = [{k: v.copy() for k, v in nn.model_to_arrays(getattr(nets, name))[0].items()}
               for name in ddpg.NET_NAMES]
     first = act(nets, np.linspace(0.9, 1.1, 5))
-    act(nets, np.ones(5), sigma=0.3, rng=np.random.default_rng(4))
+    act(nets, np.ones(5))
     assert np.array_equal(act(nets, np.linspace(0.9, 1.1, 5)), first)
     for name, arrays in zip(ddpg.NET_NAMES, before):
         after, _ = nn.model_to_arrays(getattr(nets, name))
         assert after.keys() == arrays.keys()
         assert all(np.array_equal(after[k], arrays[k]) for k in arrays), name
-
-
-def test_ou_noise_mean_reversion():
-    noise = OuNoise(1, theta=0.2, sigma=0.0)
-    noise.x = np.array([1.0])
-    rng = np.random.default_rng(0)
-    values = [noise.sample(rng)[0] for _ in range(5)]
-    assert np.allclose(values, [0.8 ** (k + 1) for k in range(5)])
 
 
 # --- training loop ------------------------------------------------------------
@@ -320,6 +310,58 @@ def test_train_ou_process_runs(train_setup):
     env_cfg, scenarios = train_setup
     _, traj = train(env_cfg, scenarios, quick_cfg(noise_process="ou"))
     assert len(traj) == 4
+
+
+# train(replace(train_setup's config, measurement_noise_pct=1.0), ...,
+# quick_cfg(episodes=4, horizon=4, noise_process=..., noise_sigma_end=...),
+# nets=small_nets(state_dim=9, action_dim=1)): the reward per episode and the
+# trained actor's parameter sum, as float hex. Exploration, measurement noise
+# and replay sampling share one stream, so any change to the order or the
+# expressions of the exploration draws shows here.
+EXPLORATION_BITS = {
+    ("gaussian", 0.005): (["-0x1.8bcea06ce298cp-2", "-0x1.c3c0749d0c848p-2",
+                           "-0x1.a050731d10201p-2", "-0x1.3d039397bb3a3p-2"],
+                          "0x1.536b6849b3edep+2"),
+    ("gaussian", 0.0): (["-0x1.8bcea06ce298cp-2", "-0x1.c3999b008af20p-2",
+                         "-0x1.a0a14fd7fc912p-2", "-0x1.3d0f91aec02e4p-2"],
+                        "0x1.536c662aba4dcp+2"),
+    ("ou", 0.005): (["-0x1.59b42997dd560p-2", "-0x1.ca6c264856a2bp-2",
+                     "-0x1.95c0aed478743p-4", "-0x1.3d2491aac94c8p-2"],
+                    "0x1.536b2139cd8cfp+2"),
+    ("ou", 0.0): (["-0x1.59b42997dd560p-2", "-0x1.ca483d158d0b2p-2",
+                   "-0x1.96d37ec4f6f42p-4", "-0x1.3d0f286619568p-2"],
+                  "0x1.536b181013438p+2"),
+}
+
+
+@pytest.mark.parametrize("process, sigma_end", list(EXPLORATION_BITS))
+def test_train_exploration_bits(train_setup, process, sigma_end):
+    env_cfg, scenarios = train_setup
+    noisy = replace(env_cfg, measurement_noise_pct=1.0)
+    nets = small_nets(state_dim=noisy.state_dim, action_dim=noisy.n_zones)
+    tuned, traj = train(noisy, scenarios, nets=nets,
+                        cfg=quick_cfg(episodes=4, horizon=4, noise_process=process,
+                                      noise_sigma_end=sigma_end))
+    assert ([r.hex() for r in traj], float(tuned.actor.params.sum()).hex()) \
+        == EXPLORATION_BITS[process, sigma_end]
+
+
+@pytest.mark.parametrize("process", ["gaussian", "ou"])
+def test_train_clips_exploratory_actions(train_setup, monkeypatch, process):
+    env_cfg, scenarios = train_setup
+    actions = []
+    real = ddpg.env_step
+
+    def spying(cfg, cond, action, rng=None):
+        actions.append(action.copy())
+        return real(cfg, cond, action, rng=rng)
+
+    monkeypatch.setattr(ddpg, "env_step", spying)
+    train(env_cfg, scenarios, quick_cfg(noise_sigma_start=5.0, noise_process=process))
+    actions = np.concatenate(actions)
+    assert actions.size == 4 * 3
+    assert np.all(np.abs(actions) <= 1.0)
+    assert np.any(np.abs(actions) == 1.0)  # sigma 5 pushes some action past the bound
 
 
 def test_train_empty_scenarios_raises(train_setup):

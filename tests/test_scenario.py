@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fourbus_gen, rewrite_csv, synth34_gen
+from gridpilot.dsse import build_training_pairs
+from gridpilot.env import EnvConfig, conditions
 from gridpilot.errors import DatasetError
 from gridpilot.feeder import LoadPoint, PvUnit, build_admittance, validate_feeder
 from gridpilot.scenario import (
@@ -281,6 +283,31 @@ def test_to_injections_signs_and_slack(feeder4, admittance4):
     inj_q = to_injections(admittance4, sc, q_pv=q_pv)
     assert inj_q.q[k_pv] == pytest.approx(inj.q[k_pv] - 0.1)
     assert np.array_equal(inj_q.p, inj.p)
+
+
+@pytest.mark.parametrize("feeder_name", ["feeder4", "feeder34"])
+def test_scenario_that_does_not_fit_the_feeder_is_refused(request, feeder_name):
+    # np.add.at broadcasts a length-1 or 0-d value over all of a feeder's
+    # rows, so without a shape check these would give every load (or PV
+    # unit) the first one's power, without a word
+    feeder = request.getfixturevalue(feeder_name)
+    gen = fourbus_gen(1) if feeder_name == "feeder4" else synth34_gen(1)
+    sset = generate_scenario_set(feeder, gen, seed=5)
+    sc = sset.scenarios[0]
+    cfg = EnvConfig(feeder=feeder)
+    to_injections(feeder.admittance, sc)  # the generated scenario fits
+    conditions(cfg, sc)
+    for misfit in (replace(sc, p_load=sc.p_load[:1], q_load=sc.q_load[:1]),
+                   replace(sc, q_load=sc.q_load[:1]),
+                   replace(sc, p_pv=sc.p_pv[0]),
+                   replace(sc, p_pv=sc.p_pv[:, None]),
+                   replace(sc, p_load=list(sc.p_load[:1]))):
+        with pytest.raises(DatasetError, match="shapes"):
+            to_injections(feeder.admittance, misfit)
+        with pytest.raises(DatasetError, match="shapes"):
+            conditions(cfg, misfit)
+        with pytest.raises(DatasetError, match="shapes"):
+            build_training_pairs(replace(sset, scenarios=[misfit]), feeder, 1.0)
 
 
 @pytest.mark.parametrize("kind", ["load", "pv"])
